@@ -30,7 +30,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"tridentsp/internal/core"
 	"tridentsp/internal/exp"
@@ -56,12 +55,11 @@ func realMain() int {
 		failPolicy = flag.String("fail-policy", "strict", "strict: exit 1 if any run failed every attempt; degrade: exit 0 with holed tables")
 		sample     = flag.Bool("sample", false, "run every figure under the interval-sampling scheduler (DESIGN §14, §15); cells come from extrapolated results")
 		sampleJobs = flag.Int("sample-jobs", 1, "concurrent detailed-window chains inside each sampled run; tables are byte-identical at any value (with -j unset, the pool narrows to NumCPU/sample-jobs)")
-		slowpath   = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the block-batched engine)")
-		jit        = flag.Bool("jit", true, "compile hot superblocks to closure chains (the tier above the batch engine; moot under -slowpath)")
-		jitHeat    = flag.Int("jit-threshold", -1, "override the JIT promotion threshold (-1 = config default, 0 = compile on first use)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
+	engine := core.DefaultConfig().Engine
+	engine.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *failPolicy != "strict" && *failPolicy != "degrade" {
@@ -82,22 +80,20 @@ func realMain() int {
 		opts.Instrs = *instrs
 	}
 	if *bench != "" {
-		names, err := parseBenchList(*bench)
+		bms, err := workloads.ParseList(*bench)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
+			fmt.Fprintf(os.Stderr, "%v; try -list\n", err)
 			return 1
 		}
-		opts.Benchmarks = names
+		opts.Benchmarks = nil
+		for _, bm := range bms {
+			opts.Benchmarks = append(opts.Benchmarks, bm.Name)
+		}
 	}
 	opts.Jobs = *jobs
 	opts.Sampled = *sample
 	opts.SampleJobs = *sampleJobs
-	opts.DisableFastPath = *slowpath
-	opts.DisableJIT = !*jit
-	if *jitHeat >= 0 {
-		th := uint32(*jitHeat)
-		opts.JITThreshold = &th
-	}
+	opts.Engine = &engine
 	opts.Retries = *retries
 	opts.TaskTimeout = *taskTO
 
@@ -154,26 +150,6 @@ func realMain() int {
 		}
 	}
 	return 0
-}
-
-// parseBenchList splits a comma-separated benchmark list, trimming
-// whitespace and rejecting names the workload registry does not know.
-func parseBenchList(s string) ([]string, error) {
-	var names []string
-	for _, raw := range strings.Split(s, ",") {
-		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
-		if _, ok := workloads.ByName(name); !ok {
-			return nil, fmt.Errorf("unknown benchmark %q; try -list", name)
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("-bench %q names no benchmarks", s)
-	}
-	return names, nil
 }
 
 func printList() {

@@ -6,6 +6,7 @@
 //
 //	tracedump -bench mcf
 //	tracedump -bench swim -instrs 5000000 -hw none
+//	tracedump -bench mcf -hw selector
 package main
 
 import (
@@ -22,8 +23,8 @@ func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name")
 		instrs = flag.Uint64("instrs", 3_000_000, "instruction budget")
-		hw     = flag.String("hw", "8x8", "hardware prefetcher: none, 4x4, 8x8")
-		scale  = flag.String("scale", "full", "working-set scale: test, small, full")
+		hw     = flag.String("hw", "8x8", "hardware prefetcher: "+core.HWNames())
+		scale  = flag.String("scale", "full", "working-set scale: "+workloads.ScaleNames())
 	)
 	flag.Parse()
 
@@ -41,26 +42,12 @@ func dump(w io.Writer, bench, hw, scale string, instrs uint64) error {
 		return fmt.Errorf("unknown benchmark %q", bench)
 	}
 	cfg := core.DefaultConfig()
-	switch hw {
-	case "none":
-		cfg.HW = core.HWNone
-	case "4x4":
-		cfg.HW = core.HW4x4
-	case "8x8":
-		cfg.HW = core.HW8x8
-	default:
-		return fmt.Errorf("unknown hw config %q", hw)
+	sc, err := workloads.ParseScale(scale)
+	if err == nil {
+		cfg.HW, err = core.ParseHW(hw)
 	}
-	var sc workloads.Scale
-	switch scale {
-	case "test":
-		sc = workloads.ScaleTest
-	case "small":
-		sc = workloads.ScaleSmall
-	case "full":
-		sc = workloads.ScaleFull
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
+	if err != nil {
+		return err
 	}
 
 	sys := core.NewSystem(cfg, bm.Build(sc))

@@ -35,13 +35,17 @@ func TestDumpGolden(t *testing.T) {
 
 func TestDumpRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	for _, tc := range []struct{ bench, hw, scale string }{
-		{"nope", "8x8", "small"},
-		{"dot", "16x16", "small"},
-		{"dot", "8x8", "huge"},
+	for _, tc := range []struct {
+		bench, hw, scale string
+		ok               bool
+	}{
+		{"nope", "8x8", "small", false},
+		{"dot", "16x16", "small", false},
+		{"dot", "8x8", "huge", false},
+		{"dot", "selector", "test", true}, // every core.HWPrefetch name is accepted
 	} {
-		if err := dump(&buf, tc.bench, tc.hw, tc.scale, 1000); err == nil {
-			t.Errorf("dump(%q,%q,%q) accepted invalid input", tc.bench, tc.hw, tc.scale)
+		if err := dump(&buf, tc.bench, tc.hw, tc.scale, 1000); (err == nil) != tc.ok {
+			t.Errorf("dump(%q,%q,%q): err = %v, want ok=%v", tc.bench, tc.hw, tc.scale, err, tc.ok)
 		}
 	}
 }

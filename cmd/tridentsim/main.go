@@ -27,9 +27,14 @@
 // crash-safe checkpoint file after each one; -restore resumes from such a
 // file and the finished run is bit-identical to one that was never
 // interrupted, even if the writing process was SIGKILLed mid-checkpoint.
-// The file records the invocation's identity (benchmark, scale, machine and
-// chaos configuration — not the instruction budget, which may grow across
-// resumes) and refuses to load into a mismatched invocation.
+// The file records the invocation's identity — benchmark, scale, sampling
+// grid, and core.Config.Identity, the canonical encoding of every machine
+// knob (chaos schedule and telemetry ring included) except the engine ones —
+// and refuses to load into a mismatched invocation. The engine knobs
+// (-slowpath, -jit, -jit-threshold) and the instruction budget are left
+// out: a checkpoint cut on one engine resumes on any other, and a resume
+// may extend the run (under -chaos the schedule's horizon derives from
+// -instrs, so there the budget is pinned).
 //
 // With -sample, the run is interval-sampled (DESIGN §14, §15): detailed
 // windows on the full engine alternate with functional fast-forward gaps,
@@ -64,29 +69,26 @@ import (
 )
 
 func main() {
-	defCfg := core.DefaultConfig()
+	cfg := core.DefaultConfig()
 	var (
 		bench   = flag.String("bench", "mcf", "comma-separated benchmark names")
-		hw      = flag.String("hw", "8x8", "hardware prefetcher: none, 4x4, 8x8, next-line, stride, best-offset, ghb, selector")
-		sw      = flag.String("sw", "self-repair", "software prefetching: off, basic, whole-object, self-repair")
+		hw      = flag.String("hw", "8x8", "hardware prefetcher: "+core.HWNames())
+		sw      = flag.String("sw", "self-repair", "software prefetching: "+core.SWNames())
 		trident = flag.Bool("trident", true, "enable the Trident framework")
 		link    = flag.Bool("link", true, "link optimized traces (false = §5.1 overhead mode)")
 		backout = flag.Bool("backout", false, "enable under-performing trace back-out")
 		valspec = flag.Bool("valspec", false, "enable dynamic value specialization")
 		phase   = flag.Bool("phase", false, "enable phase-triggered mature clearing")
 		instrs  = flag.Uint64("instrs", 2_000_000, "instruction budget")
-		scale   = flag.String("scale", "full", "working-set scale: test, small, full")
+		scale   = flag.String("scale", "full", "working-set scale: "+workloads.ScaleNames())
 		verbose = flag.Bool("v", false, "print the full outcome breakdown")
 		preset  = flag.String("chaos", "", "fault-injection preset: "+presetList())
 		seed    = flag.Uint64("chaos-seed", 1, "fault-injection schedule seed")
 		jobs    = flag.Int("j", 0, "max concurrent benchmark runs (0 = all CPUs)")
-		slow    = flag.Bool("slowpath", false, "force the reference one-step simulation loop (disable the block-batched engine)")
-		jit     = flag.Bool("jit", true, "compile hot superblocks to closure chains (the tier above the batch engine; moot under -slowpath)")
-		jitHeat = flag.Uint("jit-threshold", 8, "interpreted launches before a block is JIT-compiled (0 = compile on first use)")
 
-		hwDegree   = flag.Int("hw-degree", defCfg.HWDegree, "prefetch degree for the arsenal backends (-hw next-line/stride/best-offset/ghb/selector)")
-		selProbe   = flag.Uint64("selector-probe", defCfg.SelectorProbe, "committed loads per backend probe epoch (-hw selector)")
-		selExploit = flag.Uint64("selector-exploit", defCfg.SelectorExploit, "exploit phase length as a multiple of the probe epoch (-hw selector)")
+		hwDegree   = flag.Int("hw-degree", cfg.HWDegree, "prefetch degree for the arsenal backends (-hw next-line/stride/best-offset/ghb/selector)")
+		selProbe   = flag.Uint64("selector-probe", cfg.SelectorProbe, "committed loads per backend probe epoch (-hw selector)")
+		selExploit = flag.Uint64("selector-exploit", cfg.SelectorExploit, "exploit phase length as a multiple of the probe epoch (-hw selector)")
 
 		sample         = flag.Bool("sample", false, "interval-sampled run: detailed windows + functional fast-forward with live warmup (DESIGN §14)")
 		sampleInterval = flag.Uint64("sample-interval", 0, "sampling grid period in original instructions (0 = default)")
@@ -108,47 +110,26 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry as JSON to this file")
 		traceRing  = flag.Int("trace-ring", 0, "telemetry ring capacity in events (0 = default)")
 	)
+	cfg.Engine.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	var bms []workloads.Benchmark
-	for _, raw := range strings.Split(*bench, ",") {
-		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
-		bm, ok := workloads.ByName(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", name)
-			os.Exit(1)
-		}
-		bms = append(bms, bm)
+	fail := func(code int, format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		os.Exit(code)
 	}
-	if len(bms) == 0 {
-		fmt.Fprintf(os.Stderr, "-bench %q names no benchmarks\n", *bench)
-		os.Exit(1)
+	bms, err := workloads.ParseList(*bench)
+	if err != nil {
+		fail(1, "%v", err)
 	}
-
-	cfg := core.DefaultConfig()
-	switch *hw {
-	case "none":
-		cfg.HW = core.HWNone
-	case "4x4":
-		cfg.HW = core.HW4x4
-	case "8x8":
-		cfg.HW = core.HW8x8
-	case "next-line":
-		cfg.HW = core.HWNextLine
-	case "stride":
-		cfg.HW = core.HWStride
-	case "best-offset":
-		cfg.HW = core.HWBestOffset
-	case "ghb":
-		cfg.HW = core.HWGHB
-	case "selector":
-		cfg.HW = core.HWSelector
-	default:
-		fmt.Fprintf(os.Stderr, "unknown hw config %q\n", *hw)
-		os.Exit(1)
+	sc, err := workloads.ParseScale(*scale)
+	if err == nil {
+		cfg.HW, err = core.ParseHW(*hw)
+	}
+	if err == nil {
+		cfg.SW, err = core.ParseSW(*sw)
+	}
+	if err != nil {
+		fail(1, "%v", err)
 	}
 	cfg.HWDegree = *hwDegree
 	cfg.SelectorProbe = *selProbe
@@ -156,48 +137,18 @@ func main() {
 	if !cfg.HW.Arsenal() {
 		for _, f := range []string{"hw-degree", "selector-probe", "selector-exploit"} {
 			if flagWasSet(f) {
-				fmt.Fprintf(os.Stderr, "-%s requires an arsenal backend (-hw next-line/stride/best-offset/ghb/selector)\n", f)
-				os.Exit(2)
+				fail(2, "-%s requires an arsenal backend (-hw next-line/stride/best-offset/ghb/selector)", f)
 			}
 		}
 	}
-	switch *sw {
-	case "off":
-		cfg.SW = core.SWOff
-	case "basic":
-		cfg.SW = core.SWBasic
-	case "whole-object":
-		cfg.SW = core.SWWholeObject
-	case "self-repair":
-		cfg.SW = core.SWSelfRepair
-	default:
-		fmt.Fprintf(os.Stderr, "unknown sw mode %q\n", *sw)
-		os.Exit(1)
-	}
 	cfg.Trident = *trident
 	cfg.LinkTraces = *link
-	cfg.DisableFastPath = *slow
-	cfg.JIT = *jit
-	cfg.JITThreshold = uint32(*jitHeat)
 	cfg.Backout = *backout
 	cfg.ValueSpecialize = *valspec
 	cfg.PhaseClearMature = *phase
 	if cfg.SW == core.SWOff {
 		// Plain baseline unless Trident was explicitly requested.
 		cfg.Trident = *trident && flagWasSet("trident")
-	}
-
-	var sc workloads.Scale
-	switch *scale {
-	case "test":
-		sc = workloads.ScaleTest
-	case "small":
-		sc = workloads.ScaleSmall
-	case "full":
-		sc = workloads.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(1)
 	}
 
 	// Sentinel cadence: -sentinel-every sets it directly, bare -sentinel
@@ -208,97 +159,67 @@ func main() {
 	if *sentEvery > 0 {
 		w := *sentWindow
 		if w == 0 {
-			w = *sentEvery / 4
-			if w == 0 {
-				w = 1
-			}
+			w = max(*sentEvery/4, 1)
 		}
 		cfg.SentinelEvery, cfg.SentinelWindow = *sentEvery, w
 	}
 
 	// Chaos configuration is validated up front — a typoed preset should be
 	// a usage error, not a mid-run surprise. Horizon in cycles: twice the
-	// instruction budget covers the whole run for any IPC above 0.5.
+	// instruction budget covers the whole run for any IPC above 0.5. A
+	// Schedule is immutable (each System expands it into a private edge
+	// cursor), so one instance is safely shared by every concurrent run.
 	chaosCfg := chaos.Config{Preset: chaos.Preset(*preset), Seed: *seed, Horizon: int64(*instrs) * 2}
 	if err := chaosCfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -chaos/-chaos-seed: %v\nusage: -chaos {%s} [-chaos-seed N]\n", err, presetList())
-		os.Exit(2)
+		fail(2, "invalid -chaos/-chaos-seed: %v\nusage: -chaos {%s} [-chaos-seed N]", err, presetList())
 	}
-	// A Schedule is immutable (each System expands it into a private edge
-	// cursor), so one instance is safely shared by every concurrent run.
-	sched, err := chaosCfg.Schedule()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v (presets: %s)\n", err, presetList())
-		os.Exit(1)
+	if cfg.Chaos, err = chaosCfg.Schedule(); err != nil {
+		fail(1, "%v (presets: %s)", err, presetList())
 	}
-
+	cfg.ChaosShadow = cfg.Chaos != nil
+	if *traceOut != "" || *chromeOut != "" || *metricsOut != "" {
+		cfg.Telemetry = &telemetry.Options{RingCap: *traceRing}
+	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 
+	o := runOptions{
+		instrs: *instrs, every: *ckptEvery, dir: *ckptDir, restore: *restore,
+		verbose: *verbose, multi: len(bms) > 1,
+		traceOut: *traceOut, chromeOut: *chromeOut, metricsOut: *metricsOut,
+		sample: *sample, sampleJobs: *sampleJobs, roiDir: *roiCache,
+	}
 	// Sampled-mode flag hygiene: the shaping flags require -sample, and the
 	// two run modes whose semantics need every instruction simulated in
 	// detail (chaos shadow, divergence sentinel) are rejected up front.
 	if !*sample {
 		for _, f := range []string{"sample-interval", "sample-detailed", "sample-warmup", "sample-startup", "sample-jobs", "roi-cache"} {
 			if flagWasSet(f) {
-				fmt.Fprintf(os.Stderr, "-%s requires -sample\n", f)
-				os.Exit(2)
+				fail(2, "-%s requires -sample", f)
 			}
 		}
-	}
-	var smpCfg sampling.Config
-	if *sample {
+	} else {
 		if *preset != "" {
-			fmt.Fprintf(os.Stderr, "-sample is incompatible with -chaos: the architectural shadow machine cannot advance across a functional fast-forward gap\n")
-			os.Exit(2)
+			fail(2, "-sample is incompatible with -chaos: the architectural shadow machine cannot advance across a functional fast-forward gap")
 		}
-		if *sentinel || *sentEvery > 0 {
-			fmt.Fprintf(os.Stderr, "-sample is incompatible with -sentinel: divergence replay windows cannot span a functional fast-forward gap\n")
-			os.Exit(2)
+		if cfg.SentinelEvery > 0 {
+			fail(2, "-sample is incompatible with -sentinel: divergence replay windows cannot span a functional fast-forward gap")
 		}
-		smpCfg = sampling.Config{
+		o.smpCfg = sampling.Config{
 			Interval: *sampleInterval,
 			Detailed: *sampleDetailed,
 			Warmup:   *sampleWarmup,
 			Startup:  *sampleStartup,
 		}.WithDefaults()
-		if err := smpCfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+		if err := o.smpCfg.Validate(); err != nil {
+			fail(2, "%v", err)
 		}
 	}
 
-	telemetryOn := *traceOut != "" || *chromeOut != "" || *metricsOut != ""
-
-	// Checkpointed (or resumed) execution: one benchmark, one machine, run
-	// in windows with a durable checkpoint after each.
-	if *ckptEvery > 0 || *restore != "" {
-		if len(bms) != 1 {
-			fmt.Fprintf(os.Stderr, "-checkpoint-every/-restore support exactly one -bench (got %d)\n"+
-				"usage: tridentsim -bench <name> -checkpoint-every N [-checkpoint-dir D] [-restore F]\n", len(bms))
-			os.Exit(2)
-		}
-		os.Exit(runCheckpointed(bms[0], cfg, sched, sc, ckptOptions{
-			every:      *ckptEvery,
-			dir:        *ckptDir,
-			restore:    *restore,
-			instrs:     *instrs,
-			scale:      *scale,
-			preset:     *preset,
-			seed:       *seed,
-			verbose:    *verbose,
-			telemetry:  telemetryOn,
-			ringCap:    *traceRing,
-			traceOut:   *traceOut,
-			chromeOut:  *chromeOut,
-			metricsOut: *metricsOut,
-			sample:     *sample,
-			smpCfg:     smpCfg,
-			sampleJobs: *sampleJobs,
-			roiDir:     *roiCache,
-		}))
+	if (o.every > 0 || o.restore != "") && len(bms) != 1 {
+		fail(2, "-checkpoint-every/-restore support exactly one -bench (got %d)\n"+
+			"usage: tridentsim -bench <name> -checkpoint-every N [-checkpoint-dir D] [-restore F]", len(bms))
 	}
 
 	// Fan the benchmarks across workers; reports print in argument order.
@@ -307,63 +228,13 @@ func main() {
 		nj = runtime.NumCPU()
 	}
 	sem := make(chan struct{}, nj)
-	type outcome struct {
-		report string
-		failed bool
-		err    error
-	}
-	multi := len(bms) > 1
 	outs := make([]chan outcome, len(bms))
 	for i, bm := range bms {
 		outs[i] = make(chan outcome, 1)
-		i, bm := i, bm
 		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ccfg := cfg
-			if sched != nil {
-				ccfg.Chaos = sched
-				ccfg.ChaosShadow = true
-			}
-			if telemetryOn {
-				ccfg.Telemetry = &telemetry.Options{RingCap: *traceRing}
-			}
-			build := func() *core.System { return core.NewSystem(ccfg, bm.Build(sc)) }
-			sys := build()
-			var report string
-			var failed bool
-			events := func() []telemetry.Event { return sys.Telemetry().AllEvents() }
-			if *sample {
-				var roi *sampling.ROICache
-				if *roiCache != "" {
-					roi = sampling.NewROICache(*roiCache, bm.Name, *scale, smpCfg)
-				}
-				schd, cerr := sampling.NewScheduler(sys, smpCfg, roi,
-					sampling.Options{Jobs: *sampleJobs, NewSystem: build})
-				if cerr != nil {
-					outs[i] <- outcome{failed: true, err: cerr}
-					return
-				}
-				est := schd.Run(*instrs)
-				if cerr := schd.Err(); cerr != nil {
-					outs[i] <- outcome{failed: true, err: cerr}
-					return
-				}
-				report = renderSampled(est, *verbose)
-				reportROI(est)
-				failed = est.Raw.Aborted != "" || est.Raw.InvariantViolations > 0
-				events = schd.Events
-			} else {
-				res := sys.Run(*instrs)
-				report = renderRun(res, *verbose)
-				failed = res.Aborted != "" || res.InvariantViolations > 0
-			}
-			var err error
-			if telemetryOn {
-				err = exportTelemetry(events(), sys.Telemetry(), bm.Name, multi,
-					*traceOut, *chromeOut, *metricsOut)
-			}
-			outs[i] <- outcome{report: report, failed: failed, err: err}
+			outs[i] <- runBench(bm, cfg, sc, o)
 		}()
 	}
 	exitCode := 0
@@ -372,27 +243,20 @@ func main() {
 		fmt.Print(out.report)
 		if out.err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", out.err)
-			exitCode = 1
 		}
-		if out.failed {
-			exitCode = 2
-		}
+		exitCode = max(exitCode, out.code)
 	}
 	os.Exit(exitCode)
 }
 
-// ckptOptions carries the checkpoint driver's knobs.
-type ckptOptions struct {
-	every      uint64 // checkpoint window in original instructions (0 = restore-only)
-	dir        string
-	restore    string
+// runOptions carries the per-benchmark run driver's knobs.
+type runOptions struct {
 	instrs     uint64
-	scale      string
-	preset     string
-	seed       uint64
+	every      uint64 // checkpoint window in original instructions (0 = off)
+	dir        string
+	restore    string // checkpoint file to resume from ("" = fresh start)
 	verbose    bool
-	telemetry  bool
-	ringCap    int
+	multi      bool // several benchmarks: splice names into output paths
 	traceOut   string
 	chromeOut  string
 	metricsOut string
@@ -402,92 +266,122 @@ type ckptOptions struct {
 	roiDir     string
 }
 
-// identity is the invocation fingerprint stored in every checkpoint file.
-// Everything that shapes the simulation is included — for sampled runs that
-// covers the whole schedule, since a resumed scheduler replays the grid the
-// checkpoint was cut on. The instruction budget is deliberately excluded so
-// a resume may extend the run, and so is -sample-jobs: estimates are
-// byte-identical at any parallelism, so a checkpoint cut at one jobs
-// setting may legitimately resume under another.
-func (o ckptOptions) identity(bm workloads.Benchmark, cfg core.Config) string {
-	id := fmt.Sprintf("tridentsim bench=%s scale=%s hw=%s sw=%s trident=%v link=%v "+
-		"backout=%v valspec=%v phase=%v slowpath=%v jit=%v/%d sentinel=%d/%d "+
-		"chaos=%s chaos-seed=%d chaos-horizon=%d telemetry=%v",
-		bm.Name, o.scale, cfg.HW, cfg.SW, cfg.Trident, cfg.LinkTraces,
-		cfg.Backout, cfg.ValueSpecialize, cfg.PhaseClearMature, cfg.DisableFastPath,
-		cfg.JIT, cfg.JITThreshold, cfg.SentinelEvery, cfg.SentinelWindow,
-		o.preset, o.seed, int64(o.instrs)*2, o.telemetry)
-	if cfg.HW.Arsenal() {
-		// The arsenal knobs shape every prefetch decision, so a resume with
-		// a different degree or selector cadence must be refused.
-		id += fmt.Sprintf(" hw-degree=%d selector=%d/%d",
-			cfg.HWDegree, cfg.SelectorProbe, cfg.SelectorExploit)
-	}
+// identity is the invocation fingerprint stored in every checkpoint file:
+// benchmark, scale, the machine's canonical identity (core.Config.Identity,
+// which leaves out the engine knobs — the tiers are bit-identical, so a
+// checkpoint resumes under any of them), and for sampled runs the sampling
+// grid a resumed scheduler replays. The instruction budget is deliberately
+// excluded so a resume may extend the run, and so is -sample-jobs:
+// estimates are byte-identical at any parallelism.
+func (o runOptions) identity(bm workloads.Benchmark, sc workloads.Scale, cfg core.Config) string {
+	id := fmt.Sprintf("tridentsim bench=%s scale=%s %s", bm.Name, sc, cfg.Identity())
 	if o.sample {
-		id += fmt.Sprintf(" sample=%d/%d/%d/%d/%g", o.smpCfg.Interval,
-			o.smpCfg.Detailed, o.smpCfg.Warmup, o.smpCfg.Startup, o.smpCfg.PhaseDelta)
+		id += " " + checkpoint.Identity("Sample", o.smpCfg)
 	}
 	return id
 }
 
-// runCheckpointed executes one benchmark in windows of every instructions,
-// writing an atomic checkpoint file after each window; with restore set it
-// first loads the machine from that file. Returns the process exit code.
-func runCheckpointed(bm workloads.Benchmark, cfg core.Config, sched *chaos.Schedule,
-	sc workloads.Scale, o ckptOptions) int {
-	if sched != nil {
-		cfg.Chaos = sched
-		cfg.ChaosShadow = true
-	}
-	if o.telemetry {
-		cfg.Telemetry = &telemetry.Options{RingCap: o.ringCap}
-	}
-	sys := core.NewSystem(cfg, bm.Build(sc))
-	meta := o.identity(bm, cfg)
-	if o.sample {
-		return runSampledCkpt(bm, sys, cfg, sc, meta, o)
-	}
+// outcome is one benchmark's finished run: its report, its exit code (2
+// for an aborted run or invariant violations, 1 for an error), and the
+// error to print after the report.
+type outcome struct {
+	report string
+	code   int
+	err    error
+}
 
+// ckptFile is a run's checkpoint plumbing: the identity every file carries,
+// the file to write (empty = not checkpointing), and the payload to resume
+// from (nil = fresh start).
+type ckptFile struct {
+	meta    string
+	path    string
+	payload []byte
+}
+
+// write publishes one checkpoint, reporting (not failing on) write errors:
+// the run itself is unaffected.
+func (f ckptFile) write(blob []byte) bool {
+	if err := checkpoint.WriteFile(f.path, f.meta, blob); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: writing %s: %v\n", f.path, err)
+		return false
+	}
+	return true
+}
+
+// runBench is the one run driver: it executes bm to the budget, exact or
+// sampled, resuming from o.restore when set and writing a crash-safe
+// checkpoint every o.every instructions when positive. A plain run is the
+// case with neither.
+func runBench(bm workloads.Benchmark, cfg core.Config, sc workloads.Scale, o runOptions) outcome {
+	f := ckptFile{meta: o.identity(bm, sc, cfg)}
 	if o.restore != "" {
-		m, payload, err := checkpoint.ReadFile(o.restore)
+		meta, payload, err := checkpoint.ReadFile(o.restore)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "restore %s: %v\n", o.restore, err)
-			return 1
+			return outcome{code: 1, err: fmt.Errorf("restore %s: %w", o.restore, err)}
 		}
-		if m != meta {
-			fmt.Fprintf(os.Stderr, "restore %s: checkpoint belongs to a different invocation\n  file: %s\n  this: %s\n",
-				o.restore, m, meta)
-			return 2
+		if meta != f.meta {
+			return outcome{code: 2, err: fmt.Errorf("restore %s: checkpoint belongs to a different invocation (- file, + this):\n%s",
+				o.restore, checkpoint.IdentityDiff(meta, f.meta, 8))}
 		}
-		if err := sys.RestoreState(payload); err != nil {
-			fmt.Fprintf(os.Stderr, "restore %s: %v\n", o.restore, err)
-			return 1
-		}
+		f.payload = payload
 	}
-
-	path := ""
 	if o.every > 0 {
 		if err := os.MkdirAll(o.dir, 0o777); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint dir: %v\n", err)
-			return 1
+			return outcome{code: 1, err: fmt.Errorf("checkpoint dir: %w", err)}
 		}
-		path = filepath.Join(o.dir, bm.Name+".ckpt")
+		f.path = filepath.Join(o.dir, bm.Name+".ckpt")
 	}
 
-	var res core.Results
+	build := func() *core.System { return core.NewSystem(cfg, bm.Build(sc)) }
+	sys := build()
+	var (
+		res    core.Results
+		report string
+		events func() []telemetry.Event
+		err    error
+	)
+	if o.sample {
+		var est sampling.Estimate
+		est, events, err = runSampled(sys, build, bm, sc, f, o)
+		res, report = est.Raw, renderSampled(est, o.verbose)
+		reportROI(est)
+	} else {
+		res, err = runExact(sys, f, o)
+		report, events = renderRun(res, o.verbose), sys.Telemetry().AllEvents
+	}
+	if err != nil {
+		return outcome{code: 1, err: err}
+	}
+	out := outcome{report: report}
+	if res.Aborted != "" || res.InvariantViolations > 0 {
+		out.code = 2
+	}
+	if cfg.Telemetry != nil {
+		if out.err = exportTelemetry(events(), sys.Telemetry(), bm.Name, o); out.err != nil {
+			out.code = max(out.code, 1)
+		}
+	}
+	return out
+}
+
+// runExact runs an exact simulation in windows of o.every instructions,
+// checkpointing after each (one window to the budget when not
+// checkpointing).
+func runExact(sys *core.System, f ckptFile, o runOptions) (core.Results, error) {
+	if f.payload != nil {
+		if err := sys.RestoreState(f.payload); err != nil {
+			return core.Results{}, fmt.Errorf("restore %s: %w", o.restore, err)
+		}
+	}
 	for {
 		next := o.instrs
-		if o.every > 0 {
-			if n := sys.OrigInstrs() + o.every; n < next {
-				next = n
-			}
+		if f.path != "" {
+			next = min(next, sys.OrigInstrs()+o.every)
 		}
-		res = sys.Run(next)
-		if res.Aborted != "" || sys.Thread().Halted() || sys.OrigInstrs() >= o.instrs {
-			break
-		}
-		if path == "" {
-			continue
+		res := sys.Run(next)
+		if f.path == "" || res.Aborted != "" || sys.Thread().Halted() || sys.OrigInstrs() >= o.instrs {
+			return res, nil
 		}
 		// SaveState needs a quiescent machine (no optimization mid-apply);
 		// a handful of reference-loop steps always gets there, and they are
@@ -501,56 +395,27 @@ func runCheckpointed(bm workloads.Benchmark, cfg core.Config, sched *chaos.Sched
 			fmt.Fprintf(os.Stderr, "warning: checkpoint at %d instructions: %v\n", sys.OrigInstrs(), err)
 			continue
 		}
-		if err := checkpoint.WriteFile(path, meta, blob); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: writing %s: %v\n", path, err)
-		}
+		f.write(blob)
 	}
-
-	fmt.Print(renderRun(res, o.verbose))
-	code := 0
-	if o.telemetry {
-		if err := exportTelemetry(sys.Telemetry().AllEvents(), sys.Telemetry(), bm.Name, false,
-			o.traceOut, o.chromeOut, o.metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			code = 1
-		}
-	}
-	if res.Aborted != "" || res.InvariantViolations > 0 {
-		code = 2
-	}
-	return code
 }
 
-// runSampledCkpt is the checkpointed driver for sampled runs. The scheduler
-// fires OnCommit at every snapshot-safe point — each startup window and each
+// runSampled runs an interval-sampled simulation. The scheduler fires
+// OnCommit at every snapshot-safe point — each startup window and each
 // completed window chain — and the checkpoint payload is the scheduler's own
 // state (which embeds the machine snapshot it needs: the full master during
 // startup, the startup snapshot plus the committed record afterwards), so a
 // resumed run replays the identical schedule, trigger decisions, and even
-// speculation waste.
-func runSampledCkpt(bm workloads.Benchmark, sys *core.System, cfg core.Config,
-	sc workloads.Scale, meta string, o ckptOptions) int {
+// speculation waste. It returns the estimate and the run's event stream.
+func runSampled(sys *core.System, build func() *core.System, bm workloads.Benchmark, sc workloads.Scale,
+	f ckptFile, o runOptions) (sampling.Estimate, func() []telemetry.Event, error) {
 	var roi *sampling.ROICache
 	if o.roiDir != "" {
-		roi = sampling.NewROICache(o.roiDir, bm.Name, o.scale, o.smpCfg)
+		roi = sampling.NewROICache(o.roiDir, bm.Name, sc.String(), o.smpCfg)
 	}
-
-	path := ""
-	if o.every > 0 {
-		if err := os.MkdirAll(o.dir, 0o777); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint dir: %v\n", err)
-			return 1
-		}
-		path = filepath.Join(o.dir, bm.Name+".ckpt")
-	}
-
 	var schd *sampling.Scheduler
 	nextCkpt := uint64(0)
-	opts := sampling.Options{
-		Jobs:      o.sampleJobs,
-		NewSystem: func() *core.System { return core.NewSystem(cfg, bm.Build(sc)) },
-	}
-	if path != "" {
+	opts := sampling.Options{Jobs: o.sampleJobs, NewSystem: build}
+	if f.path != "" {
 		opts.OnCommit = func(progress uint64) {
 			if progress < nextCkpt {
 				return
@@ -561,62 +426,29 @@ func runSampledCkpt(bm workloads.Benchmark, sys *core.System, cfg core.Config,
 				fmt.Fprintf(os.Stderr, "warning: checkpoint at %d instructions: %v\n", progress, err)
 				return
 			}
-			if err := checkpoint.WriteFile(path, meta, e.Bytes()); err != nil {
-				fmt.Fprintf(os.Stderr, "warning: writing %s: %v\n", path, err)
-				return
+			if f.write(e.Bytes()) {
+				nextCkpt = progress + o.every
 			}
-			nextCkpt = progress + o.every
 		}
 	}
 	schd, err := sampling.NewScheduler(sys, o.smpCfg, roi, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
+		return sampling.Estimate{}, nil, err
 	}
-
-	if o.restore != "" {
-		m, payload, err := checkpoint.ReadFile(o.restore)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "restore %s: %v\n", o.restore, err)
-			return 1
-		}
-		if m != meta {
-			fmt.Fprintf(os.Stderr, "restore %s: checkpoint belongs to a different invocation\n  file: %s\n  this: %s\n",
-				o.restore, m, meta)
-			return 2
-		}
-		d := checkpoint.NewDecoder(payload)
+	if f.payload != nil {
+		d := checkpoint.NewDecoder(f.payload)
 		d.Expect("tridentsim.sampled")
-		if err := schd.LoadState(d); err != nil {
-			fmt.Fprintf(os.Stderr, "restore %s: %v\n", o.restore, err)
-			return 1
+		err := schd.LoadState(d)
+		if err == nil {
+			err = d.Finish()
 		}
-		if err := d.Finish(); err != nil {
-			fmt.Fprintf(os.Stderr, "restore %s: %v\n", o.restore, err)
-			return 1
+		if err != nil {
+			return sampling.Estimate{}, nil, fmt.Errorf("restore %s: %w", o.restore, err)
 		}
 	}
 	nextCkpt = sys.Progress() + o.every
-
 	est := schd.Run(o.instrs)
-	if err := schd.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
-	}
-	fmt.Print(renderSampled(est, o.verbose))
-	reportROI(est)
-	code := 0
-	if o.telemetry {
-		if err := exportTelemetry(schd.Events(), sys.Telemetry(), bm.Name, false,
-			o.traceOut, o.chromeOut, o.metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			code = 1
-		}
-	}
-	if est.Raw.Aborted != "" || est.Raw.InvariantViolations > 0 {
-		code = 2
-	}
-	return code
+	return est, schd.Events, schd.Err()
 }
 
 // outPath derives the per-benchmark output file: with one benchmark the path
@@ -637,8 +469,7 @@ func outPath(path, bench string, multi bool) string {
 // -sample-jobs). The metrics registry always comes from the master tracer:
 // chain workers run on private machines whose registries die with them, a
 // documented limitation of sampled-mode -metrics-out.
-func exportTelemetry(events []telemetry.Event, tel *telemetry.Tracer, bench string, multi bool,
-	traceOut, chromeOut, metricsOut string) error {
+func exportTelemetry(events []telemetry.Event, tel *telemetry.Tracer, bench string, o runOptions) error {
 	write := func(path string, fn func(w io.Writer) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -650,24 +481,24 @@ func exportTelemetry(events []telemetry.Event, tel *telemetry.Tracer, bench stri
 		}
 		return f.Close()
 	}
-	if traceOut != "" {
-		err := write(outPath(traceOut, bench, multi), func(w io.Writer) error {
+	if o.traceOut != "" {
+		err := write(outPath(o.traceOut, bench, o.multi), func(w io.Writer) error {
 			return telemetry.WriteJSONL(w, events)
 		})
 		if err != nil {
 			return fmt.Errorf("writing %s trace: %w", bench, err)
 		}
 	}
-	if chromeOut != "" {
-		err := write(outPath(chromeOut, bench, multi), func(w io.Writer) error {
+	if o.chromeOut != "" {
+		err := write(outPath(o.chromeOut, bench, o.multi), func(w io.Writer) error {
 			return telemetry.WriteChromeTrace(w, events)
 		})
 		if err != nil {
 			return fmt.Errorf("writing %s chrome trace: %w", bench, err)
 		}
 	}
-	if metricsOut != "" {
-		err := write(outPath(metricsOut, bench, multi), func(w io.Writer) error {
+	if o.metricsOut != "" {
+		err := write(outPath(o.metricsOut, bench, o.multi), func(w io.Writer) error {
 			return tel.Metrics().WriteJSON(w)
 		})
 		if err != nil {

@@ -92,6 +92,37 @@ func TestRestoreRejectsMismatchedInvocation(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsMismatchedTraceRing: the telemetry ring capacity is part
+// of the checkpoint identity by its effective value. A checkpoint cut with
+// the default ring refuses a resume with a 16-event ring as a different
+// invocation (not as corrupt data), and resumes under -trace-ring 65536 —
+// the capacity the default builds — with the uninterrupted report.
+func TestRestoreRejectsMismatchedTraceRing(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-bench", "mcf", "-scale", "small", "-instrs", "200000",
+		"-metrics-out", filepath.Join(dir, "metrics.json")}
+	refOut, stderr, code := tridentsim(t, append(append([]string{}, base...),
+		"-checkpoint-every", "50000", "-checkpoint-dir", dir)...)
+	if code != 0 {
+		t.Fatalf("checkpointing run failed (%d):\n%s", code, stderr)
+	}
+	ckpt := filepath.Join(dir, "mcf.ckpt")
+
+	_, stderr, code = tridentsim(t, append(append([]string{}, base...), "-trace-ring", "16", "-restore", ckpt)...)
+	if code != 2 {
+		t.Fatalf("mismatched ring restore: exit code = %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "different invocation") {
+		t.Fatalf("stderr does not explain the identity mismatch:\n%s", stderr)
+	}
+
+	out, stderr, code := tridentsim(t, append(append([]string{}, base...), "-trace-ring", "65536", "-restore", ckpt)...)
+	if code != 0 || out != refOut {
+		t.Fatalf("-trace-ring 65536 restore (code %d) differs from the default-ring run\n%s-- resumed --\n%s\nstderr:\n%s",
+			code, refOut, out, stderr)
+	}
+}
+
 // TestRestoreRejectsMismatchedArsenal: the arsenal knobs are part of the
 // checkpoint identity. A checkpoint cut under -hw selector must refuse to
 // resume under a different backend or a different selector cadence, with an
@@ -240,7 +271,8 @@ func TestEngineReportIdentity(t *testing.T) {
 
 // killResumeCase runs one configuration through the full contract:
 // reference run, SIGKILLed checkpointing run, restored run, byte compare.
-func killResumeCase(t *testing.T, extra ...string) {
+// The resume flags apply to the restored run only.
+func killResumeCase(t *testing.T, extra, resume []string) {
 	base := append([]string{"-bench", "mcf", "-scale", "small", "-instrs", "4000000"}, extra...)
 
 	refOut, refErr, refCode := tridentsim(t, base...)
@@ -275,7 +307,7 @@ func killResumeCase(t *testing.T, extra ...string) {
 	cmd.Process.Signal(syscall.SIGKILL)
 	cmd.Wait()
 
-	resOut, resErr, resCode := tridentsim(t, append(append([]string{}, base...), "-restore", ckpt)...)
+	resOut, resErr, resCode := tridentsim(t, append(append(append([]string{}, base...), resume...), "-restore", ckpt)...)
 	if resOut != refOut {
 		t.Errorf("resumed output differs from uninterrupted run\n-- uninterrupted --\n%s-- resumed --\n%s", refOut, resOut)
 	}
@@ -288,25 +320,32 @@ func TestKillResumeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess matrix")
 	}
-	cases := map[string][]string{
+	// Each case: flags for every run, then flags for the resume only.
+	cases := map[string][2][]string{
 		"fastpath":     {},
-		"slowpath":     {"-slowpath"},
-		"sentinel":     {"-sentinel-every", "300000", "-sentinel-window", "100000"},
-		"jit-eager":    {"-jit-threshold", "0"},
-		"nojit":        {"-jit=false"},
-		"jit-sentinel": {"-jit-threshold", "0", "-sentinel-every", "300000", "-sentinel-window", "100000"},
-		"sampled":      {"-sample", "-sample-interval", "500000", "-sample-startup", "500000"},
+		"slowpath":     {{"-slowpath"}},
+		"sentinel":     {{"-sentinel-every", "300000", "-sentinel-window", "100000"}},
+		"jit-eager":    {{"-jit-threshold", "0"}},
+		"nojit":        {{"-jit=false"}},
+		"jit-sentinel": {{"-jit-threshold", "0", "-sentinel-every", "300000", "-sentinel-window", "100000"}},
+		"sampled":      {{"-sample", "-sample-interval", "500000", "-sample-startup", "500000"}},
+		// The engine knobs are outside the checkpoint identity: a checkpoint
+		// cut on the default engine resumes on every other tier and still
+		// prints the uninterrupted run's report.
+		"resume-slowpath":  {nil, {"-slowpath"}},
+		"resume-nojit":     {nil, {"-jit=false"}},
+		"resume-jit-eager": {nil, {"-jit-threshold", "0"}},
 	}
 	for _, preset := range []string{
 		"latency-phase", "eviction-storm", "helper-preemption", "workload-shift", "monkey",
 	} {
-		cases["chaos-"+preset] = []string{"-chaos", preset, "-chaos-seed", "42"}
+		cases["chaos-"+preset] = [2][]string{{"-chaos", preset, "-chaos-seed", "42"}}
 	}
-	for name, extra := range cases {
-		name, extra := name, extra
+	for name, c := range cases {
+		name, c := name, c
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			killResumeCase(t, extra...)
+			killResumeCase(t, c[0], c[1])
 		})
 	}
 }

@@ -7,9 +7,14 @@
 package core
 
 import (
+	"flag"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"tridentsp/internal/chaos"
+	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/cpu"
 	"tridentsp/internal/dlt"
 	"tridentsp/internal/hwpref"
@@ -40,26 +45,25 @@ const (
 	HWSelector
 )
 
-// String names the configuration.
+// hwNames are the configurations' CLI names, indexed by HWPrefetch.
+var hwNames = [...]string{HWNone: "none", HW4x4: "4x4", HW8x8: "8x8", HWNextLine: "next-line",
+	HWStride: "stride", HWBestOffset: "best-offset", HWGHB: "ghb", HWSelector: "selector"}
+
+// String names the configuration: "hw-" and its CLI name.
 func (h HWPrefetch) String() string {
-	switch h {
-	case HW4x4:
-		return "hw-4x4"
-	case HW8x8:
-		return "hw-8x8"
-	case HWNextLine:
-		return "hw-next-line"
-	case HWStride:
-		return "hw-stride"
-	case HWBestOffset:
-		return "hw-best-offset"
-	case HWGHB:
-		return "hw-ghb"
-	case HWSelector:
-		return "hw-selector"
+	if int(h) < len(hwNames) {
+		return "hw-" + hwNames[h]
 	}
 	return "hw-none"
 }
+
+// ParseHW maps a CLI name ("8x8", "selector", ...) to its configuration.
+func ParseHW(name string) (HWPrefetch, error) {
+	return parseName[HWPrefetch]("hw config", name, hwNames[:])
+}
+
+// HWNames lists the CLI names ParseHW accepts, for flag help.
+func HWNames() string { return strings.Join(hwNames[:], ", ") }
 
 // Arsenal reports whether the configuration selects an internal/hwpref
 // backend rather than the stream buffers.
@@ -76,17 +80,29 @@ const (
 	SWSelfRepair
 )
 
-// String names the mode.
+// swNames are the modes' CLI names, indexed by SWMode.
+var swNames = [...]string{SWOff: "off", SWBasic: "basic", SWWholeObject: "whole-object", SWSelfRepair: "self-repair"}
+
+// String names the mode: "sw-" and its CLI name.
 func (m SWMode) String() string {
-	switch m {
-	case SWBasic:
-		return "sw-basic"
-	case SWWholeObject:
-		return "sw-whole-object"
-	case SWSelfRepair:
-		return "sw-self-repair"
+	if int(m) < len(swNames) {
+		return "sw-" + swNames[m]
 	}
 	return "sw-off"
+}
+
+// ParseSW maps a CLI name ("basic", "self-repair", ...) to its mode.
+func ParseSW(name string) (SWMode, error) { return parseName[SWMode]("sw mode", name, swNames[:]) }
+
+// SWNames lists the CLI names ParseSW accepts, for flag help.
+func SWNames() string { return strings.Join(swNames[:], ", ") }
+
+// parseName inverts a CLI name table.
+func parseName[E ~uint8](kind, name string, names []string) (E, error) {
+	if i := slices.Index(names, name); i >= 0 {
+		return E(i), nil
+	}
+	return 0, fmt.Errorf("unknown %s %q (want one of %s)", kind, name, strings.Join(names, ", "))
 }
 
 // Config describes one simulated machine.
@@ -197,6 +213,28 @@ type Config struct {
 	// costs one nil check at each emission site.
 	Telemetry *telemetry.Options
 
+	// Engine selects how the machine is simulated, not what it computes.
+	Engine
+
+	// SentinelEvery arms the online divergence sentinel (sentinel.go,
+	// DESIGN §12): every so many original instructions a window of
+	// SentinelWindow instructions is replayed through the reference
+	// one-step loop and the architectural state cross-checked. On
+	// divergence the machine rewinds to the window start, quarantines its
+	// decoded blocks, and demotes itself to the reference loop for the
+	// rest of the run. 0 (the default) disables the sentinel; it is also
+	// inert when DisableFastPath already selects the reference loop.
+	SentinelEvery uint64
+	// SentinelWindow is the sentinel's replay window length in original
+	// instructions. Must be positive and at most SentinelEvery when the
+	// sentinel is armed.
+	SentinelWindow uint64
+}
+
+// Engine groups the execution-engine knobs. The tiers are bit-identical by
+// construction (DESIGN §9, §13), so Engine is the one part of Config left
+// out of Identity: a checkpoint cut on one engine resumes on any other.
+type Engine struct {
 	// DisableFastPath forces the reference one-step-at-a-time simulation
 	// loop instead of the event-horizon/block-batched engine (DESIGN §9).
 	// The two paths are bit-identical by construction — this knob exists so
@@ -217,20 +255,39 @@ type Config struct {
 	// promotion; 0 compiles on first use (the promotion-boundary smoke
 	// configuration).
 	JITThreshold uint32
+}
 
-	// SentinelEvery arms the online divergence sentinel (sentinel.go,
-	// DESIGN §12): every so many original instructions a window of
-	// SentinelWindow instructions is replayed through the reference
-	// one-step loop and the architectural state cross-checked. On
-	// divergence the machine rewinds to the window start, quarantines its
-	// decoded blocks, and demotes itself to the reference loop for the
-	// rest of the run. 0 (the default) disables the sentinel; it is also
-	// inert when DisableFastPath already selects the reference loop.
-	SentinelEvery uint64
-	// SentinelWindow is the sentinel's replay window length in original
-	// instructions. Must be positive and at most SentinelEvery when the
-	// sentinel is armed.
-	SentinelWindow uint64
+// RegisterFlags binds -slowpath, -jit and -jit-threshold to e's fields,
+// with e's current values as the defaults.
+func (e *Engine) RegisterFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&e.DisableFastPath, "slowpath", e.DisableFastPath,
+		"force the reference one-step simulation loop (disable the block-batched engine)")
+	fs.BoolVar(&e.JIT, "jit", e.JIT,
+		"compile hot superblocks to closure chains (the tier above the batch engine; moot under -slowpath)")
+	fs.Var((*uint32Flag)(&e.JITThreshold), "jit-threshold",
+		"interpreted `launches` before a block is JIT-compiled (0 = compile on first use)")
+}
+
+type uint32Flag uint32
+
+func (f *uint32Flag) String() string { return strconv.FormatUint(uint64(*f), 10) }
+
+func (f *uint32Flag) Set(s string) error {
+	v, err := strconv.ParseUint(s, 10, 32)
+	*f = uint32Flag(v)
+	return err
+}
+
+// Identity is the machine's canonical run identity (DESIGN §12.1): every
+// field of the configuration except Engine, encoded by
+// checkpoint.Identity. Telemetry encodes by presence and effective ring
+// capacity, so RingCap 0 and DefaultRingCap read as the same machine.
+func (c Config) Identity() string {
+	c.Engine = Engine{}
+	if c.Telemetry != nil {
+		c.Telemetry = &telemetry.Options{RingCap: c.Telemetry.EffectiveRingCap()}
+	}
+	return checkpoint.Identity("", c)
 }
 
 // DefaultConfig is the paper's evaluated machine: Table 1 core and memory,
@@ -267,8 +324,7 @@ func DefaultConfig() Config {
 		ChaosMonitorEvery: 25_000,
 		LivelockWindow:    1_000_000,
 
-		JIT:          true,
-		JITThreshold: 8,
+		Engine: Engine{JIT: true, JITThreshold: 8},
 	}
 }
 

@@ -72,9 +72,9 @@ func TestExecBlockMatchesStep(t *testing.T) {
 	if want := len(seq) - 1; len(blk.Insts) != want {
 		t.Fatalf("block length %d, want %d (everything before HALT)", len(blk.Insts), want)
 	}
-	n, w := th.ExecBlock(blk, math.MaxUint64, math.MaxInt64)
-	if n != len(blk.Insts) || w != uint64(n) {
-		t.Fatalf("ExecBlock retired %d (weight %d), want %d", n, w, len(blk.Insts))
+	ex := th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, nil)
+	if ex.N != len(blk.Insts) || ex.Weight != uint64(ex.N) {
+		t.Fatalf("ExecSuperBlock retired %d (weight %d), want %d", ex.N, ex.Weight, len(blk.Insts))
 	}
 	th.Step() // the HALT
 
@@ -110,9 +110,9 @@ func TestExecBlockStopsAtBudgetAndHorizon(t *testing.T) {
 
 	th, ps := newTestThread(p)
 	blk, _ := ps.BlockAt(th.PC())
-	n, w := th.ExecBlock(blk, 5, math.MaxInt64)
-	if n != 5 || w != 5 {
-		t.Fatalf("budget stop: retired %d (weight %d), want 5", n, w)
+	ex := th.ExecSuperBlock(blk, 5, math.MaxInt64, nil)
+	if ex.N != 5 || ex.Weight != 5 {
+		t.Fatalf("budget stop: retired %d (weight %d), want 5", ex.N, ex.Weight)
 	}
 	if got := th.Reg(1); got != 5 {
 		t.Fatalf("r1 = %d after 5 adds, want 5", got)
@@ -131,9 +131,9 @@ func TestExecBlockStopsAtBudgetAndHorizon(t *testing.T) {
 		steps++
 	}
 	blk2, _ := ps2.BlockAt(th2.PC())
-	n2, _ := th2.ExecBlock(blk2, math.MaxUint64, horizon)
-	if n2 != steps {
-		t.Fatalf("horizon stop after %d instructions, reference loop stopped after %d", n2, steps)
+	ex2 := th2.ExecSuperBlock(blk2, math.MaxUint64, horizon, nil)
+	if ex2.N != steps {
+		t.Fatalf("horizon stop after %d instructions, reference loop stopped after %d", ex2.N, steps)
 	}
 	if th2.Now() != ref.Now() {
 		t.Fatalf("horizon stop cycle %d, reference %d", th2.Now(), ref.Now())
@@ -160,8 +160,8 @@ func TestBlockCacheMidRunPatch(t *testing.T) {
 	if !ok || len(blk.Insts) != 4 {
 		t.Fatalf("block at entry: ok=%v len=%d, want 4", ok, len(blk.Insts))
 	}
-	if n, _ := th.ExecBlock(blk, 2, math.MaxInt64); n != 2 {
-		t.Fatalf("retired %d, want 2", n)
+	if ex := th.ExecSuperBlock(blk, 2, math.MaxInt64, nil); ex.N != 2 {
+		t.Fatalf("retired %d, want 2", ex.N)
 	}
 	if th.PC() != 0x1010 {
 		t.Fatalf("pc = %#x, want 0x1010", th.PC())
@@ -186,7 +186,7 @@ func TestBlockCacheMidRunPatch(t *testing.T) {
 	if blk2.Insts[0].Op != isa.LDI || blk2.Insts[0].Imm != 99 {
 		t.Fatalf("block not invalidated: first inst %+v", blk2.Insts[0])
 	}
-	if n, _ := th.ExecBlock(blk2, 1, math.MaxInt64); n != 1 {
+	if ex := th.ExecSuperBlock(blk2, 1, math.MaxInt64, nil); ex.N != 1 {
 		t.Fatal("patched instruction did not execute")
 	}
 	if got := th.Reg(2); got != 99 {
@@ -261,7 +261,7 @@ func TestExecBlockInterference(t *testing.T) {
 	th, ps := newTestThread(p)
 	th.SetInterference(true)
 	blk, _ := ps.BlockAt(th.PC())
-	th.ExecBlock(blk, math.MaxUint64, math.MaxInt64)
+	th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, nil)
 	th.Step()
 	if th.Now() != ref.Now() {
 		t.Fatalf("interfering cycle count %d, reference %d", th.Now(), ref.Now())

@@ -345,13 +345,3 @@ loop:
 	t.pc = pc
 	return ex
 }
-
-// ExecBlock is the hook-free batch entry point: it retires instructions
-// from b until the weight budget, the horizon, or the block end, returning
-// the instructions retired and their total weight. For blocks that contain
-// memory operations or a branch it may stop early with NeedSlow semantics
-// (t.PC() then addresses the instruction that needs Step).
-func (t *Thread) ExecBlock(b Block, weightBudget uint64, horizon int64) (int, uint64) {
-	ex := t.ExecSuperBlock(b, weightBudget, horizon, nil)
-	return ex.N, ex.Weight
-}

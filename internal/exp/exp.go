@@ -35,17 +35,11 @@ type Options struct {
 	// negative selects runtime.NumCPU(). Any value produces byte-identical
 	// tables: results are assembled in submission order.
 	Jobs int
-	// DisableFastPath forces the reference one-step simulation loop
-	// (core.Config.DisableFastPath) in every run. Tables are identical
-	// either way; the knob exists to prove that.
-	DisableFastPath bool
-	// DisableJIT turns off the compiled-closure tier in every run, leaving
-	// the interpreting batch engine (core.Config.JIT = false). Tables are
-	// identical either way, like DisableFastPath.
-	DisableJIT bool
-	// JITThreshold, when non-nil, overrides core.Config.JITThreshold in
-	// every run (0 = compile every block on first use).
-	JITThreshold *uint32
+	// Engine, when non-nil, replaces core.Config.Engine in every run (the
+	// reference loop, the batch interpreter, the JIT tier and its
+	// threshold). Tables are identical under every engine; the knob exists
+	// to prove that.
+	Engine *core.Engine
 	// Sampled runs every figure under the interval-sampling scheduler
 	// (DESIGN §14, §15) and computes cells from the extrapolated Results.
 	// Exact mode (the default) is untouched — its tables stay byte-identical.
@@ -106,15 +100,10 @@ func (o Options) suite() []workloads.Benchmark {
 	return out
 }
 
-// applyEngine applies the engine-selection knobs (fast path, JIT tier) to a
-// run configuration.
+// applyEngine applies the engine override, if any, to a run configuration.
 func (o Options) applyEngine(cfg *core.Config) {
-	cfg.DisableFastPath = o.DisableFastPath
-	if o.DisableJIT {
-		cfg.JIT = false
-	}
-	if o.JITThreshold != nil {
-		cfg.JITThreshold = *o.JITThreshold
+	if o.Engine != nil {
+		cfg.Engine = *o.Engine
 	}
 }
 

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"tridentsp/internal/core"
+)
 
 // TestTablesIdenticalOnSlowPath renders a figure and the resilience matrix
 // with the fast path on and off and requires byte-identical text: the
@@ -21,7 +25,7 @@ func TestTablesIdenticalOnSlowPath(t *testing.T) {
 			o.Benchmarks = []string{"swim"}
 		}
 		fast := e.Run(o)
-		o.DisableFastPath = true
+		o.Engine = &core.Engine{DisableFastPath: true}
 		slow := e.Run(o)
 		if f, s := fast.Render(), slow.Render(); f != s {
 			t.Errorf("%s: table diverged between paths\nfast:\n%s\nslow:\n%s", id, f, s)

@@ -233,14 +233,20 @@ type ring struct {
 	n    uint64 // events ever pushed
 }
 
-func newRing(capacity int) ring {
-	if capacity <= 0 {
-		capacity = DefaultRingCap
+// EffectiveRingCap is the ring capacity the options actually build:
+// RingCap rounded up to a power of two, DefaultRingCap when unset.
+func (o Options) EffectiveRingCap() int {
+	if o.RingCap <= 0 {
+		return DefaultRingCap
 	}
 	c := 1
-	for c < capacity {
+	for c < o.RingCap {
 		c <<= 1
 	}
+	return c
+}
+
+func newRing(c int) ring {
 	return ring{buf: make([]Event, c), mask: uint64(c - 1)}
 }
 
@@ -282,8 +288,8 @@ type Tracer struct {
 // memory is allocated here; Emit never allocates.
 func New(opts Options) *Tracer {
 	t := &Tracer{
-		sem: newRing(opts.RingCap),
-		eng: newRing(opts.RingCap),
+		sem: newRing(opts.EffectiveRingCap()),
+		eng: newRing(opts.EffectiveRingCap()),
 		reg: NewRegistry(),
 	}
 	for k := Kind(0); k < NumKinds; k++ {

@@ -15,6 +15,9 @@
 package workloads
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"tridentsp/internal/isa"
@@ -40,6 +43,27 @@ const (
 	// paper's memory-bound SPEC selection.
 	ScaleFull
 )
+
+var scaleNames = [...]string{ScaleTest: "test", ScaleSmall: "small", ScaleFull: "full"}
+
+// String is the scale's CLI name.
+func (s Scale) String() string {
+	if s >= 0 && int(s) < len(scaleNames) {
+		return scaleNames[s]
+	}
+	return fmt.Sprintf("Scale(%d)", int(s))
+}
+
+// ScaleNames lists the CLI names ParseScale accepts, for flag help.
+func ScaleNames() string { return strings.Join(scaleNames[:], ", ") }
+
+// ParseScale inverts Scale.String.
+func ParseScale(name string) (Scale, error) {
+	if i := slices.Index(scaleNames[:], name); i >= 0 {
+		return Scale(i), nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want one of %s)", name, ScaleNames())
+}
 
 // LongFactor is the instruction-budget multiplier of the "long" workload
 // variants. Every kernel is an effectively endless outer loop (see
@@ -126,6 +150,27 @@ func ByName(name string) (Benchmark, bool) {
 		}
 	}
 	return Benchmark{}, false
+}
+
+// ParseList resolves a comma-separated benchmark list, trimming whitespace
+// and rejecting names the registry does not know or a list naming none.
+func ParseList(list string) ([]Benchmark, error) {
+	var bms []Benchmark
+	for _, raw := range strings.Split(list, ",") {
+		name := strings.TrimSpace(raw)
+		if name == "" {
+			continue
+		}
+		bm, ok := ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown benchmark %q", name)
+		}
+		bms = append(bms, bm)
+	}
+	if len(bms) == 0 {
+		return nil, fmt.Errorf("-bench %q names no benchmarks", list)
+	}
+	return bms, nil
 }
 
 // Register conventions shared by all kernels. r26..r28 are free temps;

@@ -14,6 +14,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# perfbench is a separate module built against this one's API, which the
+# root build skips; vet compiles it without writing a binary into the tree.
+(cd perfbench && go vet ./...)
 # The no-shared-state rule the parallel harness relies on, checked first for
 # fast failure, then the full suite.
 go test -race -run TestConcurrentSystemsShareNothing ./internal/core/
@@ -29,6 +32,17 @@ go test -race -run 'TestFastPath|TestSentinel|FuzzFastPathDifferential' ./intern
 go test -race -run 'TestEngineReportIdentity|TestKillResumeDeterminism' ./cmd/tridentsim/
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -jit-threshold 0 > /tmp/jit0.out
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -slowpath | diff /tmp/jit0.out -
+# Cross-engine resume at the binary boundary: the engine knobs are outside
+# the checkpoint identity (DESIGN §12.1), so a checkpoint cut on the default
+# engine resumes under -slowpath — here also extending the budget, which the
+# identity leaves out too — and prints the uninterrupted run's report.
+enginedir=$(mktemp -d)
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 > "$enginedir/ref.out"
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 200000 \
+	-checkpoint-every 100000 -checkpoint-dir "$enginedir" > /dev/null
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -slowpath \
+	-restore "$enginedir/mcf.ckpt" | diff "$enginedir/ref.out" -
+rm -rf "$enginedir"
 # Golden-trace conformance, twice in one process: -count=2 re-runs every
 # workload against the checked-in streams, so a run that mutates shared
 # state (and would only diverge on the second pass) still fails.
