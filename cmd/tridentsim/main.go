@@ -83,7 +83,7 @@ func main() {
 		scale   = flag.String("scale", "full", "working-set scale: "+workloads.ScaleNames())
 		verbose = flag.Bool("v", false, "print the full outcome breakdown")
 		preset  = flag.String("chaos", "", "fault-injection preset: "+presetList())
-		seed    = flag.Uint64("chaos-seed", 1, "fault-injection schedule seed")
+		seed    = flag.Uint64("chaos-seed", 1, "fault-injection schedule seed (requires -chaos)")
 		jobs    = flag.Int("j", 0, "max concurrent benchmark runs (0 = all CPUs)")
 
 		hwDegree   = flag.Int("hw-degree", cfg.HWDegree, "prefetch degree for the arsenal backends (-hw next-line/stride/best-offset/ghb/selector)")
@@ -103,12 +103,12 @@ func main() {
 		restore    = flag.String("restore", "", "resume from this checkpoint file (single -bench only)")
 		sentinel   = flag.Bool("sentinel", false, "arm the online divergence sentinel at its default cadence")
 		sentEvery  = flag.Uint64("sentinel-every", 0, "open a sentinel window every N original instructions (implies -sentinel)")
-		sentWindow = flag.Uint64("sentinel-window", 0, "sentinel window length in original instructions (default: every/4)")
+		sentWindow = flag.Uint64("sentinel-window", 0, "sentinel window length in original instructions (default: every/4; requires -sentinel or -sentinel-every)")
 
 		traceOut   = flag.String("trace-out", "", "write the telemetry event stream as JSONL to this file")
 		chromeOut  = flag.String("chrome-out", "", "write the event stream as Chrome trace_event JSON (load in chrome://tracing or Perfetto)")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry as JSON to this file")
-		traceRing  = flag.Int("trace-ring", 0, "telemetry ring capacity in events (0 = default)")
+		traceRing  = flag.Int("trace-ring", 0, "telemetry ring capacity in events (0 = default; requires -trace-out, -chrome-out or -metrics-out)")
 	)
 	cfg.Engine.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -139,6 +139,20 @@ func main() {
 			if flagWasSet(f) {
 				fail(2, "-%s requires an arsenal backend (-hw next-line/stride/best-offset/ghb/selector)", f)
 			}
+		}
+	}
+	// Companion flags: each shapes a feature another flag switches on, so
+	// set alone it would be silently ignored.
+	for _, c := range []struct {
+		name, needs string
+		on          bool
+	}{
+		{"chaos-seed", "-chaos", *preset != ""},
+		{"sentinel-window", "-sentinel or -sentinel-every", *sentinel || *sentEvery > 0},
+		{"trace-ring", "-trace-out, -chrome-out or -metrics-out", *traceOut != "" || *chromeOut != "" || *metricsOut != ""},
+	} {
+		if !c.on && flagWasSet(c.name) {
+			fail(2, "-%s requires %s", c.name, c.needs)
 		}
 	}
 	cfg.Trident = *trident

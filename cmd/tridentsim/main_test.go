@@ -173,6 +173,33 @@ func TestArsenalFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCompanionFlagValidation: a flag that only shapes a feature another
+// flag switches on is rejected when that flag is missing, instead of being
+// silently ignored.
+func TestCompanionFlagValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"chaos-seed", []string{"-chaos-seed", "7"}},
+		{"sentinel-window", []string{"-sentinel-window", "1000"}},
+		{"sentinel-window", []string{"-sentinel-every", "0", "-sentinel-window", "1000"}},
+		{"trace-ring", []string{"-trace-ring", "16"}},
+	}
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			t.Parallel()
+			_, stderr, code := tridentsim(t, append([]string{"-bench", "mcf", "-scale", "test"}, c.args...)...)
+			if code != 2 {
+				t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, "-"+c.name+" requires") {
+				t.Fatalf("stderr does not name -%s:\n%s", c.name, stderr)
+			}
+		})
+	}
+}
+
 func TestSampleFlagValidation(t *testing.T) {
 	cases := map[string][]string{
 		"shaping-without-sample": {"-sample-interval", "500000"},

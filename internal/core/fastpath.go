@@ -7,7 +7,6 @@ import (
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
 	"tridentsp/internal/telemetry"
-	"tridentsp/internal/trident"
 )
 
 // This file implements the first level of the simulator's fast path: the
@@ -23,14 +22,15 @@ import (
 // Since the superblock engine, batches carry memory operations and loop
 // back-edges too. The core-side monitoring the slow path performs per
 // instruction (DLT/VPT updates for in-trace loads, branch profiling in
-// original code, traversal timing at trace loop-backs) is mirrored into the
-// batch through cpu.SBHooks, each hook a verbatim transliteration of the
-// corresponding step() clause. The remaining slow-path set is exactly the
-// event-visible instructions: loads the L1-hit probe declines (misses,
-// partial hits, MSHR pressure), FDIV, jumps, trace entries and exits,
-// patched words, and any instruction whose monitoring raised a helper event
-// (the batch stops so the pump dispatches at the same cycle the slow path
-// would have).
+// original code, traversal timing at trace loop-backs) reaches the batch
+// through cpu.SBHooks, each hook a call to the same function step() uses
+// (monitorLoad, profileCondBranch, recordTraversal), and each batch ends in
+// the same endCommit step() runs after every instruction. The remaining
+// slow-path set is exactly the event-visible instructions: loads the L1-hit
+// probe declines (misses, partial hits, MSHR pressure), FDIV, jumps, trace
+// entries and exits, patched words, and any instruction whose monitoring
+// raised a helper event (the batch stops so the pump dispatches at the same
+// cycle the slow path would have).
 //
 // Equivalence contract (enforced by TestFastPathDifferential): step()
 // executes one instruction and then processes whatever became due at the
@@ -222,8 +222,9 @@ loop:
 		now := t.Now()
 
 		// Batch-end processing: the same due-checks step() runs after every
-		// instruction, in the same order. Each is a no-op unless its event
-		// actually came due at this boundary.
+		// instruction, in the same order — chaos edges first (an eviction
+		// edge can retire a placement), endCommit last. Each is a no-op
+		// unless its event actually came due at this boundary.
 		if s.chaosRun != nil && now >= s.chaosRun.NextAt() {
 			for _, ed := range s.chaosRun.Due(now) {
 				s.applyChaosEdge(ed)
@@ -251,36 +252,14 @@ loop:
 		}
 		// Load accounting, deferred from the batch: the slow path counts
 		// these per load, but nothing between the loads and this boundary
-		// reads them (the phase check below is the first reader).
+		// reads them (the phase check in endCommit is the first reader).
 		s.stats.loadsTotal += uint64(ex.Loads)
 		s.stats.missesTotal += uint64(ex.WouldMiss)
-		// Tier residency (engine-class): attribute the batch's weight and
-		// clock advance to whichever executor retired it. s.lastNow still
-		// holds the pre-batch cycle here.
 		tier := tierBatch
 		if cb != nil {
 			tier = tierJIT
 		}
-		s.tiers[tier].instrs += ex.Weight
-		if d := now - s.lastNow; d > 0 {
-			s.tiers[tier].cycles += uint64(d)
-		}
-		if s.cfg.Trident {
-			if s.cfg.PhaseClearMature &&
-				s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
-				s.checkPhase(now)
-			}
-			s.pump(now)
-			busy := s.helper.Busy(now)
-			if busy != s.interfering {
-				s.interfering = busy
-				t.SetInterference(busy)
-			}
-		}
-		s.lastNow = now
-		if s.monitor != nil && now >= s.monitor.NextAt() {
-			s.monitor.Tick(now)
-		}
+		s.endCommit(tier, ex.Weight, now)
 		if ex.NeedSlow || s.origInstrs >= limit {
 			if s.origInstrs >= limit {
 				exit = telemetry.FPLimit
@@ -299,30 +278,18 @@ loop:
 }
 
 // initSBHooks binds the batch-observation hooks once at construction (the
-// method values allocate).
+// method values and the closure allocate); each calls the function step()
+// uses for the same instruction, and its result (an event was queued) stops
+// the batch.
 func (s *System) initSBHooks() {
 	s.sbTraceHooks = cpu.SBHooks{
-		Load:     s.sbTraceLoad,
+		Load: func(pc, addr, value uint64, res memsys.Result, now int64) bool {
+			return s.monitorLoad(s.sbPl, pc, addr, value, res, now)
+		},
 		LoopBack: s.sbLoopBack,
 	}
 	s.sbOrigHooks = cpu.SBHooks{
-		Branch: s.sbOrigBranch,
-	}
-}
-
-// recordTraversal is trackTraversal's loop-back arm, applied at cycle at:
-// the traversal that just closed ran from traversalStart to at.
-func (s *System) recordTraversal(at int64) {
-	pl := s.sbPl
-	if we, ok := s.watch.ByID(pl.TraceID); ok {
-		we.RecordTraversal(at - s.traversalStart)
-	}
-	s.stats.traceTraversal++
-	s.traversalStart = at
-	if s.cfg.Backout {
-		if a := s.activity[pl.TraceID]; a != nil {
-			a.traversals++
-		}
+		Branch: s.profileCondBranch,
 	}
 }
 
@@ -335,7 +302,7 @@ func (s *System) flushHeadRecord() {
 		return
 	}
 	s.sbHeadPending = false
-	s.recordTraversal(s.lastNow)
+	s.recordTraversal(s.sbPl, s.lastNow)
 }
 
 // sbLoopBack fires when a batched trace fold is about to re-execute the
@@ -349,79 +316,5 @@ func (s *System) sbLoopBack(now int64) {
 		return
 	}
 	s.flushHeadRecord()
-	s.recordTraversal(now)
-}
-
-// sbTraceLoad is monitorLoad, transliterated for a batched in-trace load.
-// It must stop the batch exactly when a helper event was enqueued: the slow
-// path's pump would dispatch it at this very cycle, so the batch has to end
-// for the batch-end pump to run at the same point. loadsTotal/missesTotal
-// are deliberately not counted here — the batch aggregates them (SBExec) and
-// the boundary processing adds them before any reader runs.
-func (s *System) sbTraceLoad(pc, addr, value uint64, res memsys.Result, now int64) bool {
-	pl := s.sbPl
-	idx := (pc - pl.Start) / isa.WordSize
-	ti := &pl.Trace.Insts[idx]
-	if ti.Inserted || ti.OrigPC == 0 {
-		return false
-	}
-	origPC, headPC := ti.OrigPC, pl.Trace.StartPC
-
-	s.stats.loadsInTrace++
-	stop := false
-	if s.vpt != nil && s.vpt.Update(origPC, value) {
-		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: now, LoadPC: origPC}
-		ev.Hot.StartPC = headPC
-		if s.queue.Push(ev) {
-			stop = true
-		}
-	}
-	if wouldMiss(res) {
-		s.stats.missesInTrace++
-		if s.opt != nil && s.opt.Covered(headPC, origPC) {
-			s.stats.missesCovered++
-		}
-	}
-	// A fast-path load is never an L1 miss, so the DLT sample is always
-	// (miss=false, lat=0) — identical to what the slow path would feed it
-	// for the same access. The window boundary can still cross the
-	// delinquency threshold on earlier misses, so the event path stays.
-	if !s.table.UpdateAt(origPC, addr, false, 0, now) {
-		return stop
-	}
-	if s.opt == nil {
-		s.table.ClearCounters(origPC)
-		return stop
-	}
-	we, ok := s.watch.ByStart(headPC)
-	if !ok || we.OptFlag {
-		s.table.ClearCounters(origPC)
-		return stop
-	}
-	ev := trident.Event{
-		Kind:    trident.EventDelinquentLoad,
-		Raised:  now,
-		LoadPC:  origPC,
-		TraceID: we.TraceID,
-	}
-	ev.Hot.StartPC = headPC
-	if s.queue.Push(ev) {
-		we.OptFlag = true
-		return true
-	}
-	s.table.ClearCounters(origPC)
-	return stop
-}
-
-// sbOrigBranch is the branch-profiling clause of step(), transliterated for
-// a batched original-code conditional branch. The batch launch guarantees
-// pc is outside the code cache and outside any placement, which is the slow
-// path's profiling precondition. The batch stops when a hot-trace event was
-// enqueued, for the same pump-timing reason as sbTraceLoad.
-func (s *System) sbOrigBranch(pc uint64, in *isa.Inst, taken bool, now int64) bool {
-	target := isa.BranchTarget(pc, *in)
-	if hot, fired := s.prof.OnCondBranch(pc, target, taken); fired {
-		return s.enqueueHot(hot, now)
-	}
-	return false
+	s.recordTraversal(s.sbPl, now)
 }

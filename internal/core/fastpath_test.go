@@ -169,3 +169,55 @@ func TestFastPathResumableRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestFastPathTierResidencyAddsUp: every retired original instruction is
+// attributed to exactly one execution tier, so on a fresh Run the tiers'
+// residencies sum to OrigInstrs under every engine, with and without the
+// divergence sentinel (whose reference replays retire through step()). An
+// engine never reports residency in a tier it cannot reach.
+func TestFastPathTierResidencyAddsUp(t *testing.T) {
+	engines := []struct {
+		name       string
+		engine     Engine
+		batch, jit bool // tiers the engine may retire on
+	}{
+		{"slowpath", Engine{DisableFastPath: true}, false, false},
+		{"interp", Engine{JIT: false}, true, false},
+		{"default", DefaultConfig().Engine, true, true},
+		{"jit-eager", Engine{JIT: true, JITThreshold: 0}, true, true},
+	}
+	for _, kernel := range []string{"swim", "mcf"} {
+		bm, ok := workloads.ByName(kernel)
+		if !ok {
+			t.Fatalf("%s missing", kernel)
+		}
+		for _, e := range engines {
+			for _, sentinel := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/sentinel=%v", kernel, e.name, sentinel)
+				t.Run(name, func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Engine = e.engine
+					if sentinel {
+						cfg.SentinelEvery, cfg.SentinelWindow = 50_000, 20_000
+					}
+					sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
+					res := sys.Run(200_000)
+					if sentinel && e.batch && res.SentinelChecks == 0 {
+						t.Fatal("sentinel armed on a fast engine but never checked a window")
+					}
+					slow, batch, jit := sys.TierInstrs()
+					if got, want := slow+batch+jit, sys.OrigInstrs(); got != want {
+						t.Fatalf("slow %d + batch %d + jit %d = %d, OrigInstrs %d",
+							slow, batch, jit, got, want)
+					}
+					if (!e.batch && batch != 0) || (!e.jit && jit != 0) {
+						t.Fatalf("unreachable tier retired work: batch %d, jit %d", batch, jit)
+					}
+					if e.batch && batch+jit == 0 {
+						t.Fatal("fast engine retired nothing off the reference loop")
+					}
+				})
+			}
+		}
+	}
+}

@@ -407,7 +407,7 @@ func (s *System) step() {
 			s.stats.missesTotal++
 		}
 		if s.cfg.Trident {
-			s.monitorLoad(pl, pc, info)
+			s.monitorLoad(pl, pc, info.LoadAddr, info.LoadValue, info.LoadRes, now)
 		}
 	}
 
@@ -416,11 +416,7 @@ func (s *System) step() {
 	if s.cfg.Trident && pl == nil && !inCache {
 		switch info.Branch {
 		case cpu.BranchTaken, cpu.BranchNotTaken:
-			taken := info.Branch == cpu.BranchTaken
-			target := isa.BranchTarget(pc, info.Inst)
-			if hot, fired := s.prof.OnCondBranch(pc, target, taken); fired {
-				s.enqueueHot(hot, now)
-			}
+			s.profileCondBranch(pc, &info.Inst, info.Branch == cpu.BranchTaken, now)
 		case cpu.BranchJump:
 			if info.Inst.Op == isa.BR {
 				s.prof.OnJump(pc, isa.BranchTarget(pc, info.Inst))
@@ -428,14 +424,24 @@ func (s *System) step() {
 		}
 	}
 
-	// Phase detection: a shifted miss rate re-arms matured loads.
-	if s.cfg.Trident && s.cfg.PhaseClearMature &&
-		s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
-		s.checkPhase(now)
-	}
+	s.curPl = pl
+	s.endCommit(tierSlow, s.origInstrs-instrsBefore, now)
+}
 
-	// Helper thread: apply finished optimizations, start new ones.
+// endCommit is the post-commit boundary work both execution loops share,
+// run once the instructions retired by tier (weight instrs, ending at cycle
+// now) are accounted for: the phase check, the helper-thread pump and its
+// interference toggle, tier residency, and the watchdog probe. step() calls
+// it after every instruction; fastForward after every batch, at exactly the
+// boundary the one-step loop would have reached.
+func (s *System) endCommit(tier int, instrs uint64, now int64) {
 	if s.cfg.Trident {
+		// Phase detection: a shifted miss rate re-arms matured loads.
+		if s.cfg.PhaseClearMature &&
+			s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
+			s.checkPhase(now)
+		}
+		// Helper thread: apply finished optimizations, start new ones.
 		s.pump(now)
 		busy := s.helper.Busy(now)
 		if busy != s.interfering {
@@ -444,11 +450,12 @@ func (s *System) step() {
 		}
 	}
 
-	s.tiers[tierSlow].instrs += s.origInstrs - instrsBefore
+	// Tier residency (engine-class): s.lastNow still holds the cycle before
+	// this commit.
+	s.tiers[tier].instrs += instrs
 	if d := now - s.lastNow; d > 0 {
-		s.tiers[tierSlow].cycles += uint64(d)
+		s.tiers[tier].cycles += uint64(d)
 	}
-	s.curPl = pl
 	s.lastNow = now
 
 	// Invariant watchdog probe (chaotic runs only).
@@ -520,15 +527,22 @@ func (s *System) trackTraversal(pl *trident.Placement, pc uint64, now int64) {
 		}
 	case pc == pl.Start && s.inTraversal:
 		// Loop-back: one full traversal.
-		if we, ok := s.watch.ByID(pl.TraceID); ok {
-			we.RecordTraversal(s.lastNow - s.traversalStart)
-		}
-		s.stats.traceTraversal++
-		s.traversalStart = s.lastNow
-		if s.cfg.Backout {
-			if a := s.activity[pl.TraceID]; a != nil {
-				a.traversals++
-			}
+		s.recordTraversal(pl, s.lastNow)
+	}
+}
+
+// recordTraversal closes one traversal of pl at cycle at: the traversal ran
+// from traversalStart to at. The batch path calls it from its loop-back
+// hook and its deferred head record.
+func (s *System) recordTraversal(pl *trident.Placement, at int64) {
+	if we, ok := s.watch.ByID(pl.TraceID); ok {
+		we.RecordTraversal(at - s.traversalStart)
+	}
+	s.stats.traceTraversal++
+	s.traversalStart = at
+	if s.cfg.Backout {
+		if a := s.activity[pl.TraceID]; a != nil {
+			a.traversals++
 		}
 	}
 }
@@ -601,46 +615,54 @@ func (s *System) backOut(pl *trident.Placement, now int64) {
 	s.stats.tracesBackedOut++
 }
 
-// monitorLoad feeds the DLT for loads executing inside hot traces and
-// raises delinquent-load events. In the link-disabled overhead experiment
-// no trace ever executes, so — exactly as in the paper's §5.1 setup — the
-// DLT stays silent and only trace-formation events occupy the helper.
-func (s *System) monitorLoad(pl *trident.Placement, pc uint64, info cpu.StepInfo) {
+// monitorLoad feeds the DLT for a load committed at cycle now inside
+// placement pl and raises delinquent-load and invariant-load events,
+// reporting whether it queued one (the batch path must then end its batch,
+// so the pump dispatches the event at the same cycle the slow path's
+// would). In the link-disabled overhead experiment no trace ever executes,
+// so — exactly as in the paper's §5.1 setup — the DLT stays silent and only
+// trace-formation events occupy the helper.
+//
+// loadsTotal/missesTotal are counted by the callers: step() per load, the
+// batch path aggregated through cpu.SBExec. A batched load is always an L1
+// hit, so its DLT sample is (miss=false, lat=0), the same one computed here.
+func (s *System) monitorLoad(pl *trident.Placement, pc, addr, value uint64, res memsys.Result, now int64) bool {
 	if pl == nil {
-		return
+		return false
 	}
 	idx := (pc - pl.Start) / isa.WordSize
 	ti := &pl.Trace.Insts[idx]
 	if ti.Inserted || ti.OrigPC == 0 {
-		return
+		return false
 	}
 	origPC, headPC := ti.OrigPC, pl.Trace.StartPC
 
 	s.stats.loadsInTrace++
-	if s.vpt != nil && s.vpt.Update(origPC, info.LoadValue) {
-		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: info.Now, LoadPC: origPC}
+	queued := false
+	if s.vpt != nil && s.vpt.Update(origPC, value) {
+		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: now, LoadPC: origPC}
 		ev.Hot.StartPC = headPC
-		s.queue.Push(ev)
+		queued = s.queue.Push(ev)
 	}
-	if wouldMiss(info.LoadRes) {
+	if wouldMiss(res) {
 		s.stats.missesInTrace++
 		if s.opt != nil && s.opt.Covered(headPC, origPC) {
 			s.stats.missesCovered++
 		}
 	}
-	miss := info.LoadRes.L1Miss
+	miss := res.L1Miss
 	var missLat int64
 	if miss {
-		missLat = info.LoadRes.Latency
+		missLat = res.Latency
 	}
-	if !s.table.UpdateAt(origPC, info.LoadAddr, miss, missLat, info.Now) {
-		return
+	if !s.table.UpdateAt(origPC, addr, miss, missLat, now) {
+		return queued
 	}
 	// Delinquent-load event. Suppressed while the trace is already being
 	// re-optimized (§3.2's watch-table optimization flag).
 	if s.opt == nil {
 		s.table.ClearCounters(origPC)
-		return
+		return queued
 	}
 	we, ok := s.watch.ByStart(headPC)
 	if !ok || we.OptFlag {
@@ -648,20 +670,33 @@ func (s *System) monitorLoad(pl *trident.Placement, pc uint64, info cpu.StepInfo
 		// restart this load's monitoring window, or it would stay frozen
 		// forever and never raise another event.
 		s.table.ClearCounters(origPC)
-		return
+		return queued
 	}
 	ev := trident.Event{
 		Kind:    trident.EventDelinquentLoad,
-		Raised:  info.Now,
+		Raised:  now,
 		LoadPC:  origPC,
 		TraceID: we.TraceID,
 	}
 	ev.Hot.StartPC = headPC
 	if s.queue.Push(ev) {
 		we.OptFlag = true
-	} else {
-		s.table.ClearCounters(origPC)
+		return true
 	}
+	s.table.ClearCounters(origPC)
+	return queued
+}
+
+// profileCondBranch feeds a conditional branch committed in original code
+// (outside the code cache and every placement) to the branch profiler,
+// raising a hot-trace event when it fires. It reports whether the event
+// queue changed, for the same pump-timing reason as monitorLoad.
+func (s *System) profileCondBranch(pc uint64, in *isa.Inst, taken bool, now int64) bool {
+	target := isa.BranchTarget(pc, *in)
+	if hot, fired := s.prof.OnCondBranch(pc, target, taken); fired {
+		return s.enqueueHot(hot, now)
+	}
+	return false
 }
 
 // enqueueHot raises a hot-trace event, reporting whether the event queue

@@ -421,7 +421,7 @@ func (t *Thread) Step() StepInfo {
 		info.Halted = true
 	}
 
-	t.updateTaint(info.PC, in)
+	t.updateTaint(info.PC, &in)
 
 	// Charge the issue slot.
 	units := t.unitsPerInst
@@ -437,41 +437,59 @@ func (t *Thread) Step() StepInfo {
 	return info
 }
 
-// updateTaint propagates load-derivedness through register writes. pc is
-// the address of the instruction, recorded as the taint source for loads.
-func (t *Thread) updateTaint(pc uint64, in isa.Inst) {
-	switch in.Op.Class() {
-	case isa.ClassLoad:
-		if in.Rd != isa.ZeroReg {
-			if in.Op == isa.LD {
-				t.taintSrc[in.Rd] = pc
-			} else {
-				t.taintSrc[in.Rd] = 0 // LDNF is inserted prefetch code
-			}
-		}
-	case isa.ClassALU, isa.ClassFP:
-		if in.Rd == isa.ZeroReg {
-			return
-		}
-		switch in.Op {
-		case isa.LDI:
-			t.taintSrc[in.Rd] = 0
-		case isa.MOVE, isa.LDIH, isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI,
-			isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.CMPLTI, isa.CMPEQI,
-			isa.LDA:
-			t.taintSrc[in.Rd] = t.taintSrc[in.Ra]
-		default:
-			if s := t.taintSrc[in.Ra]; s != 0 {
-				t.taintSrc[in.Rd] = s
-			} else {
-				t.taintSrc[in.Rd] = t.taintSrc[in.Rb]
-			}
-		}
-	case isa.ClassJump:
-		if in.Rd != isa.ZeroReg {
-			t.taintSrc[in.Rd] = 0
+// taintRule is how an opcode's register write propagates load-derivedness.
+type taintRule uint8
+
+const (
+	taintNone  taintRule = iota // writes no register (NOP, ST, PREFETCH, branches, HALT)
+	taintClear                  // not load-derived: LDI, LDNF (inserted prefetch code), jump links
+	taintPC                     // LD: the load's own pc
+	taintRa                     // single-source ALU forms: the source's taint
+	taintRaRb                   // two-source ALU/FP forms: the first tainted source
+)
+
+// taintRules maps every opcode to its taintRule (indexed by the Op byte, so
+// the lookup needs no bounds check).
+var taintRules = func() (r [256]taintRule) {
+	for op := isa.Op(0); op.Valid(); op++ {
+		switch op.Class() {
+		case isa.ClassLoad, isa.ClassJump:
+			r[op] = taintClear
+		case isa.ClassALU, isa.ClassFP:
+			r[op] = taintRaRb
 		}
 	}
+	r[isa.LD] = taintPC
+	r[isa.LDI] = taintClear
+	for _, op := range []isa.Op{isa.MOVE, isa.LDIH, isa.ADDI, isa.SUBI, isa.MULI,
+		isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.CMPLTI, isa.CMPEQI, isa.LDA} {
+		r[op] = taintRa
+	}
+	return r
+}()
+
+// updateTaint propagates load-derivedness through register writes. pc is
+// the address of the instruction, recorded as the taint source for loads.
+// Step and the batch executor share it. It must stay small enough to
+// inline: a call in ExecSuperBlock's inner loop spills the loop's live
+// registers on every instruction.
+func (t *Thread) updateTaint(pc uint64, in *isa.Inst) {
+	rule := taintRules[in.Op]
+	if rule == taintNone || in.Rd == isa.ZeroReg {
+		return
+	}
+	var src uint64
+	switch rule {
+	case taintPC:
+		src = pc
+	case taintRa:
+		src = t.taintSrc[in.Ra]
+	case taintRaRb:
+		if src = t.taintSrc[in.Ra]; src == 0 {
+			src = t.taintSrc[in.Rb]
+		}
+	}
+	t.taintSrc[in.Rd] = src
 }
 
 func max1(v int64) int64 {

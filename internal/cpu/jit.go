@@ -117,7 +117,7 @@ func (cb *CompiledBlock) Len() int { return cb.n }
 func jitNop(*Thread) {}
 
 // taint3 is the three-register taint-propagation rule shared by the compiled
-// ALU closures (mirrors updateTaint's default arm).
+// ALU closures (updateTaint's taintRaRb rule).
 func (t *Thread) taint3(rd, ra, rb isa.Reg) {
 	if s := t.taintSrc[ra]; s != 0 {
 		t.taintSrc[rd] = s

@@ -190,6 +190,51 @@ func TestTaintPropagationRules(t *testing.T) {
 	}
 }
 
+// TestUpdateTaintEveryOpcode pins updateTaint's table-driven rule for every
+// opcode against the rules spelled out per opcode class, with the first
+// source operand both tainted and clean, and checks that a write to the zero
+// register never records taint.
+func TestUpdateTaintEveryOpcode(t *testing.T) {
+	const pc, untouched, rbTaint = 0x40, 0x300, 0x200
+	for op := isa.Op(0); op.Valid(); op++ {
+		for _, raTaint := range []uint64{0x100, 0} {
+			var want uint64
+			switch op {
+			case isa.LD:
+				want = pc
+			case isa.LDNF, isa.LDI, isa.BR, isa.JMP:
+				want = 0
+			case isa.MOVE, isa.LDIH, isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI,
+				isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.CMPLTI, isa.CMPEQI, isa.LDA:
+				want = raTaint
+			default:
+				switch op.Class() {
+				case isa.ClassALU, isa.ClassFP:
+					want = raTaint
+					if want == 0 {
+						want = rbTaint
+					}
+				default:
+					want = untouched
+				}
+			}
+			for _, rd := range []isa.Reg{3, isa.ZeroReg} {
+				th := &Thread{}
+				th.taintSrc[1], th.taintSrc[2] = raTaint, rbTaint
+				th.taintSrc[3], th.taintSrc[isa.ZeroReg] = untouched, untouched
+				th.updateTaint(pc, &isa.Inst{Op: op, Rd: rd, Ra: 1, Rb: 2})
+				w := want
+				if rd == isa.ZeroReg {
+					w = untouched
+				}
+				if got := th.taintSrc[rd]; got != w {
+					t.Errorf("%v rd=r%d ra taint %#x: taintSrc = %#x, want %#x", op, rd, raTaint, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestMLPTiers(t *testing.T) {
 	// Three equal-latency misses: independent, intra-iteration dependent,
 	// loop-carried — stall must rank independent < dependent < chase.

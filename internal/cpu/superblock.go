@@ -127,7 +127,6 @@ func (t *Thread) ExecSuperBlock(b Block, weightBudget uint64, horizon int64, hoo
 loop:
 	for {
 		in := &b.Insts[i]
-		isALU := true
 		branch := false
 		taken := false
 		var hookKind uint8 // 0 none, 1 load, 2 branch
@@ -192,7 +191,6 @@ loop:
 			t.setReg(in.Rd, t.regs[in.Ra]*t.regs[in.Rb])
 
 		case isa.LD:
-			isALU = false
 			// A hooked load must not commit past the horizon (the hook's
 			// observation has to precede the between-batch event work), so
 			// pre-stop if this commit would cross. Loads charge no stall on
@@ -209,9 +207,6 @@ loop:
 			}
 			v := t.mem.Load(addr)
 			t.setReg(in.Rd, v)
-			if in.Rd != isa.ZeroReg {
-				t.taintSrc[in.Rd] = pc
-			}
 			ex.Loads++
 			if res.Outcome == memsys.HitPrefetched {
 				ex.WouldMiss++
@@ -221,7 +216,6 @@ loop:
 			}
 
 		case isa.LDNF:
-			isALU = false
 			if !memOK {
 				ex.NeedSlow = true
 				break loop
@@ -233,12 +227,8 @@ loop:
 				v = t.mem.Load(addr)
 			}
 			t.setReg(in.Rd, v)
-			if in.Rd != isa.ZeroReg {
-				t.taintSrc[in.Rd] = 0
-			}
 
 		case isa.ST:
-			isALU = false
 			// Check viability before the architectural store: a declined
 			// probe must leave no trace of this instruction.
 			if !memOK || !t.hier.CanStoreFast() {
@@ -250,7 +240,6 @@ loop:
 			t.hier.StoreFast(addr, t.Now())
 
 		case isa.PREFETCH:
-			isALU = false
 			if !memOK {
 				ex.NeedSlow = true
 				break loop
@@ -258,7 +247,6 @@ loop:
 			t.hier.Prefetch(t.regs[in.Ra]+uint64(in.Imm), t.Now())
 
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-			isALU = false
 			branch = true
 			if hookBranch != nil {
 				if t.issueUnits+units >= brCap {
@@ -284,25 +272,7 @@ loop:
 			break loop
 		}
 
-		if isALU && in.Op != isa.NOP && in.Rd != isa.ZeroReg {
-			// Taint propagation, mirroring updateTaint for the plain subset
-			// (all ClassALU/ClassFP except NOP, which is ClassNop).
-			switch in.Op {
-			case isa.LDI:
-				t.taintSrc[in.Rd] = 0
-			case isa.MOVE, isa.LDIH, isa.ADDI, isa.SUBI, isa.MULI, isa.ANDI,
-				isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.CMPLTI, isa.CMPEQI,
-				isa.LDA:
-				t.taintSrc[in.Rd] = t.taintSrc[in.Ra]
-			default:
-				if s := t.taintSrc[in.Ra]; s != 0 {
-					t.taintSrc[in.Rd] = s
-				} else {
-					t.taintSrc[in.Rd] = t.taintSrc[in.Rb]
-				}
-			}
-		}
-
+		t.updateTaint(pc, in)
 		t.issueUnits += units
 		ex.N++
 		if b.Weights != nil {

@@ -29,7 +29,10 @@ type Options struct {
 	// steady state on these kernels while keeping the full suite runnable
 	// in minutes.
 	Instrs uint64
-	// Benchmarks restricts the suite (nil = all 14).
+	// Benchmarks restricts the suite (nil = all 14). Every name must be
+	// one the workloads registry knows: an unknown name panics when the
+	// experiment runs (matching core.NewSystem on an invalid config — a
+	// typo must not quietly shorten the tables).
 	Benchmarks []string
 	// Jobs bounds how many simulator runs execute concurrently; 0 or
 	// negative selects runtime.NumCPU(). Any value produces byte-identical
@@ -86,16 +89,19 @@ func QuickOptions() Options {
 	}
 }
 
-// suite resolves the benchmark list.
+// suite resolves the benchmark list, panicking on a name the registry
+// does not know.
 func (o Options) suite() []workloads.Benchmark {
 	if len(o.Benchmarks) == 0 {
 		return workloads.All()
 	}
 	var out []workloads.Benchmark
 	for _, name := range o.Benchmarks {
-		if bm, ok := workloads.ByName(name); ok {
-			out = append(out, bm)
+		bm, ok := workloads.ByName(name)
+		if !ok {
+			panic(fmt.Sprintf("exp: unknown benchmark %q", name))
 		}
+		out = append(out, bm)
 	}
 	return out
 }

@@ -7,15 +7,22 @@ import (
 	"tridentsp/internal/workloads"
 )
 
+// TestSuiteFiltering: a benchmark list resolves in the caller's order, and
+// an unknown name panics with that name instead of silently shortening
+// every table.
 func TestSuiteFiltering(t *testing.T) {
-	o := Options{Benchmarks: []string{"mcf", "nonesuch", "swim"}}
-	suite := o.suite()
-	if len(suite) != 2 {
-		t.Fatalf("suite = %d entries (unknown names must be dropped)", len(suite))
+	suite := Options{Benchmarks: []string{"mcf", "swim"}}.suite()
+	if len(suite) != 2 || suite[0].Name != "mcf" || suite[1].Name != "swim" {
+		t.Fatalf("suite = %v, want [mcf swim]", suite)
 	}
-	if suite[0].Name != "mcf" || suite[1].Name != "swim" {
-		t.Fatalf("suite order: %s, %s", suite[0].Name, suite[1].Name)
-	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, `"nonesuch"`) {
+			t.Fatalf("unknown benchmark: recovered %v, want a panic naming \"nonesuch\"", r)
+		}
+	}()
+	Options{Benchmarks: []string{"mcf", "nonesuch", "swim"}}.suite()
+	t.Fatal("suite accepted an unknown benchmark")
 }
 
 func TestWithDefaultsPreservesExplicit(t *testing.T) {

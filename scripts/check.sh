@@ -13,10 +13,19 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Formatting gate over both modules (listed explicitly so the benchmark's
+# build cache under .bench_build/ is never walked).
+unformatted=$(gofmt -l ./*.go cmd examples internal perfbench)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l: needs formatting:" $unformatted
+	exit 1
+fi
 go vet ./...
 # perfbench is a separate module built against this one's API, which the
-# root build skips; vet compiles it without writing a binary into the tree.
-(cd perfbench && go vet ./...)
+# root build skips; vet compiles it without writing a binary into the tree,
+# and its self-tests (metric math, digest oracle perturbation, every-workload
+# smoke run at test scale) keep the benchmark honest against API changes.
+(cd perfbench && go vet ./... && go test ./...)
 # The no-shared-state rule the parallel harness relies on, checked first for
 # fast failure, then the full suite.
 go test -race -run TestConcurrentSystemsShareNothing ./internal/core/

@@ -1,6 +1,8 @@
 package tridentsp_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tridentsp"
@@ -68,6 +70,27 @@ func TestPublicAPIExperiments(t *testing.T) {
 	})
 	if len(tbl.Rows) == 0 || tbl.ID != "fig4" {
 		t.Fatalf("experiment table: %+v", tbl)
+	}
+}
+
+// TestPublicAPIExperimentsRejectUnknownBenchmark: a typo in
+// ExpOptions.Benchmarks fails loudly, naming the benchmark, in every
+// experiment — it must not quietly produce a shorter table.
+func TestPublicAPIExperimentsRejectUnknownBenchmark(t *testing.T) {
+	for _, e := range tridentsp.Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, `"mcff"`) {
+					t.Fatalf("recovered %q, want a panic naming \"mcff\"", msg)
+				}
+			}()
+			e.Run(tridentsp.ExpOptions{
+				Scale:      tridentsp.ScaleTest,
+				Instrs:     1000,
+				Benchmarks: []string{"swim", "mcff"},
+			})
+		})
 	}
 }
 
