@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tridentsp/internal/chaos"
+	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/isa"
 	"tridentsp/internal/program"
 	"tridentsp/internal/telemetry"
@@ -289,5 +291,111 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	other := NewSystem(BaselineConfig(HWNone), bm.Build(workloads.ScaleSmall))
 	if err := other.RestoreState(blob); err == nil {
 		t.Fatal("Trident blob restored into a baseline machine")
+	}
+}
+
+// Data memory travels as a diff against the program image (DESIGN §12.2):
+// the full-machine blob carries the written working set, not the footprint,
+// and a restored machine is the image plus that diff.
+
+// memDiffPages encodes m as a diff against base and returns how many pages
+// the diff carries — the pages m does not share with base.
+func memDiffPages(t *testing.T, m, base *program.Memory) int {
+	t.Helper()
+	e := checkpoint.NewEncoder()
+	m.SaveStateDiff(e, base)
+	d := checkpoint.NewDecoder(e.Bytes())
+	d.Expect("program.memdiff")
+	d.Int() // base mapped-word count
+	n := d.Len()
+	if err := d.Err(); err != nil {
+		t.Fatalf("decode memdiff header: %v", err)
+	}
+	return n
+}
+
+// TestSaveStateSizeScalesWithWrites: on mcf at full scale (a ~15 MiB data
+// image) the machine checkpoint stays under 1 MiB, both fresh and after the
+// sampled schedule's 1.5M-instruction startup prefix: the blob grows with
+// the pages the run wrote, not with the image.
+func TestSaveStateSizeScalesWithWrites(t *testing.T) {
+	bm, _ := workloads.ByName("mcf")
+	sys := NewSystem(DefaultConfig(), bm.Build(workloads.ScaleFull))
+	const limit = 1 << 20
+	for _, at := range []uint64{0, 1_500_000} {
+		sys.Run(at)
+		if !sys.Quiesce(1_000_000) {
+			t.Fatalf("did not quiesce at %d instructions", at)
+		}
+		blob, err := sys.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("SaveState at %d instructions: %d bytes", sys.OrigInstrs(), len(blob))
+		if len(blob) >= limit {
+			t.Errorf("SaveState at %d instructions: %d bytes, want < %d (image maps %d words)",
+				at, len(blob), limit, sys.image.Footprint())
+		}
+	}
+}
+
+// TestRestoreSharesUntouchedPages: after a run that dirtied pages, a
+// restored machine re-saves to identical bytes (canonical form) and holds
+// privately exactly the pages the run wrote — every other page is shared
+// with the program image copy-on-write, as in a machine that never stopped.
+func TestRestoreSharesUntouchedPages(t *testing.T) {
+	bm, _ := workloads.ByName("swim")
+	cfg := DefaultConfig()
+	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
+	sys.Run(200_000)
+	if !sys.Quiesce(1_000_000) {
+		t.Fatal("did not quiesce")
+	}
+	dirty := memDiffPages(t, sys.mem, sys.image)
+	all := memDiffPages(t, sys.image, &program.Memory{})
+	if dirty == 0 || dirty >= all {
+		t.Fatalf("setup: run dirtied %d of %d image pages, want some but not all", dirty, all)
+	}
+	blob, err := sys.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
+	if err := fresh.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	blob2, err := fresh.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, blob2) {
+		t.Fatalf("restore is not canonical: %d vs %d bytes", len(blob), len(blob2))
+	}
+	if got := memDiffPages(t, fresh.mem, fresh.image); got != dirty {
+		t.Errorf("restored machine holds %d pages apart from the image, want the %d the run wrote",
+			got, dirty)
+	}
+	if !reflect.DeepEqual(fresh.mem.Snapshot(), sys.mem.Snapshot()) {
+		t.Error("restored memory contents differ from the saved machine's")
+	}
+}
+
+// TestRestoreRejectsDenseMemory: a blob from the retired dense memory codec
+// (section "program.memory") is refused as corrupt, naming the section,
+// rather than misread as a diff.
+func TestRestoreRejectsDenseMemory(t *testing.T) {
+	bm, _ := workloads.ByName("swim")
+	cfg := DefaultConfig()
+	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
+	e := checkpoint.NewEncoder()
+	e.Mark("core.system")
+	sys.thread.SaveState(e)
+	sys.live.SaveState(e)
+	e.Mark("program.memory")
+	e.Len(0)
+	e.Int(0)
+	err := NewSystem(cfg, bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
+	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"program.memory"`) {
+		t.Fatalf("dense-memory blob: err = %v, want ErrCorrupt naming \"program.memory\"", err)
 	}
 }

@@ -124,14 +124,15 @@ func mapTracePC(pl *trident.Placement, pc uint64) uint64 {
 // (config, seed) variant of the same workload: that is the region-of-
 // interest cache's whole trick. Unlike SaveState, no quiescing is needed;
 // microarchitectural and optimizer state is deliberately not captured.
-// Memory is diff-encoded against the program's immutable data image (the
-// format mark is "core.roi2"; pre-diff blobs read as cache misses): the
-// blob carries only the written working set, and any System built from the
-// same workload reconstructs the rest by sharing the image's pages
-// copy-on-write.
+// Memory is diff-encoded against the program's immutable data image, the
+// same codec SaveState uses: the blob carries only the written working set,
+// and any System built from the same workload reconstructs the rest by
+// sharing the image's pages copy-on-write. The format mark is "core.roi3";
+// the ROI cache's meta line carries the same version, so files of older
+// formats read as misses rather than reaching RestoreROI.
 func (s *System) SaveROI() []byte {
 	e := checkpoint.NewEncoder()
-	e.Mark("core.roi2")
+	e.Mark("core.roi3")
 	s.thread.SaveArchState(e)
 	s.mem.SaveStateDiff(e, s.image)
 	e.U64(s.Progress())
@@ -145,7 +146,7 @@ func (s *System) SaveROI() []byte {
 // skipped gap, origInstrs keeps this run's own detailed accounting.
 func (s *System) RestoreROI(blob []byte) error {
 	d := checkpoint.NewDecoder(blob)
-	d.Expect("core.roi2")
+	d.Expect("core.roi3")
 	if err := s.thread.LoadArchState(d); err != nil {
 		return err
 	}

@@ -13,7 +13,10 @@ import (
 // order into a System freshly built from the identical Config and program.
 // Wiring, derived constants, and registered callbacks come from
 // construction — only mutable state travels, so a Config mismatch surfaces
-// as a structural validation error, never as silent divergence.
+// as a structural validation error, never as silent divergence. Data memory
+// travels as a diff against the program's immutable image (s.image), the
+// same codec SaveROI uses: the blob carries the written working set, and
+// the restored memory shares every untouched page with the image.
 //
 // The one piece of machine state that cannot be serialized is a pending
 // optimization (s.apply), a closure over live structures. Checkpointing
@@ -65,7 +68,7 @@ func (s *System) saveState(e *checkpoint.Encoder) {
 	e.Mark("core.system")
 	s.thread.SaveState(e)
 	s.live.SaveState(e)
-	s.mem.SaveState(e)
+	s.mem.SaveStateDiff(e, s.image)
 	s.hier.SaveState(e)
 	e.Bool(s.sb != nil)
 	if s.sb != nil {
@@ -212,7 +215,7 @@ func (s *System) loadState(d *checkpoint.Decoder) error {
 	if err := s.live.LoadState(d); err != nil {
 		return err
 	}
-	if err := s.mem.LoadState(d); err != nil {
+	if err := s.mem.LoadStateDiff(d, s.image); err != nil {
 		return err
 	}
 	if err := s.hier.LoadState(d); err != nil {

@@ -161,8 +161,8 @@ func (p *Program) Pristine() *Program {
 
 // Image returns the program's cached paged memory image (built on first
 // use). The image is shared and immutable once built: it is the
-// copy-on-write base every run's Memory clones from, and the base the
-// diff-encoded region-of-interest checkpoints compare against.
+// copy-on-write base every run's Memory clones from, and the base every
+// memory checkpoint (full-machine and region-of-interest) diffs against.
 func (p *Program) Image() *Memory { return p.ensureMemImage() }
 
 // Listing disassembles the whole code segment, one instruction per line.
@@ -324,17 +324,6 @@ func (m *Memory) forEachPage(f func(idx uint64, pg *memPage)) {
 			f(idx, m.high[idx])
 		}
 	}
-}
-
-// numPages counts the mapped pages.
-func (m *Memory) numPages() int {
-	n := len(m.high)
-	for _, pg := range m.tab {
-		if pg != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Load reads the 8-byte word containing addr. Unmapped addresses read zero.

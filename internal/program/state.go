@@ -1,99 +1,29 @@
 package program
 
 import (
+	"fmt"
+
 	"tridentsp/internal/checkpoint"
 )
 
 // Checkpoint serialization (DESIGN §12). Memory is the only mutable object
-// in this package (Program images are pristine by contract). Pages are
-// written in ascending page-index order so identical memories serialize to
-// identical bytes (the dense table is inherently ordered; overflow pages
-// are sorted). Page ownership is not serialized: restored pages are freshly
-// allocated and owned by the restoring memory outright.
-
-// SaveState serializes the memory contents.
-func (m *Memory) SaveState(e *checkpoint.Encoder) {
-	e.Mark("program.memory")
-	e.Len(m.numPages())
-	m.forEachPage(func(idx uint64, pg *memPage) {
-		e.U64(idx)
-		for _, w := range pg.words {
-			e.U64(w)
-		}
-		for _, v := range pg.valid {
-			e.U64(v)
-		}
-	})
-	e.Int(m.mapped)
-}
-
-// LoadState restores state saved by SaveState, replacing all pages. Pages
-// this memory already owns are overwritten in place rather than reallocated:
-// sampled runs restore a region-of-interest snapshot once per interval, and
-// a fresh 4KB allocation per page per restore made garbage-collection churn
-// the dominant restore cost. Owned pages are referenced only by this memory
-// (clones share the pristine image's pages, which stay owned by the image),
-// so in-place reuse is invisible to every other Memory.
-func (m *Memory) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("program.memory")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	// The dense table is reconciled in place rather than rebuilt: pages
-	// arrive in ascending index order (SaveState's contract), so stale
-	// entries are nilled as the decode sweeps past them. Rebuilding meant
-	// reallocating and re-zeroing the whole table per restore, which
-	// dominated even the page copies.
-	oldHigh := m.high
-	m.high = nil
-	next := uint64(0) // dense entries below next are reconciled
-	for i := 0; i < n; i++ {
-		idx := d.U64()
-		for ; next < idx && next < uint64(len(m.tab)); next++ {
-			m.tab[next] = nil
-		}
-		var pg *memPage
-		if idx < uint64(len(m.tab)) {
-			pg = m.tab[idx]
-		} else if oldHigh != nil {
-			pg = oldHigh[idx]
-		}
-		if pg == nil || pg.owner != m {
-			pg = &memPage{owner: m}
-		}
-		for j := range pg.words {
-			pg.words[j] = d.U64()
-		}
-		for j := range pg.valid {
-			pg.valid[j] = d.U64()
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		m.setPage(idx, pg)
-		if idx >= next {
-			next = idx + 1
-		}
-	}
-	for ; next < uint64(len(m.tab)); next++ {
-		m.tab[next] = nil
-	}
-	m.mapped = d.Int()
-	return d.Err()
-}
+// in this package (Program images are pristine by contract), and it has one
+// codec: a sparse diff against the program's immutable paged image. Both the
+// full-machine checkpoint and the region-of-interest snapshots use it, so a
+// blob scales with the written working set instead of the footprint.
 
 // SaveStateDiff serializes the memory as a sparse diff against base (the
 // program's immutable paged image). Clones share base's pages until first
 // write, so "page pointer differs from base's" is an O(1) exact test for
 // "this page may have diverged": only such pages are written, plus the
-// indices of base pages this memory no longer maps. For a sampled run's
-// region-of-interest checkpoints the diff is the written working set — a
-// small fraction of the image — which shrinks both the blob and the encode
-// time. The encoding is deterministic (ascending page index, like
-// SaveState).
+// indices of base pages this memory no longer maps. The encoding is
+// deterministic: pages go out in ascending page-index order, and a restored
+// memory holds privately exactly the pages its diff carried, so restoring
+// and re-saving yields the same bytes. The base's mapped-word count leads
+// the section, so a diff cannot silently apply to a different image.
 func (m *Memory) SaveStateDiff(e *checkpoint.Encoder, base *Memory) {
 	e.Mark("program.memdiff")
+	e.Int(base.mapped)
 	var diff []uint64
 	m.forEachPage(func(idx uint64, pg *memPage) {
 		if base.page(idx<<memPageShift) != pg {
@@ -127,17 +57,25 @@ func (m *Memory) SaveStateDiff(e *checkpoint.Encoder, base *Memory) {
 // LoadStateDiff restores state saved by SaveStateDiff against the same base
 // image: the memory becomes base-with-the-diff-applied, sharing every
 // untouched page with base copy-on-write (exactly the shape a fresh
-// NewMemory clone has after replaying the same stores). Pages this memory
-// already owns are reused in place, mirroring LoadState's allocation
-// discipline.
+// NewMemory clone has after replaying the same stores). A diff cut from an
+// image with a different mapped-word count is refused as corrupt. Pages this
+// memory already owns are overwritten in place rather than reallocated:
+// sampled runs restore a region-of-interest snapshot once per interval, and
+// a fresh 4KB allocation per page per restore made garbage-collection churn
+// the dominant restore cost. Owned pages are referenced only by this memory
+// (clones share the image's pages, which stay owned by the image), so
+// in-place reuse is invisible to every other Memory.
 func (m *Memory) LoadStateDiff(d *checkpoint.Decoder, base *Memory) error {
 	d.Expect("program.memdiff")
+	baseMapped := d.Int()
 	nDiff := d.Len()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	// Stash owned pages for reuse before the table is rewritten; owned
-	// pages are referenced only by this memory (see LoadState).
+	if baseMapped != base.mapped {
+		return fmt.Errorf("%w: memory diff was cut from an image mapping %d words, this image maps %d",
+			checkpoint.ErrCorrupt, baseMapped, base.mapped)
+	}
 	var own map[uint64]*memPage
 	m.forEachPage(func(idx uint64, pg *memPage) {
 		if pg.owner == m {

@@ -1,17 +1,20 @@
 package program
 
 import (
+	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/isa"
 )
 
-// Tests for the diff-encoded memory checkpoints (DESIGN §15): a sampled
-// run's region-of-interest snapshots are written as a sparse diff against
-// the program's immutable paged image, so the blob scales with the written
-// working set instead of the footprint.
+// Tests for the diff-encoded memory checkpoints (DESIGN §12.2, §15): full
+// machine checkpoints and a sampled run's region-of-interest snapshots are
+// written as a sparse diff against the program's immutable paged image, so
+// the blob scales with the written working set instead of the footprint.
 
 // diffProgram builds a small program whose image spans several pages.
 func diffProgram(t *testing.T) *Program {
@@ -99,10 +102,11 @@ func TestSaveStateDiffEmpty(t *testing.T) {
 	}
 }
 
-// encodeFull returns the non-diff serialization, for size comparison.
+// encodeFull returns m diffed against an empty base — every mapped page
+// travels — as the size a dense snapshot would have, for comparison.
 func encodeFull(m *Memory) []byte {
 	e := checkpoint.NewEncoder()
-	m.SaveState(e)
+	m.SaveStateDiff(e, &Memory{})
 	return e.Bytes()
 }
 
@@ -112,18 +116,12 @@ func encodeFull(m *Memory) []byte {
 func TestSaveStateDiffDeletedPages(t *testing.T) {
 	p := diffProgram(t)
 	base := p.Image()
-	// Build a memory whose page set lacks the base pages: LoadState replaces
-	// the page set wholesale with a small donor's.
-	donor := NewMemory(&Program{Data: map[uint64]uint64{}})
-	donor.Store(0x10000, 77)
-	e := checkpoint.NewEncoder()
-	donor.SaveState(e)
-	m := NewMemory(p)
-	if err := m.LoadState(checkpoint.NewDecoder(e.Bytes())); err != nil {
-		t.Fatalf("LoadState: %v", err)
-	}
+	// A memory whose page table lacks the base pages: built empty, not
+	// cloned from the image, so only the page it stores is mapped.
+	m := &Memory{}
+	m.Store(0x10000, 77)
 	if m.Valid(0x20000) {
-		t.Fatal("setup: base page survived LoadState")
+		t.Fatal("setup: base page mapped in a memory built without the image")
 	}
 	got := roundTrip(t, m, base, p)
 	if got.Load(0x10000) != 77 {
@@ -134,6 +132,34 @@ func TestSaveStateDiffDeletedPages(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Snapshot(), m.Snapshot()) {
 		t.Fatalf("snapshot mismatch:\n got %v\nwant %v", got.Snapshot(), m.Snapshot())
+	}
+	if got.Footprint() != m.Footprint() {
+		t.Errorf("footprint = %d, want %d", got.Footprint(), m.Footprint())
+	}
+}
+
+// TestLoadStateDiffRejectsOtherImage: a diff cut against one image and
+// loaded against an image of a different size is refused as corrupt, with
+// both mapped-word counts in the message, instead of being applied to data
+// it was never cut from (a regenerated workload, say).
+func TestLoadStateDiffRejectsOtherImage(t *testing.T) {
+	p := diffProgram(t)
+	m := NewMemory(p)
+	m.Store(0x10000, 11)
+	e := checkpoint.NewEncoder()
+	m.SaveStateDiff(e, p.Image())
+
+	q := diffProgram(t)
+	q.Data[0x40000] = 40
+	other := q.Image()
+	err := NewMemory(q).LoadStateDiff(checkpoint.NewDecoder(e.Bytes()), other)
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("LoadStateDiff against another image: err = %v, want ErrCorrupt", err)
+	}
+	for _, n := range []int{p.Image().Footprint(), other.Footprint()} {
+		if !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("error %q does not name mapped-word count %d", err, n)
+		}
 	}
 }
 

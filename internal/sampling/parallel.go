@@ -607,6 +607,15 @@ func (s *Scheduler) produce(snapc chan<- slotSnap, stopc <-chan struct{}, done c
 // the slot's architectural snapshot, replay the warm-up, then run windows
 // until the reconciler's verdict (or a terminal condition) ends the chain.
 // The worker never takes a trigger decision — it reports signals and waits.
+//
+// Every chain builds a fresh machine; do not restore S0 into a worker's
+// previous machine instead. RestoreState resets the checkpointed state, not
+// the per-machine engine state a finished chain leaves behind (the
+// superblock cache and the launch counts that promote blocks to the JIT
+// tier), and that state reaches the interval tier records: trying it made
+// TestParallelMatchesSerial report "interval records differ from serial" on
+// every workload. Seeding is cheap anyway — memory travels as a diff against
+// the shared program image.
 func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 	fail := func(err error) {
 		c.results <- windowResult{err: err, final: true}

@@ -22,9 +22,10 @@ import (
 // lengths fix each snapshot's position); each file's meta line additionally
 // pins its boundary index and instruction position, so a misplaced or stale
 // file reads as a miss, never as silent corruption (payload integrity is the
-// checkpoint codec's CRC). The meta format is "roi2" — the diff-encoded
-// memory payload of SaveROI v2 — so blobs from the pre-diff format read as
-// misses and are rebuilt.
+// checkpoint codec's CRC). The meta format is "roi3" — SaveROI's payload
+// whose memory diff names the size of the image it was cut from — so files
+// from older payload formats read as misses and are rebuilt rather than
+// failing the restore.
 //
 // The cache is safe under concurrency at two levels. In-process, counters
 // are mutex-guarded and LoadOrBuild deduplicates per-slot builds through a
@@ -70,7 +71,7 @@ func (r *ROICache) Path(k uint64) string {
 }
 
 func (r *ROICache) meta(k uint64) string {
-	return fmt.Sprintf("roi2 %s k=%d at=%d", r.key(), k, k*r.Interval-r.Warmup)
+	return fmt.Sprintf("roi3 %s k=%d at=%d", r.key(), k, k*r.Interval-r.Warmup)
 }
 
 // load fetches boundary k's snapshot without touching the counters; a

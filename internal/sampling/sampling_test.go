@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,6 +313,44 @@ func TestROICacheRejectsMismatchedKey(t *testing.T) {
 	b := NewROICache(dir, "mcf", "test", other)
 	if _, ok := b.Load(3); ok {
 		t.Fatal("checkpoint from a different grid must not load")
+	}
+}
+
+// A cache file from an older payload format (meta "roi2") is a miss that
+// gets rebuilt, never a blob handed to RestoreROI: that would end the run
+// with a decode error instead of costing one functional fast-forward.
+func TestROICacheRebuildsOlderFormat(t *testing.T) {
+	const total = 800_000
+	dir := t.TempDir()
+	roi := NewROICache(dir, "mcf", "test", testConfig())
+	stale := checkpoint.NewEncoder()
+	stale.Mark("core.roi2")
+	const slots = total / 100_000
+	for k := uint64(1); k <= slots; k++ {
+		meta := strings.Replace(roi.meta(k), "roi3 ", "roi2 ", 1)
+		if meta == roi.meta(k) {
+			t.Fatalf("meta %q does not carry the roi3 format tag", meta)
+		}
+		if err := checkpoint.WriteFile(roi.Path(k), meta, stale.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := runSampled(t, "mcf", total, roi)
+	if h, m := roi.Stats(); h != 0 || m == 0 {
+		t.Fatalf("run over roi2 files: hits=%d misses=%d, want only misses", h, m)
+	}
+	rebuilt := 0
+	for k := uint64(1); k <= slots; k++ {
+		if _, ok := roi.load(k); ok {
+			rebuilt++
+		}
+	}
+	if rebuilt == 0 {
+		t.Error("no roi2 file was replaced by a current snapshot")
+	}
+	got.ROIHits, got.ROIMisses = 0, 0
+	if plain := runSampled(t, "mcf", total, nil); !reflect.DeepEqual(got, plain) {
+		t.Fatalf("run that rebuilt roi2 files differs from uncached:\nrebuilt: %+v\nplain:   %+v", got, plain)
 	}
 }
 

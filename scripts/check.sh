@@ -108,9 +108,9 @@ go run ./cmd/benchdiff -threshold 0.01 BENCH_pr5.json BENCH_pr6.json
 # the same verdict the table mode gates on.
 go run ./cmd/benchdiff -threshold 0.01 -json BENCH_pr6.json BENCH_pr7.json | grep '"regressed": false'
 # Sampled-family gate: -sampled flips auto-pick to BENCH_*_sampled.json so
-# the sampled benches track their own history. PR9 split the bench into
-# jobs=N sub-benchmarks, so the pr8->pr9 comparison has no matched pairs and
-# gates nothing yet; real gating starts with the next sampled snapshot.
+# the sampled benches track their own history. The two newest sampled
+# snapshots both carry BenchmarkSampled100x/jobs={1,2,8}, so every jobs=N
+# sub-benchmark is a matched pair and a >10% ns/op step fails the gate.
 go run ./cmd/benchdiff -sampled -threshold 0.10
 # Prefetch arsenal legs (DESIGN §16): the conformance suite and the selector
 # determinism oracle under -race (the selector sits on the memsys hot path
