@@ -354,6 +354,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero mem latency", func(c *Config) { c.Mem.MemLatency = 0 }},
 		{"negative bus occupancy", func(c *Config) { c.Mem.BusOccupancy = -1 }},
 		{"non-power-of-two line", func(c *Config) { c.Mem.LineSize = 48 }},
+		{"one-byte line", func(c *Config) { c.Mem.LineSize = 1 }}, // line addresses must pack below 2⁶³
 		{"zero inflight", func(c *Config) { c.Mem.MaxInFlight = 0 }},
 		{"zero DLT window", func(c *Config) { c.DLT.WindowSize = 0 }},
 		{"zero DLT assoc", func(c *Config) { c.DLT.Assoc = 0 }},

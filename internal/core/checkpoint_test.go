@@ -399,3 +399,55 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 		t.Fatalf("dense-memory blob: err = %v, want ErrCorrupt naming \"program.memory\"", err)
 	}
 }
+
+// TestRestoreStateAllocations: seeding a sampled chain — RestoreState of the
+// startup snapshot S₀ into a fresh machine — allocates per structure, not
+// per cache set or per page. S₀ is cut after the sampled schedule's
+// 1.5M-instruction startup prefix at full scale; NewSystem's own
+// allocations are measured separately and subtracted. Cache levels restore
+// into their flat way arrays in place, and the page table grows within its
+// capacity, so what remains is the handful of pages and tables the snapshot
+// itself carries.
+func TestRestoreStateAllocations(t *testing.T) {
+	const limit = 200
+	cfg := DefaultConfig()
+	for _, name := range []string{"mcf", "vis"} {
+		bm, _ := workloads.ByName(name)
+		build := func() *System { return NewSystem(cfg, bm.Build(workloads.ScaleFull)) }
+		sys := build()
+		sys.Run(1_500_000)
+		if !sys.Quiesce(1_000_000) {
+			t.Fatalf("%s: did not quiesce", name)
+		}
+		s0, err := sys.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSys := testing.AllocsPerRun(5, func() { build() })
+		seeded := testing.AllocsPerRun(5, func() {
+			if err := build().RestoreState(s0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		restore := seeded - newSys
+		t.Logf("%s: NewSystem %.0f allocations, RestoreState(S₀) %.0f more", name, newSys, restore)
+		if restore >= limit {
+			t.Errorf("%s: RestoreState(S₀) into a fresh machine made %.0f allocations, want < %d",
+				name, restore, limit)
+		}
+	}
+}
+
+// TestNewSystemAllocations: building a machine allocates per structure. The
+// DLT's sets share one backing array instead of one allocation per set.
+func TestNewSystemAllocations(t *testing.T) {
+	const limit = 200
+	bm, _ := workloads.ByName("mcf")
+	prog := bm.Build(workloads.ScaleSmall)
+	cfg := DefaultConfig()
+	n := testing.AllocsPerRun(5, func() { NewSystem(cfg, prog) })
+	t.Logf("NewSystem: %.0f allocations", n)
+	if n >= limit {
+		t.Errorf("NewSystem made %.0f allocations, want < %d", n, limit)
+	}
+}

@@ -367,8 +367,8 @@ func (c Config) Validate() error {
 	if c.CPU.IssueWidth < 1 {
 		return fmt.Errorf("core: CPU.IssueWidth must be at least 1, got %d", c.CPU.IssueWidth)
 	}
-	if c.Mem.LineSize < 1 || c.Mem.LineSize&(c.Mem.LineSize-1) != 0 {
-		return fmt.Errorf("core: Mem.LineSize must be a positive power of two, got %d", c.Mem.LineSize)
+	if c.Mem.LineSize < 2 || c.Mem.LineSize&(c.Mem.LineSize-1) != 0 {
+		return fmt.Errorf("core: Mem.LineSize must be a power of two of at least 2, got %d", c.Mem.LineSize)
 	}
 	if c.Mem.MemLatency < 1 {
 		return fmt.Errorf("core: Mem.MemLatency must be positive, got %d", c.Mem.MemLatency)

@@ -109,6 +109,7 @@ type Table struct {
 	cfg     Config
 	sets    [][]Entry // recency ordered, index 0 = MRU
 	numSets uint64
+	setMask uint64 // numSets-1 when numSets is a power of two, else 0
 	tracer  *telemetry.Tracer
 
 	// Stats.
@@ -116,16 +117,22 @@ type Table struct {
 	Evictions uint64
 }
 
-// New builds a table.
+// New builds a table. The sets are three-index sub-slices of one backing
+// array, so they cost two allocations however many there are, and a set's
+// capacity is the built associativity (SetAssocLimit's ceiling).
 func New(cfg Config) *Table {
 	numSets := cfg.Entries / cfg.Assoc
 	if numSets <= 0 {
 		numSets = 1
 	}
 	t := &Table{cfg: cfg, numSets: uint64(numSets)}
+	if n := uint64(numSets); n&(n-1) == 0 {
+		t.setMask = n - 1
+	}
+	backing := make([]Entry, numSets*cfg.Assoc)
 	t.sets = make([][]Entry, numSets)
 	for i := range t.sets {
-		t.sets[i] = make([]Entry, 0, cfg.Assoc)
+		t.sets[i] = backing[i*cfg.Assoc : i*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return t
 }
@@ -137,7 +144,15 @@ func (t *Table) Config() Config { return t.cfg }
 // evictions emit events through it. A nil tracer (the default) is free.
 func (t *Table) SetTracer(tr *telemetry.Tracer) { t.tracer = tr }
 
-func (t *Table) setIndex(pc uint64) uint64 { return (pc >> 3) % t.numSets }
+// setIndex maps a load PC to its set: a mask for power-of-two set counts
+// (every stock configuration; this runs on every monitored load), % for
+// the rest.
+func (t *Table) setIndex(pc uint64) uint64 {
+	if t.setMask != 0 {
+		return (pc >> 3) & t.setMask
+	}
+	return (pc >> 3) % t.numSets
+}
 
 // lookup returns the entry for pc, refreshing recency; nil if absent.
 func (t *Table) lookup(pc uint64) *Entry {

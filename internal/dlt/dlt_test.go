@@ -1,8 +1,12 @@
 package dlt
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"tridentsp/internal/checkpoint"
 )
 
 func smallConfig() Config {
@@ -243,5 +247,80 @@ func TestDefaultConfigMatchesTable2(t *testing.T) {
 	c := DefaultConfig()
 	if c.Entries != 1024 || c.Assoc != 2 || c.WindowSize != 256 || c.MissThreshold != 8 {
 		t.Fatalf("default config %+v", c)
+	}
+}
+
+// TestOddSetCount: a set count that is not a power of two indexes by %
+// (the mask path would leave sets unused), and the squeeze still reads the
+// built associativity from the shared backing array.
+func TestOddSetCount(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Entries, cfg.Assoc = 6, 2 // 3 sets
+	tb := New(cfg)
+	for pc := uint64(0); pc < 6; pc++ {
+		tb.Update(pc<<3, 0, false, 0)
+	}
+	if tb.Len() != 6 || tb.Evictions != 0 {
+		t.Fatalf("6 PCs over 3 sets of 2: len %d, evictions %d", tb.Len(), tb.Evictions)
+	}
+	tb.SetAssocLimit(1)
+	tb.SetAssocLimit(8)
+	if got := tb.Config().Assoc; got != 2 {
+		t.Fatalf("lifted squeeze gives associativity %d, want the built 2", got)
+	}
+	if tb.Len() != 3 || tb.CheckInvariants() != nil {
+		t.Fatalf("after squeeze: len %d, invariants %v", tb.Len(), tb.CheckInvariants())
+	}
+}
+
+// encodeTable writes a DLT checkpoint by hand: effective associativity, then
+// per set the PCs of its entries in recency order.
+func encodeTable(assoc int, sets [][]uint64) []byte {
+	e := checkpoint.NewEncoder()
+	e.Mark("dlt")
+	e.Int(assoc)
+	e.Len(len(sets))
+	for _, set := range sets {
+		e.Len(len(set))
+		for _, pc := range set {
+			e.U64(pc)
+			e.U32(0)
+			e.U32(0)
+			e.I64(0)
+			e.U64(0)
+			e.I64(0)
+			e.U8(0)
+			e.Bool(false)
+			e.Bool(false)
+			e.Bool(false)
+			e.Bool(true)
+		}
+	}
+	e.U64(0)
+	e.U64(0)
+	return e.Bytes()
+}
+
+// TestLoadStateRejectsImpossibleSets: a set holding more entries than the
+// restored associativity, or an associativity outside 1..built ways, is
+// ErrCorrupt rather than a set silently grown past its ways.
+func TestLoadStateRejectsImpossibleSets(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		assoc int
+		sets  [][]uint64
+		want  string
+	}{
+		{"set past squeezed ways", 1, [][]uint64{{}, {0x08, 0x28}, {}, {}}, "set 1 holds 2 entries, associativity 1"},
+		{"set past built ways", 2, [][]uint64{{0x00, 0x20, 0x40}, {}, {}, {}}, "set 0 holds 3 entries, associativity 2"},
+		{"assoc above built", 3, [][]uint64{{}, {}, {}, {}}, "associativity 3, built with 2 ways"},
+		{"assoc zero", 0, [][]uint64{{}, {}, {}, {}}, "associativity 0, built with 2 ways"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := New(smallConfig()).LoadState(checkpoint.NewDecoder(encodeTable(tc.assoc, tc.sets)))
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState = %v, want ErrCorrupt naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -39,11 +39,16 @@ func (t *Table) SaveState(e *checkpoint.Encoder) {
 // LoadState restores state saved by SaveState.
 func (t *Table) LoadState(d *checkpoint.Decoder) error {
 	d.Expect("dlt")
-	t.cfg.Assoc = d.Int()
+	assoc := d.Int()
 	n := d.Len()
 	if d.Err() != nil {
 		return d.Err()
 	}
+	if built := cap(t.sets[0]); assoc < 1 || assoc > built {
+		return fmt.Errorf("%w: DLT associativity %d, built with %d ways",
+			checkpoint.ErrCorrupt, assoc, built)
+	}
+	t.cfg.Assoc = assoc
 	if n != len(t.sets) {
 		return fmt.Errorf("%w: DLT has %d sets, checkpoint %d", checkpoint.ErrCorrupt, len(t.sets), n)
 	}
@@ -51,6 +56,10 @@ func (t *Table) LoadState(d *checkpoint.Decoder) error {
 		k := d.Len()
 		if d.Err() != nil {
 			return d.Err()
+		}
+		if k > assoc {
+			return fmt.Errorf("%w: DLT set %d holds %d entries, associativity %d",
+				checkpoint.ErrCorrupt, i, k, assoc)
 		}
 		set := t.sets[i][:0]
 		for j := 0; j < k; j++ {

@@ -24,27 +24,47 @@ type CacheConfig struct {
 // Lines returns the number of cache lines given the line size.
 func (c CacheConfig) Lines(lineSize int) int { return c.SizeBytes / lineSize }
 
-// line is one cache line's state.
-type line struct {
-	tag   uint64 // full line address
-	valid bool
-	// prefetched marks a line brought in by a prefetch (software prefetch,
-	// or a stream-buffer supply) that has not yet been referenced by a
-	// demand access. The first demand access counts as a prefetched hit
-	// and clears the flag (paper §5.3: "the first load access to this
-	// block is counted as a Hit-prefetched, but any subsequent accesses
-	// are counted as Hits-none").
-	prefetched bool
-}
-
-// cache is one set-associative level with LRU replacement. Ways within a set
-// are kept in recency order: index 0 is the most recently used.
+// cache is one set-associative level with LRU replacement. Its ways live in
+// one flat array of numSets×assoc packed words, allocated once by newCache:
+// set s owns ways[s*assoc:(s+1)*assoc], of which the first count[s] hold
+// lines in recency order (index 0 is the most recently used). A stored way
+// packs its line: the line address shifted left by one, with the prefetched
+// mark in bit 0. The mark tags a line brought in by a prefetch (software
+// prefetch, or a stream-buffer supply) that no demand access has referenced
+// yet. The first demand access counts as a prefetched hit and clears it
+// (paper §5.3: "the first load access to this block is counted as a
+// Hit-prefetched, but any subsequent accesses are counted as Hits-none").
+// Packing halves the array against a {tag, prefetched} record; DESIGN §8
+// records what that saves.
 type cache struct {
-	sets    [][]line
+	ways    []uint64
+	count   []int32
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two, else 0
 	assoc   int
 	latency int64
+}
+
+// wayPrefetched is a packed way's prefetched mark; the line address sits
+// above it (way>>1).
+const wayPrefetched = 1
+
+// packWay packs a line address and its prefetched mark into one way. Line
+// addresses stay below 2⁶³ because lines are at least two bytes wide.
+func packWay(lineAddr uint64, prefetched bool) uint64 {
+	w := lineAddr << 1
+	if prefetched {
+		w |= wayPrefetched
+	}
+	return w
+}
+
+// takePrefetched clears a way's prefetched mark, reporting whether it was
+// set (the demand access it serves is then a prefetched hit).
+func takePrefetched(w *uint64) bool {
+	pf := *w&wayPrefetched != 0
+	*w &^= wayPrefetched
+	return pf
 }
 
 // setOf maps a line address to its set index. Every practical configuration
@@ -57,6 +77,13 @@ func (c *cache) setOf(lineAddr uint64) uint64 {
 	return lineAddr % c.numSets
 }
 
+// set returns set si's occupied ways, with the set's free ways as spare
+// capacity.
+func (c *cache) set(si uint64) []uint64 {
+	base := int(si) * c.assoc
+	return c.ways[base : base+int(c.count[si]) : base+c.assoc]
+}
+
 func newCache(cfg CacheConfig, lineSize int) *cache {
 	lines := cfg.Lines(lineSize)
 	if cfg.Assoc <= 0 || lines < cfg.Assoc {
@@ -64,7 +91,8 @@ func newCache(cfg CacheConfig, lineSize int) *cache {
 	}
 	numSets := lines / cfg.Assoc
 	c := &cache{
-		sets:    make([][]line, numSets),
+		ways:    make([]uint64, numSets*cfg.Assoc),
+		count:   make([]int32, numSets),
 		numSets: uint64(numSets),
 		assoc:   cfg.Assoc,
 		latency: cfg.Latency,
@@ -72,25 +100,18 @@ func newCache(cfg CacheConfig, lineSize int) *cache {
 	if n := uint64(numSets); n&(n-1) == 0 {
 		c.setMask = n - 1
 	}
-	// Set storage is lazy: a set's way array is allocated on its first
-	// insert. An L3-sized cache has ~100k sets, and eagerly materializing
-	// them (even as one backing array) made hierarchy construction — one per
-	// simulated system, dozens per experiment figure — a multi-megabyte
-	// allocate-and-zero that the small-scale runs never touched more than a
-	// fraction of. A nil set reads as empty everywhere below.
 	return c
 }
 
 // lookup probes for lineAddr; on hit it refreshes recency and returns the
-// line.
-func (c *cache) lookup(lineAddr uint64) *line {
-	set := c.sets[c.setOf(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+// line's way.
+func (c *cache) lookup(lineAddr uint64) *uint64 {
+	set := c.set(c.setOf(lineAddr))
+	for i, w := range set {
+		if w>>1 == lineAddr {
 			if i != 0 {
-				hit := set[i]
 				copy(set[1:i+1], set[0:i])
-				set[0] = hit
+				set[0] = w
 			}
 			return &set[0]
 		}
@@ -100,9 +121,8 @@ func (c *cache) lookup(lineAddr uint64) *line {
 
 // contains probes without updating recency.
 func (c *cache) contains(lineAddr uint64) bool {
-	set := c.sets[c.setOf(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+	for _, w := range c.set(c.setOf(lineAddr)) {
+		if w>>1 == lineAddr {
 			return true
 		}
 	}
@@ -110,74 +130,42 @@ func (c *cache) contains(lineAddr uint64) bool {
 }
 
 // insert installs lineAddr as most-recently-used, returning the evicted
-// line (valid=false if none was evicted). If the line is already present it
-// is refreshed in place and no eviction occurs.
-func (c *cache) insert(lineAddr uint64, prefetched bool) (evicted line) {
+// way (ok=false if none was evicted). If the line is already present it is
+// refreshed in place and no eviction occurs.
+func (c *cache) insert(lineAddr uint64, prefetched bool) (evicted uint64, ok bool) {
 	si := c.setOf(lineAddr)
-	set := c.sets[si]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+	set := c.set(si)
+	for i, w := range set {
+		if w>>1 == lineAddr {
 			// Re-install: refresh recency; a demand re-install clears the
 			// prefetched mark, a prefetch to a present line leaves it.
-			hit := set[i]
 			if !prefetched {
-				hit.prefetched = false
+				w &^= wayPrefetched
 			}
 			copy(set[1:i+1], set[0:i])
-			set[0] = hit
-			return line{}
+			set[0] = w
+			return 0, false
 		}
 	}
-	nl := line{tag: lineAddr, valid: true, prefetched: prefetched}
 	if len(set) < c.assoc {
-		if set == nil {
-			set = make([]line, 0, c.assoc)
-		}
-		set = append(set, line{})
-		copy(set[1:], set[0:len(set)-1])
-		set[0] = nl
-		c.sets[si] = set
-		return line{}
+		set = set[:len(set)+1]
+		c.count[si]++
+	} else {
+		evicted, ok = set[len(set)-1], true
 	}
-	evicted = set[len(set)-1]
-	copy(set[1:], set[0:len(set)-1])
-	set[0] = nl
-	return evicted
-}
-
-// invalidate removes lineAddr if present, reporting whether it was found.
-func (c *cache) invalidate(lineAddr uint64) bool {
-	si := c.setOf(lineAddr)
-	set := c.sets[si]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			copy(set[i:], set[i+1:])
-			c.sets[si] = set[:len(set)-1]
-			return true
-		}
-	}
-	return false
+	copy(set[1:], set[:len(set)-1])
+	set[0] = packWay(lineAddr, prefetched)
+	return evicted, ok
 }
 
 // flush invalidates every line, returning how many still carried the
 // prefetched mark (they died unused).
 func (c *cache) flush() (prefetched int) {
-	for i, set := range c.sets {
-		for _, l := range set {
-			if l.valid && l.prefetched {
-				prefetched++
-			}
+	for si := range c.count {
+		for _, w := range c.set(uint64(si)) {
+			prefetched += int(w & wayPrefetched)
 		}
-		c.sets[i] = set[:0]
+		c.count[si] = 0
 	}
 	return prefetched
-}
-
-// occupancy returns the number of valid lines (test/debug helper).
-func (c *cache) occupancy() int {
-	n := 0
-	for _, set := range c.sets {
-		n += len(set)
-	}
-	return n
 }

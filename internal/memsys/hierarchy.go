@@ -179,8 +179,8 @@ func New(cfg Config) *Hierarchy {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	if 1<<shift != cfg.LineSize {
-		panic("memsys: line size must be a power of two")
+	if 1<<shift != cfg.LineSize || shift == 0 {
+		panic("memsys: line size must be a power of two of at least 2")
 	}
 	return &Hierarchy{
 		cfg:       cfg,
@@ -250,16 +250,15 @@ func (h *Hierarchy) LoadFast(pc, addr uint64, now int64) (Result, bool) {
 	if !h.fastGate(la) {
 		return Result{}, false
 	}
-	l := h.l1.lookup(la) // pure on miss: recency moves only on hit
-	if l == nil {
+	w := h.l1.lookup(la) // pure on miss: recency moves only on hit
+	if w == nil {
 		return Result{}, false
 	}
 	h.Stats.Loads++
 	h.Stats.L1Hits++
 	out := HitNone
-	if l.prefetched {
+	if takePrefetched(w) {
 		out = HitPrefetched
-		l.prefetched = false
 	}
 	res := Result{Latency: h.cfg.L1.Latency, Outcome: out}
 	h.Stats.TotalLoadLatency += res.Latency
@@ -297,8 +296,8 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 			out := PartialDemand
 			if f.source != FillDemand {
 				out = PartialPrefetch
-				if l := h.l1.lookup(la); l != nil {
-					l.prefetched = false
+				if w := h.l1.lookup(la); w != nil {
+					takePrefetched(w)
 				}
 			}
 			return Result{Latency: lat, Outcome: out, L1Miss: true}
@@ -307,12 +306,11 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 	}
 
 	// L1 probe.
-	if l := h.l1.lookup(la); l != nil {
+	if w := h.l1.lookup(la); w != nil {
 		h.Stats.L1Hits++
 		out := HitNone
-		if l.prefetched {
+		if takePrefetched(w) {
 			out = HitPrefetched
-			l.prefetched = false
 		}
 		return Result{Latency: h.cfg.L1.Latency, Outcome: out}
 	}
@@ -322,8 +320,7 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 	// never pollute the caches.
 	if h.prefetcher != nil {
 		if ready, ok := h.prefetcher.Lookup(la, now); ok {
-			ev := h.l1.insert(la, false) // first use consumed immediately
-			h.noteEviction(ev, FillStreamBuffer)
+			h.installL1(la, FillStreamBuffer) // first use consumed immediately
 			h.l2.insert(la, false)
 			h.l3.insert(la, false)
 			if ready <= now {
@@ -341,8 +338,7 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 	if h.victims.remove(la) {
 		out = MissDueToPrefetch
 	}
-	ev := h.l1.insert(la, false)
-	h.noteEviction(ev, FillDemand)
+	h.installL1(la, FillDemand)
 	h.fillPut(la, fill{ready: now + lat, source: FillDemand})
 	return Result{Latency: lat, Outcome: out, L1Miss: true}
 }
@@ -400,8 +396,7 @@ func (h *Hierarchy) Prefetch(addr uint64, now int64) {
 		return
 	}
 	lat, _ := h.probeBelow(la, now, true, true)
-	ev := h.l1.insert(la, true)
-	h.noteEviction(ev, FillSWPrefetch)
+	h.installL1(la, FillSWPrefetch)
 	h.fillPut(la, fill{ready: now + lat, source: FillSWPrefetch})
 }
 
@@ -460,16 +455,20 @@ func (h *Hierarchy) probeBelow(la uint64, now int64, occupyBus, install bool) (l
 	return lat, 4
 }
 
-// noteEviction records statistics for an evicted L1 line.
-func (h *Hierarchy) noteEviction(ev line, by FillSource) {
-	if !ev.valid {
+// installL1 installs la into L1 for a fill from source by (only a software
+// prefetch leaves the prefetched mark) and accounts the way it evicts: a
+// line still marked prefetched died unused, and a line displaced by any
+// prefetch joins the victim-tag history.
+func (h *Hierarchy) installL1(la uint64, by FillSource) {
+	ev, ok := h.l1.insert(la, by == FillSWPrefetch)
+	if !ok {
 		return
 	}
-	if ev.prefetched {
+	if ev&wayPrefetched != 0 {
 		h.Stats.WastedPrefetches++
 	}
 	if by != FillDemand {
-		h.victims.add(ev.tag)
+		h.victims.add(ev >> 1)
 	}
 }
 

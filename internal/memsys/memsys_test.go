@@ -228,9 +228,9 @@ func TestLRUReplacementOrder(t *testing.T) {
 		c.insert(i, false)
 	}
 	c.lookup(0) // 0 becomes MRU; LRU is 1
-	ev := c.insert(100, false)
-	if !ev.valid || ev.tag != 1 {
-		t.Fatalf("evicted %+v, want tag 1", ev)
+	ev, ok := c.insert(100, false)
+	if !ok || ev>>1 != 1 {
+		t.Fatalf("evicted %#x (ok=%v), want tag 1", ev, ok)
 	}
 }
 
@@ -238,36 +238,22 @@ func TestCacheInsertExistingRefreshes(t *testing.T) {
 	c := newCache(CacheConfig{SizeBytes: 2 * 64, Assoc: 2, Latency: 1}, 64)
 	c.insert(1, true)
 	c.insert(2, false)
-	ev := c.insert(1, false) // refresh, demand clears prefetched
-	if ev.valid {
-		t.Fatalf("refresh evicted %+v", ev)
+	if ev, ok := c.insert(1, false); ok { // refresh, demand clears prefetched
+		t.Fatalf("refresh evicted %#x", ev)
 	}
-	l := c.lookup(1)
-	if l == nil || l.prefetched {
-		t.Fatalf("refresh did not clear prefetched: %+v", l)
+	w := c.lookup(1)
+	if w == nil || *w&wayPrefetched != 0 {
+		t.Fatalf("refresh did not clear prefetched: %v", w)
 	}
 	if c.occupancy() != 2 {
 		t.Fatalf("occupancy = %d", c.occupancy())
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := newCache(CacheConfig{SizeBytes: 2 * 64, Assoc: 2, Latency: 1}, 64)
-	c.insert(5, false)
-	if !c.invalidate(5) {
-		t.Fatal("invalidate existing returned false")
-	}
-	if c.contains(5) {
-		t.Fatal("line still present after invalidate")
-	}
-	if c.invalidate(5) {
-		t.Fatal("invalidate missing returned true")
-	}
-}
-
 func TestLRUOrderIsPermutationProperty(t *testing.T) {
-	// Inserting random lines keeps every set a permutation of distinct
-	// valid tags with length <= assoc (DESIGN.md invariant).
+	// Random inserts and lookups keep every set a
+	// permutation of distinct tags that map to it, with count <= assoc
+	// (DESIGN.md invariant), inside the set's own slice of the flat array.
 	f := func(seed int64) bool {
 		c := newCache(CacheConfig{SizeBytes: 16 * 64, Assoc: 4, Latency: 1}, 64)
 		r := rand.New(rand.NewSource(seed))
@@ -275,16 +261,21 @@ func TestLRUOrderIsPermutationProperty(t *testing.T) {
 			c.insert(uint64(r.Intn(64)), r.Intn(2) == 0)
 			c.lookup(uint64(r.Intn(64)))
 		}
-		for _, set := range c.sets {
-			if len(set) > c.assoc {
+		if len(c.ways) != len(c.count)*c.assoc {
+			return false
+		}
+		for si, k := range c.count {
+			set := c.set(uint64(si))
+			if k < 0 || int(k) > c.assoc || len(set) != int(k) || cap(set) != c.assoc {
 				return false
 			}
 			seen := map[uint64]bool{}
-			for _, l := range set {
-				if !l.valid || seen[l.tag] {
+			for _, w := range set {
+				tag := w >> 1
+				if seen[tag] || c.setOf(tag) != uint64(si) {
 					return false
 				}
-				seen[l.tag] = true
+				seen[tag] = true
 			}
 		}
 		return true
@@ -384,4 +375,13 @@ func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
 	if h.L2MissLatency() != 35 {
 		t.Errorf("L2MissLatency = %d", h.L2MissLatency())
 	}
+}
+
+// occupancy returns the number of stored lines (test/debug helper).
+func (c *cache) occupancy() int {
+	n := 0
+	for _, k := range c.count {
+		n += int(k)
+	}
+	return n
 }

@@ -139,43 +139,58 @@ func (h *Hierarchy) LoadState(d *checkpoint.Decoder) error {
 }
 
 // saveCache writes one cache level's sets in recency order (slot 0 = MRU),
-// so the restored replacement behaviour matches exactly.
+// so the restored replacement behaviour matches exactly. Each way travels
+// unpacked — tag, a valid flag (always true), the prefetched mark — so the
+// checkpoint format does not depend on the in-memory packing.
 func saveCache(e *checkpoint.Encoder, c *cache) {
-	e.Len(len(c.sets))
-	for _, set := range c.sets {
+	e.Len(len(c.count))
+	for si := range c.count {
+		set := c.set(uint64(si))
 		e.Len(len(set))
-		for _, ln := range set {
-			e.U64(ln.tag)
-			e.Bool(ln.valid)
-			e.Bool(ln.prefetched)
+		for _, w := range set {
+			e.U64(w >> 1)
+			e.Bool(true)
+			e.Bool(w&wayPrefetched != 0)
 		}
 	}
 }
 
-// loadCache restores one cache level in place, preserving the sets' shared
-// backing array (sets are three-index sub-slices of one allocation).
+// loadCache restores one cache level by decoding straight into its flat way
+// array. A way the packed layout cannot hold — one marked invalid, or a tag
+// of 2⁶³ or more — is refused as corrupt rather than restored as a dead slot.
 func loadCache(d *checkpoint.Decoder, c *cache) error {
 	n := d.Len()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if n != len(c.sets) {
-		return fmt.Errorf("%w: cache has %d sets, checkpoint %d", checkpoint.ErrCorrupt, len(c.sets), n)
+	if n != len(c.count) {
+		return fmt.Errorf("%w: cache has %d sets, checkpoint %d", checkpoint.ErrCorrupt, len(c.count), n)
 	}
-	for i := range c.sets {
+	for si := range c.count {
 		k := d.Len()
 		if d.Err() != nil {
 			return d.Err()
 		}
 		if k > c.assoc {
 			return fmt.Errorf("%w: cache set %d holds %d lines, associativity %d",
-				checkpoint.ErrCorrupt, i, k, c.assoc)
+				checkpoint.ErrCorrupt, si, k, c.assoc)
 		}
-		set := c.sets[i][:0]
-		for j := 0; j < k; j++ {
-			set = append(set, line{tag: d.U64(), valid: d.Bool(), prefetched: d.Bool()})
+		c.count[si] = int32(k)
+		set := c.set(uint64(si))
+		for j := range set {
+			tag, valid, prefetched := d.U64(), d.Bool(), d.Bool()
+			if d.Err() != nil {
+				return d.Err()
+			}
+			if !valid {
+				return fmt.Errorf("%w: cache set %d way %d is marked invalid", checkpoint.ErrCorrupt, si, j)
+			}
+			if tag >= 1<<63 {
+				return fmt.Errorf("%w: cache set %d way %d holds tag %#x, too wide to pack",
+					checkpoint.ErrCorrupt, si, j, tag)
+			}
+			set[j] = packWay(tag, prefetched)
 		}
-		c.sets[i] = set
 	}
 	return d.Err()
 }

@@ -26,8 +26,8 @@ package memsys
 // (monotone, never ahead of the frozen real clock).
 func (h *Hierarchy) WarmLoad(pc, addr uint64, now int64) (l1Miss bool) {
 	la := h.Line(addr)
-	if l := h.l1.lookup(la); l != nil {
-		l.prefetched = false
+	if w := h.l1.lookup(la); w != nil {
+		takePrefetched(w)
 		h.warmTrain(pc, addr, now, false)
 		return false
 	}
@@ -51,8 +51,7 @@ func (h *Hierarchy) WarmLoad(pc, addr uint64, now int64) (l1Miss bool) {
 		h.l3.insert(la, false)
 	}
 	h.victims.remove(la)
-	ev := h.l1.insert(la, false)
-	h.warmNoteEviction(ev, FillDemand)
+	h.l1.insert(la, false) // a demand eviction feeds no victim history
 	h.warmTrain(pc, addr, now, true)
 	return true
 }
@@ -78,16 +77,10 @@ func (h *Hierarchy) WarmPrefetch(addr uint64) {
 		h.l3.insert(la, false)
 		h.l2.insert(la, false)
 	}
-	ev := h.l1.insert(la, true)
-	h.warmNoteEviction(ev, FillSWPrefetch)
-}
-
-// warmNoteEviction keeps the victim-tag history honest across warmup
-// (prefetch-displaced lines still classify later misses) without the wasted-
-// prefetch figure stat.
-func (h *Hierarchy) warmNoteEviction(ev line, by FillSource) {
-	if ev.valid && by != FillDemand {
-		h.victims.add(ev.tag)
+	// The displaced line joins the victim-tag history, so it still
+	// classifies later misses; the wasted-prefetch figure stat is left alone.
+	if ev, ok := h.l1.insert(la, true); ok {
+		h.victims.add(ev >> 1)
 	}
 }
 

@@ -8,6 +8,8 @@ package program
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"tridentsp/internal/isa"
@@ -258,14 +260,7 @@ func (p *Program) ensureMemImage() *Memory {
 // image maps, so this beats deep-copying every page up front — which used to
 // be a measurable slice of whole-experiment time.
 func (m *Memory) clone() *Memory {
-	c := &Memory{tab: append([]*memPage(nil), m.tab...), mapped: m.mapped}
-	if m.high != nil {
-		c.high = make(map[uint64]*memPage, len(m.high))
-		for idx, pg := range m.high {
-			c.high[idx] = pg
-		}
-	}
-	return c
+	return &Memory{tab: slices.Clone(m.tab), high: maps.Clone(m.high), mapped: m.mapped}
 }
 
 // page returns the page containing word index w, or nil when the page has
@@ -282,7 +277,10 @@ func (m *Memory) page(w uint64) *memPage {
 }
 
 // setPage installs pg as the page at idx, growing the dense table or
-// spilling to the high map as the index demands.
+// spilling to the high map as the index demands. The table grows within its
+// capacity first and reallocates (doubling) only past it, so a restore that
+// maps a run of pages beyond the image's table pays one reallocation, not
+// one per page.
 func (m *Memory) setPage(idx uint64, pg *memPage) {
 	if idx >= denseLimit {
 		if m.high == nil {
@@ -291,17 +289,14 @@ func (m *Memory) setPage(idx uint64, pg *memPage) {
 		m.high[idx] = pg
 		return
 	}
-	if idx >= uint64(len(m.tab)) {
-		capHint := idx + 1
-		if c := 2 * uint64(cap(m.tab)); c > capHint {
-			capHint = c
+	if n := uint64(len(m.tab)); idx >= n {
+		if idx >= uint64(cap(m.tab)) {
+			nt := make([]*memPage, n, min(max(idx+1, 2*uint64(cap(m.tab))), denseLimit))
+			copy(nt, m.tab)
+			m.tab = nt
 		}
-		if capHint > denseLimit {
-			capHint = denseLimit
-		}
-		nt := make([]*memPage, idx+1, capHint)
-		copy(nt, m.tab)
-		m.tab = nt
+		m.tab = m.tab[:idx+1]
+		clear(m.tab[n:])
 	}
 	m.tab[idx] = pg
 }

@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"maps"
 
 	"tridentsp/internal/checkpoint"
 )
@@ -89,17 +90,8 @@ func (m *Memory) LoadStateDiff(d *checkpoint.Decoder, base *Memory) error {
 	if len(base.tab) > len(m.tab) {
 		m.tab = make([]*memPage, len(base.tab))
 	}
-	n := copy(m.tab, base.tab)
-	for i := n; i < len(m.tab); i++ {
-		m.tab[i] = nil
-	}
-	m.high = nil
-	if base.high != nil {
-		m.high = make(map[uint64]*memPage, len(base.high))
-		for idx, pg := range base.high {
-			m.high[idx] = pg
-		}
-	}
+	clear(m.tab[copy(m.tab, base.tab):])
+	m.high = maps.Clone(base.high)
 	for i := 0; i < nDiff; i++ {
 		idx := d.U64()
 		pg := own[idx]

@@ -205,3 +205,32 @@ func b2Program(t *testing.T) *Program {
 	b.Halt()
 	return b.MustBuild()
 }
+
+// TestLoadStateDiffGrowsTableOnce: a diff restore that maps four
+// consecutive pages just past the image's page table reallocates the table
+// at most once. Every reallocation at least doubles the capacity, so a
+// final capacity under four times the fresh clone's proves it; growing by
+// one reallocation per page lands at sixteen times.
+func TestLoadStateDiffGrowsTableOnce(t *testing.T) {
+	p := diffProgram(t)
+	base := p.Image()
+	m := NewMemory(p)
+	first := uint64(len(base.tab))
+	for i := uint64(0); i < 4; i++ {
+		m.Store((first+i)<<memPageShift<<3, 100+i)
+	}
+	out := NewMemory(p)
+	capBefore := cap(out.tab)
+	e := checkpoint.NewEncoder()
+	m.SaveStateDiff(e, base)
+	d := checkpoint.NewDecoder(e.Bytes())
+	if err := out.LoadStateDiff(d, base); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Snapshot(), m.Snapshot()) {
+		t.Fatal("restored memory differs from the saved one")
+	}
+	if got := cap(out.tab); got >= 4*capBefore {
+		t.Errorf("page table capacity %d -> %d: grew by more than one reallocation", capBefore, got)
+	}
+}
