@@ -55,8 +55,9 @@ func newTable(n int) []uint8 {
 		size *= 2
 	}
 	t := make([]uint8, size)
-	for i := range t {
-		t[i] = 1 // weakly not-taken
+	t[0] = 1 // weakly not-taken, then doubled across the table
+	for n := 1; n < size; n *= 2 {
+		copy(t[n:], t[:n])
 	}
 	return t
 }

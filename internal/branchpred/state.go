@@ -21,12 +21,13 @@ func (p *Predictor) SaveState(e *checkpoint.Encoder) {
 	e.U64(p.Correct)
 }
 
-// LoadState restores state saved by SaveState.
+// LoadState restores state saved by SaveState. The tables are copied from
+// the payload straight into the predictor's own, with no intermediate copy.
 func (p *Predictor) LoadState(d *checkpoint.Decoder) error {
 	d.Expect("branchpred")
-	gshare := d.Blob()
-	bimodal := d.Blob()
-	meta := d.Blob()
+	gshare := d.Raw(d.Len())
+	bimodal := d.Raw(d.Len())
+	meta := d.Raw(d.Len())
 	if d.Err() != nil {
 		return d.Err()
 	}

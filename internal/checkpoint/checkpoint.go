@@ -307,6 +307,11 @@ func (d *Decoder) Len() int {
 	return n
 }
 
+// Raw returns the next n bytes without copying them: the slice aliases the
+// payload, so callers parse or copy it before the payload is reused. It
+// lets a package decode a run of fixed-width records in one bounds check.
+func (d *Decoder) Raw(n int) []byte { return d.take(n) }
+
 // Blob reads a length-prefixed byte slice (copied out of the stream).
 func (d *Decoder) Blob() []byte {
 	n := d.Len()

@@ -91,7 +91,7 @@ func (s *System) sentinelVerify() {
 	// the serialized words — the quarantine. Config is not serialized, so
 	// the demotion below survives the rewind.
 	divergedPC := s.thread.PC()
-	if err := s.RestoreState(snap); err != nil {
+	if err := s.restore(snap); err != nil {
 		// Cannot rewind (the machine may be partially restored): all that
 		// is left is to stop trusting the fast path.
 		s.demoteFastPath()

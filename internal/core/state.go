@@ -54,14 +54,40 @@ func (s *System) SaveState() ([]byte, error) {
 }
 
 // RestoreState loads a SaveState blob into this machine, which must have
-// been built from the same Config and program image. Errors leave no
-// guarantee about partial state — restore into a fresh System.
+// been built from the same Config and program image. The machine need not
+// be fresh: the restore drops the compiled tiers and zeroes the engine
+// counters no checkpoint carries (tier residency, block-cache activity), so
+// a machine that has run before continues exactly as a freshly built one
+// restored from the same bytes — the property that lets sampled chains
+// recycle worker machines (DESIGN §15). The one exception is a fast path
+// the divergence sentinel demoted: demotion lives in the machine's Config
+// and survives. Errors leave no guarantee about partial state — discard
+// the machine.
 func (s *System) RestoreState(blob []byte) error {
+	s.resetEngineCounters()
+	return s.restore(blob)
+}
+
+// restore is RestoreState without the engine-counter reset. The sentinel's
+// rewind uses it: the rewind stays inside one run, whose tier residency
+// keeps accumulating across it.
+func (s *System) restore(blob []byte) error {
 	d := checkpoint.NewDecoder(blob)
 	if err := s.loadState(d); err != nil {
 		return err
 	}
 	return d.Finish()
+}
+
+// resetEngineCounters zeroes the engine-class counters a fresh machine
+// starts from and a checkpoint never carries.
+func (s *System) resetEngineCounters() {
+	s.tiers = [numTiers]tierStat{}
+	s.live.ResetBlockStats()
+	s.cache.ResetBlockStats()
+	if s.shadow != nil {
+		s.shadow.resetEngineCounters()
+	}
 }
 
 func (s *System) saveState(e *checkpoint.Encoder) {

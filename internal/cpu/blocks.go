@@ -167,6 +167,9 @@ func (c *BlockCache) DropCompiled() {
 // Stats returns the activity counters.
 func (c *BlockCache) Stats() BlockStats { return c.stats }
 
+// ResetStats zeroes the activity counters.
+func (c *BlockCache) ResetStats() { c.stats = BlockStats{} }
+
 // At returns the superblock starting at pc. ok is false when pc is outside
 // the image, unaligned, or the instruction at pc is not a block member.
 func (c *BlockCache) At(pc uint64) (Block, bool) {

@@ -135,6 +135,9 @@ func (s *ProgramSpace) DropCompiled() { s.blocks.DropCompiled() }
 // BlockStats returns the block cache's activity counters.
 func (s *ProgramSpace) BlockStats() BlockStats { return s.blocks.Stats() }
 
+// ResetBlockStats zeroes the block cache's activity counters.
+func (s *ProgramSpace) ResetBlockStats() { s.blocks.ResetStats() }
+
 // BranchKind describes the control behaviour of a committed instruction.
 type BranchKind uint8
 

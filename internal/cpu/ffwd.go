@@ -51,159 +51,207 @@ type FFProbes struct {
 // unknown, and clean is the conservative restart.
 //
 // Execution stops at the budget, at HALT or an unknown opcode (halted, like
-// Step), or when PC leaves the image (a fetch fault; the pristine image has
-// no trace links, so original code never legitimately escapes it).
+// Step, and not counted), or when PC leaves the image (a fetch fault; the
+// pristine image has no trace links, so original code never legitimately
+// escapes it). Like Step, the fault is taken on the fetch after the
+// instruction that left, so a budget that ends on that instruction leaves
+// the thread running at the outside PC and the next call halts it.
+//
+// The loop tracks the instruction index rather than the PC: straight-line
+// code needs only the end-of-image compare, and the full bounds and
+// alignment check runs where control flow changes. Destination registers
+// are written unconditionally and r31 is re-zeroed after each instruction,
+// which leaves it reading zero exactly as the guarded writes of Step do.
 func (t *Thread) ExecFunctional(insts []isa.Inst, base uint64, budget uint64, p *FFProbes) uint64 {
 	if t.halted || budget == 0 {
 		return 0
 	}
 	t.taintSrc = [isa.NumRegs]uint64{}
-	end := base + uint64(len(insts))*isa.WordSize
-	pc := t.pc
-	var done uint64
-	for done < budget {
-		if pc < base || pc >= end || pc%isa.WordSize != 0 {
-			t.halted = true
-			break
+	n := uint64(len(insts))
+	size := n * isa.WordSize
+	off := t.pc - base
+	if off >= size || off%isa.WordSize != 0 {
+		t.halted = true
+		return 0
+	}
+	// Probe pointers hoisted once: pure mode (p == nil) and warm mode share
+	// the loop, and each probe costs one nil compare where it applies.
+	var (
+		hier   *memsys.Hierarchy
+		bp     *branchpred.Predictor
+		onLoad func(pc, addr uint64, l1Miss bool, now int64)
+		now    int64
+	)
+	if p != nil {
+		hier, bp, now = p.Hier, p.BP, p.Now
+		if hier != nil {
+			onLoad = p.Load
 		}
-		in := insts[(pc-base)/isa.WordSize]
-		next := pc + isa.WordSize
-
+	}
+	regs := &t.regs
+	mem := t.mem
+	i := off / isa.WordSize
+	// exit is the PC control left the image for; valid once next >= n.
+	var exit uint64
+	var done uint64
+	for {
+		in := &insts[i]
+		next := i + 1
 		switch in.Op {
 		case isa.NOP:
 
 		case isa.ADD:
-			t.setReg(in.Rd, t.regs[in.Ra]+t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] + regs[in.Rb]
 		case isa.SUB:
-			t.setReg(in.Rd, t.regs[in.Ra]-t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] - regs[in.Rb]
 		case isa.MUL:
-			t.setReg(in.Rd, t.regs[in.Ra]*t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] * regs[in.Rb]
 		case isa.AND:
-			t.setReg(in.Rd, t.regs[in.Ra]&t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] & regs[in.Rb]
 		case isa.OR:
-			t.setReg(in.Rd, t.regs[in.Ra]|t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] | regs[in.Rb]
 		case isa.XOR:
-			t.setReg(in.Rd, t.regs[in.Ra]^t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] ^ regs[in.Rb]
 		case isa.SLL:
-			t.setReg(in.Rd, t.regs[in.Ra]<<(t.regs[in.Rb]&63))
+			regs[in.Rd] = regs[in.Ra] << (regs[in.Rb] & 63)
 		case isa.SRL:
-			t.setReg(in.Rd, t.regs[in.Ra]>>(t.regs[in.Rb]&63))
+			regs[in.Rd] = regs[in.Ra] >> (regs[in.Rb] & 63)
 		case isa.CMPLT:
-			t.setReg(in.Rd, b2u(int64(t.regs[in.Ra]) < int64(t.regs[in.Rb])))
+			regs[in.Rd] = b2u(int64(regs[in.Ra]) < int64(regs[in.Rb]))
 		case isa.CMPEQ:
-			t.setReg(in.Rd, b2u(t.regs[in.Ra] == t.regs[in.Rb]))
+			regs[in.Rd] = b2u(regs[in.Ra] == regs[in.Rb])
 
-		case isa.ADDI:
-			t.setReg(in.Rd, t.regs[in.Ra]+uint64(in.Imm))
+		case isa.ADDI, isa.LDA:
+			regs[in.Rd] = regs[in.Ra] + uint64(in.Imm)
 		case isa.SUBI:
-			t.setReg(in.Rd, t.regs[in.Ra]-uint64(in.Imm))
+			regs[in.Rd] = regs[in.Ra] - uint64(in.Imm)
 		case isa.MULI:
-			t.setReg(in.Rd, t.regs[in.Ra]*uint64(in.Imm))
+			regs[in.Rd] = regs[in.Ra] * uint64(in.Imm)
 		case isa.ANDI:
-			t.setReg(in.Rd, t.regs[in.Ra]&uint64(in.Imm))
+			regs[in.Rd] = regs[in.Ra] & uint64(in.Imm)
 		case isa.ORI:
-			t.setReg(in.Rd, t.regs[in.Ra]|uint64(in.Imm))
+			regs[in.Rd] = regs[in.Ra] | uint64(in.Imm)
 		case isa.XORI:
-			t.setReg(in.Rd, t.regs[in.Ra]^uint64(in.Imm))
+			regs[in.Rd] = regs[in.Ra] ^ uint64(in.Imm)
 		case isa.SLLI:
-			t.setReg(in.Rd, t.regs[in.Ra]<<(uint64(in.Imm)&63))
+			regs[in.Rd] = regs[in.Ra] << (uint64(in.Imm) & 63)
 		case isa.SRLI:
-			t.setReg(in.Rd, t.regs[in.Ra]>>(uint64(in.Imm)&63))
+			regs[in.Rd] = regs[in.Ra] >> (uint64(in.Imm) & 63)
 		case isa.CMPLTI:
-			t.setReg(in.Rd, b2u(int64(t.regs[in.Ra]) < in.Imm))
+			regs[in.Rd] = b2u(int64(regs[in.Ra]) < in.Imm)
 		case isa.CMPEQI:
-			t.setReg(in.Rd, b2u(t.regs[in.Ra] == uint64(in.Imm)))
-		case isa.LDA:
-			t.setReg(in.Rd, t.regs[in.Ra]+uint64(in.Imm))
+			regs[in.Rd] = b2u(regs[in.Ra] == uint64(in.Imm))
 		case isa.MOVE:
-			t.setReg(in.Rd, t.regs[in.Ra])
+			regs[in.Rd] = regs[in.Ra]
 		case isa.LDI:
-			t.setReg(in.Rd, uint64(in.Imm))
+			regs[in.Rd] = uint64(in.Imm)
 		case isa.LDIH:
-			t.setReg(in.Rd, t.regs[in.Ra]<<32|uint64(uint32(in.Imm)))
+			regs[in.Rd] = regs[in.Ra]<<32 | uint64(uint32(in.Imm))
 
 		case isa.FADD:
-			t.setReg(in.Rd, t.regs[in.Ra]+t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] + regs[in.Rb]
 		case isa.FMUL:
-			t.setReg(in.Rd, t.regs[in.Ra]*t.regs[in.Rb])
+			regs[in.Rd] = regs[in.Ra] * regs[in.Rb]
 		case isa.FDIV:
-			t.setReg(in.Rd, fdiv(t.regs[in.Ra], t.regs[in.Rb]))
+			regs[in.Rd] = fdiv(regs[in.Ra], regs[in.Rb])
 
 		case isa.LD:
-			addr := t.regs[in.Ra] + uint64(in.Imm)
-			if p != nil && p.Hier != nil {
-				l1Miss := p.Hier.WarmLoad(pc, addr, p.Now)
-				if p.Load != nil {
-					p.Load(pc, addr, l1Miss, p.Now)
+			addr := regs[in.Ra] + uint64(in.Imm)
+			if hier != nil {
+				pc := base + i*isa.WordSize
+				l1Miss := hier.WarmLoad(pc, addr, now)
+				if onLoad != nil {
+					onLoad(pc, addr, l1Miss, now)
 				}
 			}
-			t.setReg(in.Rd, t.mem.Load(addr))
+			regs[in.Rd] = mem.Load(addr)
 
 		case isa.LDNF:
-			addr := t.regs[in.Ra] + uint64(in.Imm)
-			if p != nil && p.Hier != nil {
-				p.Hier.WarmPrefetch(addr)
+			addr := regs[in.Ra] + uint64(in.Imm)
+			if hier != nil {
+				hier.WarmPrefetch(addr)
 			}
 			var v uint64
-			if t.mem.Valid(addr) {
-				v = t.mem.Load(addr)
+			if mem.Valid(addr) {
+				v = mem.Load(addr)
 			}
-			t.setReg(in.Rd, v)
+			regs[in.Rd] = v
 
 		case isa.ST:
-			addr := t.regs[in.Ra] + uint64(in.Imm)
-			t.mem.Store(addr, t.regs[in.Rb])
-			if p != nil && p.Hier != nil {
-				p.Hier.WarmStore(addr)
+			addr := regs[in.Ra] + uint64(in.Imm)
+			mem.Store(addr, regs[in.Rb])
+			if hier != nil {
+				hier.WarmStore(addr)
 			}
 
 		case isa.PREFETCH:
-			if p != nil && p.Hier != nil {
-				p.Hier.WarmPrefetch(t.regs[in.Ra] + uint64(in.Imm))
+			if hier != nil {
+				hier.WarmPrefetch(regs[in.Ra] + uint64(in.Imm))
 			}
 
 		case isa.BR:
-			if in.Rd != isa.ZeroReg {
-				t.setReg(in.Rd, next)
-			}
-			next = isa.BranchTarget(pc, in)
+			regs[in.Rd] = base + next*isa.WordSize
+			exit = base + (next+uint64(in.Imm))*isa.WordSize
+			next = jumpIndex(exit, base, size)
 
 		case isa.JMP:
-			if in.Rd != isa.ZeroReg {
-				t.setReg(in.Rd, next)
-			}
-			next = t.regs[in.Ra] &^ 7
+			// The target is read before the link is written: rd may be ra.
+			exit = regs[in.Ra] &^ 7
+			regs[in.Rd] = base + next*isa.WordSize
+			next = jumpIndex(exit, base, size)
 
 		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-			taken := evalBranch(in.Op, t.regs[in.Ra])
+			taken := evalBranch(in.Op, regs[in.Ra])
+			if bp != nil {
+				bp.Warm(base+i*isa.WordSize, taken)
+			}
 			if taken {
-				next = isa.BranchTarget(pc, in)
-			}
-			if p != nil && p.BP != nil {
-				p.BP.Warm(pc, taken)
+				exit = base + (next+uint64(in.Imm))*isa.WordSize
+				next = jumpIndex(exit, base, size)
 			}
 
-		case isa.HALT:
+		default: // HALT, or an unknown opcode: halted like Step, uncounted
 			t.halted = true
-			pc = next
-			t.pc = pc
-			return done
-
-		default:
-			t.halted = true
-			pc = next
-			t.pc = pc
+			t.pc = base + next*isa.WordSize
+			if p != nil {
+				p.Now = now
+			}
 			return done
 		}
-
+		regs[isa.ZeroReg] = 0
 		done++
-		pc = next
-		if p != nil {
-			p.Now++
+		now++
+		if next >= n {
+			// Control left the image: off the end, or a jump outside it.
+			if next == n {
+				exit = base + size
+			}
+			t.pc = exit
+			if done < budget {
+				t.halted = true
+			}
+			break
+		}
+		i = next
+		if done == budget {
+			t.pc = base + i*isa.WordSize
+			break
 		}
 	}
-	t.pc = pc
+	if p != nil {
+		p.Now = now
+	}
 	return done
+}
+
+// jumpIndex maps a control-transfer target to its instruction index, or to
+// an index past the image (^0) when the target is outside it or unaligned.
+func jumpIndex(target, base, size uint64) uint64 {
+	off := target - base
+	if off >= size || off%isa.WordSize != 0 {
+		return ^uint64(0)
+	}
+	return off / isa.WordSize
 }
 
 // SetPC redirects the thread. The sampling controller uses it to map a

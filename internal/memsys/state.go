@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -155,9 +156,15 @@ func saveCache(e *checkpoint.Encoder, c *cache) {
 	}
 }
 
+// wayBytes is one saved way's size: tag (8), valid flag (1), prefetched (1).
+const wayBytes = 10
+
 // loadCache restores one cache level by decoding straight into its flat way
-// array. A way the packed layout cannot hold — one marked invalid, or a tag
-// of 2⁶³ or more — is refused as corrupt rather than restored as a dead slot.
+// array. Each set's ways are taken from the payload in one piece and parsed
+// here, with the checks the per-field decoder would make: flag bytes must
+// be 0 or 1. A way the packed layout cannot hold — one marked invalid, or a
+// tag of 2⁶³ or more — is refused as corrupt rather than restored as a dead
+// slot.
 func loadCache(d *checkpoint.Decoder, c *cache) error {
 	n := d.Len()
 	if d.Err() != nil {
@@ -175,13 +182,18 @@ func loadCache(d *checkpoint.Decoder, c *cache) error {
 			return fmt.Errorf("%w: cache set %d holds %d lines, associativity %d",
 				checkpoint.ErrCorrupt, si, k, c.assoc)
 		}
+		raw := d.Raw(k * wayBytes)
+		if d.Err() != nil {
+			return d.Err()
+		}
 		c.count[si] = int32(k)
 		set := c.set(uint64(si))
 		for j := range set {
-			tag, valid, prefetched := d.U64(), d.Bool(), d.Bool()
-			if d.Err() != nil {
-				return d.Err()
+			w := raw[j*wayBytes : (j+1)*wayBytes]
+			if w[8] > 1 || w[9] > 1 {
+				return fmt.Errorf("%w: cache set %d way %d: invalid boolean byte", checkpoint.ErrCorrupt, si, j)
 			}
+			tag, valid, prefetched := binary.LittleEndian.Uint64(w), w[8] == 1, w[9] == 1
 			if !valid {
 				return fmt.Errorf("%w: cache set %d way %d is marked invalid", checkpoint.ErrCorrupt, si, j)
 			}

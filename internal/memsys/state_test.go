@@ -95,3 +95,41 @@ func TestLoadCacheRejectsUnpackableWays(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadCacheRejectsBadFlagBytes: the valid and prefetched flags are
+// booleans on the wire; any other byte, and a set cut short, fails the
+// restore as corrupt.
+func TestLoadCacheRejectsBadFlagBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		valid, prefetched uint8
+		truncate          bool
+		want              string
+	}{
+		{"valid flag 2", 2, 0, false, "set 1 way 1: invalid boolean byte"},
+		{"prefetched flag 255", 1, 255, false, "set 1 way 1: invalid boolean byte"},
+		{"truncated set", 1, 0, true, "truncated stream"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := checkpoint.NewEncoder()
+			e.Len(2)
+			e.Len(0)
+			e.Len(2)
+			e.U64(3)
+			e.Bool(true)
+			e.Bool(false)
+			e.U64(4)
+			e.U8(tc.valid)
+			e.U8(tc.prefetched)
+			blob := e.Bytes()
+			if tc.truncate {
+				blob = blob[:len(blob)-1]
+			}
+			c := newCache(CacheConfig{SizeBytes: 4 * 64, Assoc: 2, Latency: 1}, 64)
+			err := loadCache(checkpoint.NewDecoder(blob), c)
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("loadCache = %v, want ErrCorrupt naming %q", err, tc.want)
+			}
+		})
+	}
+}

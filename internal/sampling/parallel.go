@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"tridentsp/internal/core"
 	"tridentsp/internal/telemetry"
@@ -49,7 +50,8 @@ type Options struct {
 	Jobs int
 	// NewSystem builds a fresh worker machine identical in configuration
 	// and program to the master; chains restore the startup snapshot into
-	// it. Required. Must be safe to call concurrently.
+	// it. It is called only when no finished chain's machine is free to
+	// recycle. Required. Must be safe to call concurrently.
 	NewSystem func() *core.System
 	// OnCommit, when set, fires after every committed schedule step whose
 	// state is snapshot-safe: each startup window and each completed chain.
@@ -107,6 +109,10 @@ type Scheduler struct {
 	prodHalted bool
 	prodHaltAt uint64
 	prodErr    error
+
+	// Worker machines free for the next chain (see chain).
+	freeMu sync.Mutex
+	free   []*core.System
 }
 
 // NewScheduler builds a scheduler for the master sys. cfg is taken after
@@ -608,19 +614,22 @@ func (s *Scheduler) produce(snapc chan<- slotSnap, stopc <-chan struct{}, done c
 // until the reconciler's verdict (or a terminal condition) ends the chain.
 // The worker never takes a trigger decision — it reports signals and waits.
 //
-// Every chain builds a fresh machine; do not restore S0 into a worker's
-// previous machine instead. RestoreState resets the checkpointed state, not
-// the per-machine engine state a finished chain leaves behind (the
-// superblock cache and the launch counts that promote blocks to the JIT
-// tier), and that state reaches the interval tier records: trying it made
-// TestParallelMatchesSerial report "interval records differ from serial" on
-// every workload. Seeding is cheap anyway — memory travels as a diff against
-// the shared program image.
+// The machine is recycled: chain takes a finished chain's machine when one
+// is free and builds one only otherwise, and gives it back when it ends.
+// That is sound because RestoreState leaves a used machine exactly as a
+// fresh one restored from the same bytes — it drops the compiled tiers of
+// both code images and zeroes the engine counters no checkpoint carries —
+// so no engine state of the previous chain reaches the interval tier
+// records. core's TestRecycledMachineMatchesFresh pins that property, and
+// TestParallelMatchesSerial the serial identity it buys. A machine whose
+// restore failed is not given back: its state is half-replaced. (The one
+// engine state a restore keeps, a fast path the divergence sentinel
+// demoted, cannot arise: sampled runs refuse the sentinel, DESIGN §14.)
 func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 	fail := func(err error) {
 		c.results <- windowResult{err: err, final: true}
 	}
-	sys := s.opts.NewSystem()
+	sys := s.takeMachine()
 	if err := sys.RestoreState(s.s0Blob); err != nil {
 		fail(fmt.Errorf("sampling: seed chain %d from startup snapshot: %w", sn.k, err))
 		return
@@ -629,6 +638,7 @@ func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 		fail(fmt.Errorf("sampling: restore ROI checkpoint %d: %w", sn.k, err))
 		return
 	}
+	defer s.putMachine(sys)
 	if sn.warm > 0 {
 		sys.FastForward(sn.warm, sn.warm)
 	}
@@ -667,6 +677,26 @@ func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 			return
 		}
 	}
+}
+
+// takeMachine pops a free worker machine, or builds one when none is free.
+func (s *Scheduler) takeMachine() *core.System {
+	s.freeMu.Lock()
+	if n := len(s.free); n > 0 {
+		sys := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.freeMu.Unlock()
+		return sys
+	}
+	s.freeMu.Unlock()
+	return s.opts.NewSystem()
+}
+
+// putMachine returns a finished chain's machine to the free list.
+func (s *Scheduler) putMachine(sys *core.System) {
+	s.freeMu.Lock()
+	s.free = append(s.free, sys)
+	s.freeMu.Unlock()
 }
 
 // captureSince returns the tracer's events at or past the watermark and

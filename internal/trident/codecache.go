@@ -119,6 +119,9 @@ func (c *CodeCache) DropCompiled() { c.blocks.DropCompiled() }
 // BlockStats returns the block cache's activity counters.
 func (c *CodeCache) BlockStats() cpu.BlockStats { return c.blocks.Stats() }
 
+// ResetBlockStats zeroes the block cache's activity counters.
+func (c *CodeCache) ResetBlockStats() { c.blocks.ResetStats() }
+
 // Fetch returns the decoded instruction at pc; ok is false outside the
 // placed region.
 func (c *CodeCache) Fetch(pc uint64) (isa.Inst, bool) {

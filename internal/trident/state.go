@@ -315,6 +315,11 @@ func (c *CodeCache) LoadState(d *checkpoint.Decoder) error {
 		c.placements = append(c.placements, pl)
 	}
 	c.blocks.SetSource(c.insts, c.weights)
+	// SetSource carries compiled chains across by value (for append-style
+	// regrowth); a restore is not regrowth. Drop them, as ProgramSpace's
+	// LoadState does, so a machine restored after running another window
+	// continues exactly as a fresh machine restored from the same bytes.
+	c.blocks.DropCompiled()
 	return d.Err()
 }
 

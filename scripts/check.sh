@@ -74,6 +74,12 @@ go test -run 'TestFileTorture|TestFileKillMidWrite' -count=2 ./internal/checkpoi
 # resume tests run under -race explicitly (fast failure; go test -race ./...
 # above covers them again in the full sweep).
 go test -race -run 'TestParallelMatchesSerial|TestSampledResumeDeterminism|TestROILoadOrBuildSingleflight' ./internal/sampling/
+# Chains recycle worker machines (DESIGN §15): a machine that ran one slot's
+# window, re-seeded, must match a fresh one exactly, and re-seeding it must
+# stay cheap. The chain's warm-up runs the functional executor, whose
+# lockstep oracle against Step rides along.
+go test -race -run 'TestRecycledMachineMatchesFresh|TestRestoreIntoUsedMachineBytes' ./internal/core/
+go test -race -run 'TestExecFunctional' ./internal/cpu/
 # Sampled-mode smoke (DESIGN §14, §15): one workload under interval sampling
 # with an ROI cache, checkpointed; then the same schedule fanned across 8
 # window workers, and finally a resume from the serial run's checkpoint at
