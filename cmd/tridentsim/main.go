@@ -40,8 +40,8 @@
 // windows on the full engine alternate with functional fast-forward gaps,
 // statistics are extrapolated from the windows with error bars, and
 // -roi-cache lets a sweep reuse one run's fast-forward work as on-disk
-// region-of-interest checkpoints. -sample-jobs N fans the detailed windows
-// across N concurrent worker machines; estimates, error bars, trigger
+// region-of-interest checkpoints. -sample-jobs N runs up to N detailed
+// windows at once on worker machines; estimates, error bars, trigger
 // decisions, and exported telemetry are byte-identical at every N (only the
 // speculation-waste diagnostic on stderr is jobs-dependent). Sampled runs
 // compose with -checkpoint-every/-restore (the checkpoint then carries the
@@ -95,7 +95,7 @@ func main() {
 		sampleDetailed = flag.Uint64("sample-detailed", 0, "detailed window length in original instructions (0 = default)")
 		sampleWarmup   = flag.Uint64("sample-warmup", 0, "warm fast-forward window before each detailed window (0 = default)")
 		sampleStartup  = flag.Uint64("sample-startup", 0, "fully detailed startup prefix so the optimizer converges before sampling (0 = default)")
-		sampleJobs     = flag.Int("sample-jobs", 1, "concurrent detailed-window chains inside a sampled run (DESIGN §15); estimates are byte-identical at any value")
+		sampleJobs     = flag.Int("sample-jobs", 1, "detailed-window chains executing at once inside a sampled run, at least 1; above 1, twice as many are launched speculatively and wait their turn (DESIGN §15); estimates are byte-identical at any value")
 		roiCache       = flag.String("roi-cache", "", "directory of region-of-interest checkpoints; sampled gaps restore from (or populate) it")
 
 		ckptEvery  = flag.Uint64("checkpoint-every", 0, "write a crash-safe checkpoint every N original instructions (single -bench only; 0 = off)")
@@ -219,6 +219,9 @@ func main() {
 		}
 		if cfg.SentinelEvery > 0 {
 			fail(2, "-sample is incompatible with -sentinel: divergence replay windows cannot span a functional fast-forward gap")
+		}
+		if *sampleJobs < 1 {
+			fail(2, "-sample-jobs must be at least 1 (got %d)", *sampleJobs)
 		}
 		o.smpCfg = sampling.Config{
 			Interval: *sampleInterval,

@@ -206,6 +206,8 @@ func TestSampleFlagValidation(t *testing.T) {
 		"roi-without-sample":     {"-roi-cache", "roi"},
 		"sample-with-chaos":      {"-sample", "-chaos", "monkey"},
 		"sample-with-sentinel":   {"-sample", "-sentinel"},
+		"sample-jobs-zero":       {"-sample", "-sample-jobs", "0"},
+		"sample-jobs-negative":   {"-sample", "-sample-jobs", "-3"},
 	}
 	for name, extra := range cases {
 		name, extra := name, extra
@@ -215,8 +217,12 @@ func TestSampleFlagValidation(t *testing.T) {
 			if code != 2 {
 				t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, stderr)
 			}
-			if !strings.Contains(stderr, "-sample") {
-				t.Fatalf("stderr does not name the offending flag combination:\n%s", stderr)
+			want := "-sample"
+			if strings.HasPrefix(name, "sample-jobs") {
+				want = "-sample-jobs"
+			}
+			if !strings.Contains(stderr, want) {
+				t.Fatalf("stderr does not name %s:\n%s", want, stderr)
 			}
 		})
 	}

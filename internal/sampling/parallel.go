@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tridentsp/internal/core"
@@ -32,10 +33,13 @@ import (
 //     at a slot is the same bytes no matter which mode reached it, and a
 //     halt lands at the same instruction in every execution plan.
 //  3. The speculation window is frontier-deterministic: chains launch for
-//     exactly the slots [frontier, frontier+jobs-1] and block on their
-//     snapshots, so the set of chains ever launched — and therefore the
-//     discarded-speculation count — is a pure function of (schedule, jobs),
-//     independent of thread timing.
+//     exactly the slots [frontier, frontier+specWidth(jobs)-1] and block on
+//     their snapshots, so the set of chains ever launched — and therefore
+//     the discarded-speculation count — is a pure function of (schedule,
+//     jobs), independent of thread timing. Which launched chains execute at
+//     a given moment is timing-dependent, but only admission order and CPU
+//     time depend on it: a chain's window is the same computation whenever
+//     it runs.
 //
 // Speculation that serial mode would not have scheduled (slots swallowed by
 // a phase-extended chain) is discarded unconsumed and counted in
@@ -45,13 +49,19 @@ import (
 
 // Options configures a Scheduler beyond the sampling schedule itself.
 type Options struct {
-	// Jobs bounds concurrently running window chains (≤1 = one at a time;
-	// results are byte-identical either way, modulo SpecWaste).
+	// Jobs bounds the window chains executing at once: restoring, warming
+	// up, or running a window (≤1 = one at a time; results are
+	// byte-identical either way, modulo SpecWaste). It does not bound the
+	// chains launched: above one job the reconciler keeps 2·Jobs
+	// speculative chains in flight, and a chain that waits for a run slot
+	// or for its continuation verdict holds no CPU. The fast-forward
+	// producer runs outside the bound.
 	Jobs int
 	// NewSystem builds a fresh worker machine identical in configuration
 	// and program to the master; chains restore the startup snapshot into
-	// it. It is called only when no finished chain's machine is free to
-	// recycle. Required. Must be safe to call concurrently.
+	// it. It is called once per run for the producer, and for a chain only
+	// when no finished chain's machine is free to recycle. Required. Must
+	// be safe to call concurrently.
 	NewSystem func() *core.System
 	// OnCommit, when set, fires after every committed schedule step whose
 	// state is snapshot-safe: each startup window and each completed chain.
@@ -104,18 +114,34 @@ type Scheduler struct {
 	masterEvents []telemetry.Event
 	chainEvents  []telemetry.Event
 
-	// Producer (fast-forward pass) outcome, valid after the producer
-	// goroutine is joined.
+	// Producer (fast-forward pass; see startProducer). The channels are
+	// nil when no producer runs. The outcome fields are written by the
+	// producer goroutine and valid once prodDone is closed.
+	seed       []byte // full state the master was restored from; nil: fresh
+	prodSnaps  chan slotSnap
+	prodStop   chan struct{}
+	prodDone   chan struct{}
 	prodHalted bool
 	prodHaltAt uint64
+	prodEnd    uint64 // progress the producer's machine stopped at
+	prodPC     uint64 // and its PC there
 	prodErr    error
+
+	// Run slots: at most Jobs chains execute at once.
+	run runSlots
 
 	// Worker machines free for the next chain (see chain).
 	freeMu sync.Mutex
 	free   []*core.System
+
+	// onLaunch, when set (tests only), observes each launched slot in
+	// launch order.
+	onLaunch func(k uint64)
 }
 
-// NewScheduler builds a scheduler for the master sys. cfg is taken after
+// NewScheduler builds a scheduler for the master sys, which must be fresh
+// from NewSystem or be restored through LoadState before Run: the producer
+// starts its own machine from the same point. cfg is taken after
 // WithDefaults; roi may be nil (no checkpoint reuse). The first interval is
 // always detailed — the run starts cold exactly as an exact run does.
 func NewScheduler(sys *core.System, cfg Config, roi *ROICache, opts Options) (*Scheduler, error) {
@@ -129,7 +155,21 @@ func NewScheduler(sys *core.System, cfg Config, roi *ROICache, opts Options) (*S
 	if opts.Jobs < 1 {
 		opts.Jobs = 1
 	}
-	return &Scheduler{cfg: cfg, sys: sys, roi: roi, opts: opts, nextDetailed: true}, nil
+	return &Scheduler{cfg: cfg, sys: sys, roi: roi, opts: opts, nextDetailed: true,
+		run: runSlots{free: opts.Jobs}}, nil
+}
+
+// specWidth is the speculation window: how many grid slots, counted from
+// the frontier, have a chain launched. One job keeps the serial schedule
+// (no speculation, no waste); wider runs launch twice as many chains as
+// may execute, so a core freed by a chain that ends before the frontier
+// chain commits finds the next slot already waiting. DESIGN §15 records
+// the widths and admission orders measured against this one.
+func specWidth(jobs int) int {
+	if jobs <= 1 {
+		return 1
+	}
+	return 2 * jobs
 }
 
 // Config returns the effective (defaulted) schedule.
@@ -170,20 +210,28 @@ func (s *Scheduler) Events() []telemetry.Event {
 // Run drives the schedule to completion and returns the extrapolation.
 func (s *Scheduler) Run(total uint64) Estimate {
 	s.totalRan = total
+	if s.windowed || total > s.cfg.Startup {
+		// A budget within Startup ends inside the prefix, so no chain
+		// could consume a snapshot.
+		s.startProducer(total)
+	}
 	if !s.windowed {
 		s.runStartup(total)
 	}
 	if s.windowed {
 		s.runWindows(total)
+	} else {
+		s.joinProducer(false)
 	}
 	return s.Estimate()
 }
 
 // runStartup executes the fully detailed prefix (plus any phase-triggered
 // extensions) on the master machine, then captures the startup snapshot S0
-// every chain seeds from. If the budget, a halt, or an abort ends the run
-// inside the prefix, the scheduler stays in master-only mode and the
-// estimate is exact.
+// every chain seeds from. The producer is already fast-forwarding on
+// another core meanwhile (startProducer). If the budget, a halt, or an
+// abort ends the run inside the prefix, the scheduler stays in master-only
+// mode, the producer is stopped, and the estimate is exact.
 func (s *Scheduler) runStartup(total uint64) {
 	for {
 		if s.err != nil || s.sys.Progress() >= total ||
@@ -268,28 +316,32 @@ type windowResult struct {
 }
 
 // errProducerStopped marks a fast-forward-pass build interrupted by a halt
-// or an external stop (both already recorded by advance).
+// or a stop (both already recorded by advance).
 var errProducerStopped = errors.New("sampling: producer stopped")
 
-// runWindows executes the post-startup schedule: a producer goroutine
-// fast-forwards the master along the grid emitting slot snapshots, worker
-// chains run detailed windows speculatively, and the reconciler (this
-// goroutine) replays the serial decision sequence in slot order.
-func (s *Scheduler) runWindows(total uint64) {
-	I := s.cfg.Interval
-	var K uint64
-	if total > 0 {
-		K = (total - 1) / I // last slot whose window starts before the budget
+// lastSlot is the last grid slot whose window starts before the budget.
+func (s *Scheduler) lastSlot(total uint64) uint64 {
+	if total == 0 {
+		return 0
 	}
-	if total == 0 || s.frontier > K {
-		// No detailed windows remain: the rest of the budget is one
-		// functional gap, covered for halt exactness like a serial gap.
-		p := s.sys.Progress()
-		if p < total {
-			s.advance(total, s.opts.Stop)
-			res := s.sys.Results()
-			s.sys.Telemetry().Emit(telemetry.KindSampleFF, res.Cycles,
-				s.sys.Thread().PC(), s.sys.Progress(), int64(s.sys.Progress()-p), 0)
+	return (total - 1) / s.cfg.Interval
+}
+
+// runWindows executes the post-startup schedule: the producer streams slot
+// snapshots, worker chains run detailed windows speculatively, and the
+// reconciler (this goroutine) replays the serial decision sequence in slot
+// order.
+func (s *Scheduler) runWindows(total uint64) {
+	I, W := s.cfg.Interval, s.cfg.Warmup
+	K := s.lastSlot(total)
+	if s.frontier > K && s.lastEnd == s.p0 {
+		// No detailed window follows the startup prefix: the rest of the
+		// budget is one functional gap. The producer covered it for halt
+		// exactness; the master's stream records it as a serial gap.
+		s.joinProducer(true)
+		if s.prodEnd > s.p0 {
+			s.sys.Telemetry().Emit(telemetry.KindSampleFF, s.lastRes.Cycles,
+				s.prodPC, s.prodEnd, int64(s.prodEnd-s.p0), 0)
 		}
 		if s.prodHalted {
 			s.noteHalt(s.prodHaltAt)
@@ -299,19 +351,22 @@ func (s *Scheduler) runWindows(total uint64) {
 	}
 	s.captureMasterEvents()
 
-	jobs := s.opts.Jobs
-	stopc := make(chan struct{})
-	snapc := make(chan slotSnap, 4*jobs+16)
-	prodDone := make(chan struct{})
-	go s.produce(snapc, stopc, prodDone, s.frontier, K, total)
-
+	frontier := s.frontier
 	snaps := map[uint64]slotSnap{}
+	if frontier*I-W < s.p0 {
+		// The first slot's warm-up would start inside the startup prefix.
+		// It is clipped to start at p0, and only the master stands there:
+		// the producer passed p0 before anyone knew where it would fall.
+		snaps[frontier] = slotSnap{k: frontier, warm: frontier*I - s.p0, blob: s.sys.SaveROI()}
+	}
 	chains := map[uint64]*chainJob{}
 	snapcOpen := true
 	// fetchSnap blocks until slot k's snapshot arrives; false when the
 	// producer ended (halt, stop, or error) before reaching it. Blocking
 	// here — rather than launching opportunistically — is what makes the
-	// launched set, and so SpecWaste, timing-independent.
+	// launched set, and so SpecWaste, timing-independent. The producer's
+	// stream may start before the frontier (slots the startup prefix
+	// covered, and the clipped slot); those snapshots are dropped.
 	fetchSnap := func(k uint64) (slotSnap, bool) {
 		for {
 			if sn, ok := snaps[k]; ok {
@@ -320,12 +375,14 @@ func (s *Scheduler) runWindows(total uint64) {
 			if !snapcOpen {
 				return slotSnap{}, false
 			}
-			sn, ok := <-snapc
+			sn, ok := <-s.prodSnaps
 			if !ok {
 				snapcOpen = false
 				continue
 			}
-			snaps[sn.k] = sn
+			if _, launched := chains[sn.k]; sn.k >= frontier && !launched {
+				snaps[sn.k] = sn
+			}
 		}
 	}
 	launch := func(k uint64) bool {
@@ -339,10 +396,14 @@ func (s *Scheduler) runWindows(total uint64) {
 		delete(snaps, k)
 		c := &chainJob{slot: k, results: make(chan windowResult, 1), verdict: make(chan bool, 1)}
 		chains[k] = c
+		if s.onLaunch != nil {
+			s.onLaunch(k)
+		}
 		go s.chain(c, sn, total)
 		return true
 	}
 	discard := func(k uint64) {
+		delete(snaps, k)
 		if c, ok := chains[k]; ok {
 			c.verdict <- false
 			delete(chains, k)
@@ -350,13 +411,13 @@ func (s *Scheduler) runWindows(total uint64) {
 		}
 	}
 
-	frontier := s.frontier
+	width := uint64(specWidth(s.opts.Jobs))
 	for frontier <= K {
 		if s.stopRequested() {
 			s.stopped = true
 			break
 		}
-		for k := frontier; k <= min(frontier+uint64(jobs)-1, K); k++ {
+		for k := frontier; k <= min(frontier+width-1, K); k++ {
 			if !launch(k) {
 				break
 			}
@@ -406,12 +467,10 @@ func (s *Scheduler) runWindows(total uint64) {
 		}
 	}
 
-	// Wind down: stop the producer, unstick any pending snapshot send, and
-	// discard chains the replayed schedule never consumed.
-	close(stopc)
-	for range snapc {
-	}
-	<-prodDone
+	// Wind down. A schedule that ran out of slots lets the producer cover
+	// the final gap; any other end stops it. Chains the replayed schedule
+	// never consumed are discarded.
+	s.joinProducer(frontier > K)
 	for k := range chains {
 		discard(k)
 	}
@@ -436,14 +495,16 @@ func (s *Scheduler) finalizeEvents(total uint64) {
 	end := total
 	if s.haltSeen {
 		end = s.haltAt
+	} else if s.lastRes.Aborted != "" {
+		end = s.lastEnd // the run ends at the aborted window; no gap follows
 	}
 	res := s.lastRes
 	if s.lastEnd < end {
-		// The master's fast-forward pass covered this gap; its final PC is
-		// the deterministic resting point.
+		// The producer covered this gap; its machine's final PC is the
+		// deterministic resting point.
 		s.chainEvents = append(s.chainEvents, telemetry.Event{
 			Kind: telemetry.KindSampleFF, Cycle: res.Cycles,
-			PC: s.sys.Thread().PC(), Aux: end, Arg: int64(end - s.lastEnd),
+			PC: s.prodPC, Aux: end, Arg: int64(end - s.lastEnd),
 		})
 	}
 	s.chainEvents = append(s.chainEvents, telemetry.Event{
@@ -452,8 +513,7 @@ func (s *Scheduler) finalizeEvents(total uint64) {
 	})
 }
 
-// captureMasterEvents freezes the master's telemetry stream at S0; the
-// producer advances the master afterwards (emitting nothing), and chain
+// captureMasterEvents freezes the master's telemetry stream at S0; chain
 // events are appended per commit.
 func (s *Scheduler) captureMasterEvents() {
 	if s.masterEvents == nil {
@@ -519,22 +579,23 @@ func (s *Scheduler) stopRequested() bool {
 	}
 }
 
-// advance fast-forwards the master to progress target in bounded chunks so
-// an external stop lands between chunks. Reports false when the program
-// halted before target (recording the halt point) or the stop fired.
-func (s *Scheduler) advance(target uint64, stopc <-chan struct{}) bool {
+// advance fast-forwards the producer's machine to progress target in
+// bounded chunks so a stop lands between chunks. Reports false when the
+// program halted before target (recording the halt point) or the stop
+// fired.
+func (s *Scheduler) advance(sys *core.System, target uint64, stopc <-chan struct{}) bool {
 	const chunk = 4 << 20
 	for {
-		p := s.sys.Progress()
+		p := sys.Progress()
 		if p >= target {
 			return true
 		}
-		s.sys.FastForward(min(target-p, chunk), 0)
-		if s.sys.Thread().Halted() {
-			if s.sys.Progress() >= target {
+		sys.FastForward(min(target-p, chunk), 0)
+		if sys.Thread().Halted() {
+			if sys.Progress() >= target {
 				return true
 			}
-			s.prodHalted, s.prodHaltAt = true, s.sys.Progress()
+			s.prodHalted, s.prodHaltAt = true, sys.Progress()
 			return false
 		}
 		select {
@@ -545,68 +606,126 @@ func (s *Scheduler) advance(target uint64, stopc <-chan struct{}) bool {
 	}
 }
 
-// produce is the fast-forward pass: it walks the master along the grid,
-// emitting each slot's architectural snapshot in slot order, then covers
-// the tail gap so a halt past the last window is observed. With a
-// region-of-interest cache, each full slot is restored from — or
-// contributed to — the cache, so a sweep pays for functional execution
-// once; the first slot after startup may be clipped (warm-up shorter than
-// Warmup) and bypasses the cache, whose keys assume full-width positions.
-func (s *Scheduler) produce(snapc chan<- slotSnap, stopc <-chan struct{}, done chan<- struct{}, k0, K, total uint64) {
-	defer close(done)
+// startProducer starts the fast-forward pass on a machine of its own,
+// positioned where the master stands when Run begins: instruction 0 (a
+// fresh machine), or the snapshot LoadState restored the master from (a
+// mid-startup state, or S0). In a fresh run the producer therefore
+// fast-forwards alongside the serial startup prefix rather than after it.
+// It cannot know p0 yet, only that p0 ≥ Startup, so it streams every slot
+// whose warm-up starts at or past both its start point and Startup;
+// runWindows drops the slots the prefix turned out to cover and takes a
+// slot clipped by p0 from the master.
+//
+// The seed is a full machine state, not an architectural snapshot: a
+// restored master may stand inside a trace, and only a machine holding the
+// code cache can map that PC back to the original program.
+func (s *Scheduler) startProducer(total uint64) {
 	I, W := s.cfg.Interval, s.cfg.Warmup
+	start := s.sys.Progress()
+	k0 := (max(start, s.cfg.Startup) + W + I - 1) / I // first slot whose warm-up starts there or later
+	// The producer may run this many slots ahead of the reconciler: enough
+	// to stream through the startup prefix and to keep twice the launch
+	// window in hand. Snapshots are a few KiB; unconsumed ones are drained.
+	s.prodSnaps = make(chan slotSnap, 4*s.opts.Jobs+16)
+	s.prodStop = make(chan struct{})
+	s.prodDone = make(chan struct{})
+	go s.produce(start, k0, s.lastSlot(total), total)
+}
+
+// joinProducer waits for the producer to end. With finish the producer
+// runs to its own end: every slot sent, then the final gap covered, so a
+// halt inside that gap is observed and the machine rests where a serial
+// fast-forward would. Without it the producer is stopped at its next chunk
+// or send. Snapshots no chain will consume are drained either way.
+func (s *Scheduler) joinProducer(finish bool) {
+	if s.prodDone == nil {
+		return
+	}
+	if !finish {
+		close(s.prodStop)
+	}
+	for range s.prodSnaps {
+	}
+	<-s.prodDone
+}
+
+// produce is the fast-forward pass. It positions a fresh machine at the
+// master's start point (progress start), streams slots k0..K in order, then
+// covers the final gap so a halt inside it is observed exactly as a serial
+// fast-forward would observe it. When it ends cleanly its machine joins the
+// free list: a chain re-seeds it from S0 like any recycled machine.
+func (s *Scheduler) produce(start, k0, K, total uint64) {
+	defer close(s.prodDone)
+	sys := s.opts.NewSystem()
+	ok := s.produceSlots(sys, start, k0, K)
+	close(s.prodSnaps)
+	if ok {
+		s.advance(sys, total, s.prodStop)
+	}
+	s.prodEnd, s.prodPC = sys.Progress(), sys.Thread().PC()
+	if s.prodErr == nil {
+		s.putMachine(sys)
+	}
+}
+
+// produceSlots streams slots k0..K from sys; false when a halt, a stop, or
+// an error ended the stream early. With a region-of-interest cache, each
+// slot is restored from — or contributed to — the cache, so a sweep pays
+// for functional execution once. Every slot it streams has the full Warmup:
+// the one slot that can be clipped comes from the master.
+func (s *Scheduler) produceSlots(sys *core.System, start, k0, K uint64) bool {
+	if s.seed != nil {
+		if err := sys.RestoreState(s.seed); err != nil {
+			s.prodErr = fmt.Errorf("sampling: seed the producer: %w", err)
+			return false
+		}
+	}
+	if sys.Progress() != start {
+		s.prodErr = fmt.Errorf("sampling: producer seeded at progress %d, master at %d "+
+			"(the master must be fresh or restored through LoadState)", sys.Progress(), start)
+		return false
+	}
+	I, W := s.cfg.Interval, s.cfg.Warmup
+	stopc := s.prodStop
 	for k := k0; k <= K; k++ {
 		at := k*I - W
-		clipped := false
-		if at < s.p0 {
-			at, clipped = s.p0, true
-		}
-		warm := k*I - at
 		var blob []byte
-		if s.roi != nil && !clipped {
+		if s.roi != nil {
 			b, err := s.roi.LoadOrBuild(k, func() ([]byte, error) {
-				if !s.advance(at, stopc) {
+				if !s.advance(sys, at, stopc) {
 					return nil, errProducerStopped
 				}
-				return s.sys.SaveROI(), nil
+				return sys.SaveROI(), nil
 			})
 			if errors.Is(err, errProducerStopped) {
-				close(snapc)
-				return
+				return false
 			}
 			if err != nil {
 				s.prodErr = fmt.Errorf("sampling: ROI checkpoint %d: %w", k, err)
-				close(snapc)
-				return
+				return false
 			}
 			blob = b
-			if s.sys.Progress() != at {
-				// Cache hit: position the master by restoring the snapshot
+			if sys.Progress() != at {
+				// Cache hit: position the machine by restoring the snapshot
 				// it would otherwise have fast-forwarded to.
-				if err := s.sys.RestoreROI(blob); err != nil {
+				if err := sys.RestoreROI(blob); err != nil {
 					s.prodErr = fmt.Errorf("sampling: restore ROI checkpoint %d: %w", k, err)
-					close(snapc)
-					return
+					return false
 				}
 			}
 		} else {
-			if !s.advance(at, stopc) {
-				close(snapc)
-				return
+			if !s.advance(sys, at, stopc) {
+				return false
 			}
-			blob = s.sys.SaveROI()
+			blob = sys.SaveROI()
 		}
 		select {
-		case snapc <- slotSnap{k: k, warm: warm, blob: blob}:
+		case s.prodSnaps <- slotSnap{k: k, warm: W, blob: blob}:
 		case <-stopc:
-			close(snapc)
-			return
+			return false
 		}
 	}
-	close(snapc)
-	// Cover the final gap so a halt inside it is observed exactly as a
-	// serial fast-forward would observe it.
-	s.advance(total, stopc)
+	return true
 }
 
 // chain runs one window chain on a private machine: seed from S0, restore
@@ -625,8 +744,21 @@ func (s *Scheduler) produce(snapc chan<- slotSnap, stopc <-chan struct{}, done c
 // restore failed is not given back: its state is half-replaced. (The one
 // engine state a restore keeps, a fast path the divergence sentinel
 // demoted, cannot arise: sampled runs refuse the sentinel, DESIGN §14.)
+//
+// A chain executes only while it holds a run slot (runSlots): it takes one
+// before seeding and before each extension window, and gives it back while
+// it waits for a verdict. A chain discarded before it was admitted finds
+// its false verdict already buffered and never runs.
 func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
+	s.run.acquire(sn.k)
+	select {
+	case <-c.verdict:
+		s.run.release()
+		return
+	default:
+	}
 	fail := func(err error) {
+		s.run.release()
 		c.results <- windowResult{err: err, final: true}
 	}
 	sys := s.takeMachine()
@@ -655,6 +787,7 @@ func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 	first := true
 	for {
 		if sys.Thread().Halted() || sys.Progress() >= total {
+			s.run.release()
 			c.results <- windowResult{empty: true, final: true,
 				end: sys.Progress(), halted: sys.Thread().Halted()}
 			return
@@ -667,6 +800,7 @@ func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 		evs := captureSince(tel, &mark)
 		halted, aborted := sys.Thread().Halted(), sys.Aborted()
 		final := halted || aborted != "" || sys.Progress() >= total
+		s.run.release()
 		c.results <- windowResult{iv: iv, res: after, events: evs, first: first,
 			final: final, end: sys.Progress(), halted: halted, aborted: aborted}
 		first = false
@@ -676,7 +810,65 @@ func (s *Scheduler) chain(c *chainJob, sn slotSnap, total uint64) {
 		if !<-c.verdict {
 			return
 		}
+		s.run.acquire(sn.k)
 	}
+}
+
+// runSlots admits at most Jobs chains to execute at once. A freed slot goes
+// to the waiting chain with the lowest slot number: the reconciler blocks
+// on the frontier chain, which is always the lowest live slot, so it never
+// queues behind speculation it may yet discard.
+type runSlots struct {
+	mu      sync.Mutex
+	free    int
+	waiting []runWaiter
+	busy    int // slots held now
+	peak    int // most slots ever held at once
+}
+
+type runWaiter struct {
+	k     uint64
+	ready chan struct{}
+}
+
+func (r *runSlots) acquire(k uint64) {
+	r.mu.Lock()
+	if r.free > 0 {
+		r.free--
+		r.busy++
+		r.peak = max(r.peak, r.busy)
+		r.mu.Unlock()
+		return
+	}
+	ready := make(chan struct{})
+	r.waiting = append(r.waiting, runWaiter{k, ready})
+	r.mu.Unlock()
+	<-ready // the releaser handed its slot over; busy is unchanged
+}
+
+func (r *runSlots) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.waiting) == 0 {
+		r.free++
+		r.busy--
+		return
+	}
+	next := 0
+	for i, w := range r.waiting {
+		if w.k < r.waiting[next].k {
+			next = i
+		}
+	}
+	close(r.waiting[next].ready)
+	r.waiting = slices.Delete(r.waiting, next, next+1)
+}
+
+// peakBusy reports the most chains that ever executed at once.
+func (r *runSlots) peakBusy() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.peak
 }
 
 // takeMachine pops a free worker machine, or builds one when none is free.

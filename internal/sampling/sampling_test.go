@@ -201,7 +201,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // identical speculation waste, since the launch window is a pure function
 // of (frontier, jobs). Both snapshot shapes are exercised: mid-startup
 // (carries the full master) and mid-schedule (carries S0 plus the committed
-// record).
+// record), the latter both at the first chain boundary and at the last,
+// where only the final gap and its markers remain.
 func TestSampledResumeDeterminism(t *testing.T) {
 	const total, jobs = 800_000, 2
 
@@ -212,7 +213,7 @@ func TestSampledResumeDeterminism(t *testing.T) {
 	}
 	refEv := refSched.Events()
 
-	var blobA, blobB []byte
+	var blobA, blobB, blobC []byte
 	commits := 0
 	var sched *Scheduler
 	var schedErr error
@@ -233,6 +234,8 @@ func TestSampledResumeDeterminism(t *testing.T) {
 			}
 			if sched.windowed && blobB == nil {
 				blobB = snap() // first chain boundary: windowed shape
+			} else if sched.windowed {
+				blobC = snap() // last chain boundary: only the final gap remains
 			}
 		},
 	})
@@ -243,11 +246,11 @@ func TestSampledResumeDeterminism(t *testing.T) {
 	if err := sched.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if blobA == nil || blobB == nil {
+	if blobA == nil || blobB == nil || blobC == nil {
 		t.Fatalf("snapshots not captured (commits=%d)", commits)
 	}
 
-	for name, blob := range map[string][]byte{"startup": blobA, "windowed": blobB} {
+	for name, blob := range map[string][]byte{"startup": blobA, "windowed": blobB, "windowed-last": blobC} {
 		sched2 := newScheduler(t, "mcf", testConfig(), nil, jobs)
 		if err := sched2.LoadState(checkpoint.NewDecoder(blob)); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,19 +11,21 @@ import (
 
 // Scheduler checkpoint/restore. Snapshots are taken only at commit points —
 // after a startup window (the master is quiesced at a window edge) or after
-// a completed chain (the reconciler's state is the whole truth; the master
-// may be mid-fast-forward on the producer goroutine and is deliberately not
-// touched). The snapshot has two shapes accordingly:
+// a completed chain (the reconciler's state is the whole truth; the
+// producer fast-forwards a machine of its own, which is never serialized).
+// The snapshot has two shapes accordingly:
 //
 //   - startup (windowed=false): schedule state plus a full master machine
-//     snapshot. Restore rebuilds the master and resumes the prefix.
+//     snapshot. Restore rebuilds the master and resumes the prefix; the
+//     producer starts from the same snapshot on its own machine.
 //   - windowed (windowed=true): schedule state plus the startup snapshot S0
 //     and the committed record (intervals, last chain Results, telemetry).
-//     Restore seeds the master from S0; the producer re-fast-forwards from
-//     there to the frontier slot (cheap when the region-of-interest cache
-//     is on disk), and the reconciler replays the remaining schedule
-//     bit-identically — including the same speculation waste, since the
-//     launch window is a pure function of (frontier, jobs).
+//     Restore seeds the master from S0; the producer, seeded from the same
+//     bytes, re-fast-forwards from there to the frontier slot (cheap when
+//     the region-of-interest cache is on disk), and the reconciler replays
+//     the remaining schedule bit-identically — including the same
+//     speculation waste, since the launch window is a pure function of
+//     (frontier, jobs).
 //
 // ROI hit/miss counters are per-process and deliberately not carried.
 
@@ -78,6 +80,7 @@ func (s *Scheduler) LoadState(d *checkpoint.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
+		s.seed = blob
 		return s.sys.RestoreState(blob)
 	}
 	s.s0Blob = d.Blob()
@@ -98,6 +101,7 @@ func (s *Scheduler) LoadState(d *checkpoint.Decoder) error {
 	}
 	s.s0Res = s.sys.Results()
 	s.p0 = s.sys.Progress()
+	s.seed = s.s0Blob
 	s.nextDetailed = false
 	return nil
 }

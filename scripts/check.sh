@@ -72,8 +72,9 @@ go test -run 'TestFileTorture|TestFileKillMidWrite' -count=2 ./internal/checkpoi
 # reconciler pipeline and the singleflight ROI cache are the repo's only
 # intentionally concurrent simulator internals, so their byte-identity and
 # resume tests run under -race explicitly (fast failure; go test -race ./...
-# above covers them again in the full sweep).
-go test -race -run 'TestParallelMatchesSerial|TestSampledResumeDeterminism|TestROILoadOrBuildSingleflight' ./internal/sampling/
+# above covers them again in the full sweep), with the run-slot bound and
+# the timing independence of the launched set and its waste.
+go test -race -run 'TestParallelMatchesSerial|TestSampledResumeDeterminism|TestROILoadOrBuildSingleflight|TestRunningChainsBoundedByJobs|TestSpeculationRepeatable' ./internal/sampling/
 # Chains recycle worker machines (DESIGN §15): a machine that ran one slot's
 # window, re-seeded, must match a fresh one exactly, and re-seeding it must
 # stay cheap. The chain's warm-up runs the functional executor, whose
