@@ -25,26 +25,34 @@ import (
 // original code, traversal timing at trace loop-backs) reaches the batch
 // through cpu.SBHooks, each hook a call to the same function step() uses
 // (monitorLoad, profileCondBranch, recordTraversal), and each batch ends in
-// the same endCommit step() runs after every instruction. The remaining
-// slow-path set is exactly the event-visible instructions: loads the L1-hit
-// probe declines (misses, partial hits, MSHR pressure), FDIV, jumps, trace
-// entries and exits, patched words, and any instruction whose monitoring
-// raised a helper event (the batch stops so the pump dispatches at the same
-// cycle the slow path would have).
+// the same endCommit step() runs after every instruction. A load the L1-hit
+// probe declines (miss, partial hit, MSHR pressure) retires inside the batch
+// through Step's own access and stall charge, and the batch ends right after
+// it, so the batch-end work runs where step() would have run its per-step
+// work. The remaining slow-path set is FDIV, jumps, trace entries and exits,
+// patched words, stores under MSHR pressure, and hooked instructions that
+// could cross the horizon. A batch also ends after any instruction whose
+// monitoring raised a helper event, so the pump dispatches at the same cycle
+// the slow path would have.
 //
 // Equivalence contract (enforced by TestFastPathDifferential): step()
 // executes one instruction and then processes whatever became due at the
 // post-commit cycle. ExecSuperBlock stops after the first instruction whose
-// commit crosses the horizon or the weight budget — pre-stopping hooked
-// instructions that might cross, so a hook never observes an instruction
-// past the horizon — and the batch-end processing below observes the same
-// cycle, the same origInstrs, and the same machine state as the slow path's
-// per-step processing — bit for bit.
+// commit crosses the horizon or the weight budget, or after a declined load.
+// Of step()'s due-checks only chaos edges precede the load and branch
+// monitoring; the pump, phase check, interference toggle and watchdog run
+// after it, in endCommit. So hooked instructions pre-stop when they might
+// cross the horizon, and a hooked declined load, whose stall is unknown
+// before it commits, pre-stops whenever a chaos schedule is attached
+// (SBHooks.StopBeforeMiss). The batch-end processing below then observes the
+// same cycle, the same origInstrs, and the same machine state as the slow
+// path's per-step processing — bit for bit.
 
 // eventHorizon returns the earliest future cycle at which any non-CPU
 // machinery can act, given the current cycle. MaxInt64 means "nothing
-// scheduled": execution may batch freely until code-driven work (a declined
-// load, a trace boundary, a patched word) forces a slow step anyway.
+// scheduled": execution may batch freely until code-driven work (a trace
+// boundary, a patched word, an instruction no batch admits) forces a slow
+// step anyway.
 func (s *System) eventHorizon(now int64) int64 {
 	hz := int64(math.MaxInt64)
 	if s.chaosRun != nil {
@@ -82,9 +90,10 @@ func (s *System) eventHorizon(now int64) int64 {
 
 // fastForward retires instructions on the fast path until the next slow-step
 // condition: an instruction the batch executor cannot prove equivalent, a
-// trace entry, a patched word, or the instruction budget. Event boundaries
-// (the horizon) end a batch but not the fast path — processing runs and
-// batching resumes.
+// trace entry, a patched word, or the instruction budget — or until the
+// divergence sentinel, which ticks only between sessions, has work. Event
+// boundaries (the horizon) and declined loads end a batch but not the fast
+// path — processing runs and batching resumes.
 func (s *System) fastForward(limit uint64) {
 	if s.cfg.DisableFastPath {
 		return
@@ -185,13 +194,17 @@ loop:
 
 		// Weight budget: stop exactly where the slow loop would — at the
 		// instruction that reaches the run limit, or (when phase detection
-		// is armed) the one that crosses the phase window.
+		// is armed) the one that crosses the phase window. An armed
+		// sentinel's next window boundary caps it too (see sentinelTarget).
 		budget := limit - s.origInstrs
 		if s.cfg.Trident && s.cfg.PhaseClearMature {
 			elapsed := s.origInstrs - s.phaseMarkInstrs
 			if pb := s.cfg.PhaseWindow - elapsed; elapsed < s.cfg.PhaseWindow && pb < budget {
 				budget = pb
 			}
+		}
+		if at, ok := s.sentinelTarget(); ok && at > s.origInstrs && at-s.origInstrs < budget {
+			budget = at - s.origInstrs
 		}
 
 		if s.tel != nil && !entered {
@@ -266,6 +279,13 @@ loop:
 			}
 			break loop
 		}
+		if s.sentinelDue() {
+			// The sentinel ticks only between sessions (Run's loop), so a
+			// session that could otherwise batch to the run limit hands
+			// back at the first boundary where a window opens or closes.
+			exit = telemetry.FPSentinel
+			break loop
+		}
 		hz = s.eventHorizon(now)
 	}
 	if s.tel != nil {
@@ -287,6 +307,10 @@ func (s *System) initSBHooks() {
 			return s.monitorLoad(s.sbPl, pc, addr, value, res, now)
 		},
 		LoopBack: s.sbLoopBack,
+		// step() applies due chaos edges before monitorLoad, so a hooked
+		// miss, whose commit cycle is unknown until it runs, retires in the
+		// batch only when no chaos schedule is attached.
+		StopBeforeMiss: s.chaosRun != nil,
 	}
 	s.sbOrigHooks = cpu.SBHooks{
 		Branch: s.profileCondBranch,

@@ -15,10 +15,10 @@ import (
 // counters, accumulated miss latency, stride-predictor state, and the event
 // count — so any fast-path reordering, duplication, or loss of a single
 // in-trace load sample diverges some field. The run is windowed so every
-// resume crosses a batch boundary: L1 misses mid-superblock stop the batch
-// at the missing load (pinned instruction-exactly by the cpu-level
-// superblock tests) and the load retires through step(), which must feed the
-// table the very same (addr, miss, latency) sample.
+// resume crosses a batch boundary: an L1 miss mid-superblock retires as the
+// batch's last instruction (pinned instruction-exactly by the cpu-level
+// superblock tests), and its hook must feed the table the very same
+// (addr, miss, latency) sample step() would.
 func TestFastPathDLTSampleSequence(t *testing.T) {
 	bm, ok := workloads.ByName("mcf")
 	if !ok {
@@ -38,13 +38,13 @@ func TestFastPathDLTSampleSequence(t *testing.T) {
 
 	tF, tS := sysF.table, sysS.table
 	// Non-vacuity: the run must actually have exercised the machinery under
-	// test — monitored in-trace loads, L1 misses (each one a mid-batch stop
+	// test — monitored in-trace loads, L1 misses (each one ends its batch
 	// on the fast path), and at least one delinquent event.
 	if sysF.stats.loadsInTrace == 0 {
 		t.Fatal("no in-trace loads monitored; DLT comparison is vacuous")
 	}
 	if sysF.hier.Stats.ByOutcome[memsys.Miss] == 0 {
-		t.Fatal("no L1 misses; no batch ever stopped mid-superblock")
+		t.Fatal("no L1 misses; no batch ever ended on a miss")
 	}
 	if tF.Events == 0 {
 		t.Fatal("no delinquent events; window thresholds never crossed")

@@ -7,6 +7,7 @@ import (
 	"tridentsp/internal/chaos"
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
+	"tridentsp/internal/program"
 	"tridentsp/internal/workloads"
 )
 
@@ -119,7 +120,9 @@ func TestFastPathDifferentialConfigMatrix(t *testing.T) {
 func TestFastPathDifferentialChaosPresets(t *testing.T) {
 	for _, preset := range chaos.Presets() {
 		preset := preset
-		for _, bench := range []string{"swim", "mcf"} {
+		// mcf and dot put edges on in-trace, miss-heavy code: their hooked
+		// misses must stop before the load while a chaos edge is pending.
+		for _, bench := range []string{"swim", "mcf", "dot"} {
 			bm, ok := workloads.ByName(bench)
 			if !ok {
 				t.Fatalf("unknown benchmark %q", bench)
@@ -219,5 +222,63 @@ func TestFastPathTierResidencyAddsUp(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFastPathSentinelCadence: the divergence sentinel ticks only between
+// fast-path sessions, so a loop that never needs step() — its misses retire
+// inside batches, and with Trident off nothing is patched — must still end
+// its sessions at every window boundary and reach the configured number of
+// checks, without the armed sentinel perturbing the run.
+func TestFastPathSentinelCadence(t *testing.T) {
+	// A 4 KiB array walk: the first pass misses, later passes hit, and the
+	// back-edge is always taken, so batches fold for the whole run.
+	b := program.NewBuilder("cadence", 0x1000, 1<<20)
+	arr := b.Alloc(4 << 10)
+	b.Ldi(1, arr)
+	b.Ldi(2, (4<<10)-8)
+	b.Label("loop")
+	b.Op(isa.ADD, 4, 1, 3)
+	b.Ld(5, 4, 0)
+	b.Op(isa.ADD, 6, 6, 5)
+	b.OpI(isa.ADDI, 3, 3, 8)
+	b.Op(isa.AND, 3, 3, 2)
+	b.CondBr(isa.BNE, 1, "loop")
+	b.Halt()
+	prog := b.MustBuild()
+
+	const every, window, limit = 30_000, 10_000, 195_000
+	// Windows open at 30k, 70k, 110k, 150k and 190k; the last is still open
+	// when the run ends.
+	const want = limit / (every + window)
+	for _, e := range []struct {
+		name   string
+		engine Engine
+	}{
+		{"default", DefaultConfig().Engine},
+		{"jit-eager", Engine{JIT: true, JITThreshold: 0}},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := BaselineConfig(HWNone)
+			cfg.Engine = e.engine
+			plain := NewSystem(cfg, prog.ClonePristine())
+			resPlain := plain.Run(limit)
+			cfg.SentinelEvery, cfg.SentinelWindow = every, window
+			sys := NewSystem(cfg, prog.ClonePristine())
+			res := sys.Run(limit)
+			if slow, _, _ := sys.TierInstrs(); slow != 0 {
+				t.Fatalf("%d instructions retired through step(); the loop must never need it", slow)
+			}
+			if sys.hier.Stats.ByOutcome[memsys.Miss] == 0 {
+				t.Fatal("no L1 misses; the loop never retired a miss in a batch")
+			}
+			if res.SentinelChecks != want || res.SentinelTrips != 0 {
+				t.Fatalf("sentinel checks %d, trips %d; want %d checks and no trips",
+					res.SentinelChecks, res.SentinelTrips, want)
+			}
+			if zeroSentinel(res) != resPlain {
+				t.Errorf("armed sentinel perturbed the run\narmed: %+v\nplain: %+v", res, resPlain)
+			}
+		})
 	}
 }

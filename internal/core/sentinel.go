@@ -25,25 +25,44 @@ import (
 // machine is already on the reference loop. A window left open when the
 // run's budget, a halt, or an abort intervenes is simply not verified.
 
-// sentinelTick opens or closes a sentinel window at a Run-loop boundary.
-func (s *System) sentinelTick() {
-	if s.cfg.SentinelEvery == 0 || s.cfg.DisableFastPath || s.apply != nil {
-		return
+// sentinelTarget returns the original-instruction count at which the
+// sentinel next has work — opening a window (snapshot) or closing the open
+// one (verify) — and false while it is disarmed. fastForward caps its batch
+// budget there and ends its session once the tick is due, so the Run loop
+// reaches sentinelTick on time even when nothing else would end the session.
+func (s *System) sentinelTarget() (uint64, bool) {
+	if s.cfg.SentinelEvery == 0 || s.cfg.DisableFastPath {
+		return 0, false
 	}
 	if s.sentinelSnap == nil {
-		if s.origInstrs >= s.sentinelNextAt {
-			blob, err := s.SaveState()
-			if err != nil {
-				return
-			}
-			s.sentinelSnap = blob
-			s.sentinelSnapAt = s.origInstrs
-		}
+		return s.sentinelNextAt, true
+	}
+	return s.sentinelSnapAt + s.cfg.SentinelWindow, true
+}
+
+// sentinelDue reports whether sentinelTick has work at this boundary. No
+// window opens or closes while an optimization is pending (SaveState's
+// precondition).
+func (s *System) sentinelDue() bool {
+	at, ok := s.sentinelTarget()
+	return ok && s.apply == nil && s.origInstrs >= at
+}
+
+// sentinelTick opens or closes a sentinel window at a Run-loop boundary.
+func (s *System) sentinelTick() {
+	if !s.sentinelDue() {
 		return
 	}
-	if s.origInstrs >= s.sentinelSnapAt+s.cfg.SentinelWindow {
+	if s.sentinelSnap != nil {
 		s.sentinelVerify()
+		return
 	}
+	blob, err := s.SaveState()
+	if err != nil {
+		return
+	}
+	s.sentinelSnap = blob
+	s.sentinelSnapAt = s.origInstrs
 }
 
 // sentinelVerify replays the open window through the reference loop and

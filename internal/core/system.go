@@ -320,6 +320,9 @@ func (s *System) Run(limit uint64) Results {
 			if s.origInstrs >= limit || s.thread.Halted() {
 				break
 			}
+			if s.sentinelDue() {
+				continue // the session handed back for the sentinel's tick
+			}
 			s.step()
 		}
 		return s.results()
@@ -338,6 +341,9 @@ func (s *System) Run(limit uint64) Results {
 		}
 		if s.origInstrs >= limit || s.thread.Halted() {
 			break
+		}
+		if s.sentinelDue() {
+			continue
 		}
 		s.step()
 		if s.origInstrs != lastInstrs {
@@ -403,7 +409,7 @@ func (s *System) step() {
 	// starts eliminating the very misses it covers.
 	if info.IsLoad {
 		s.stats.loadsTotal++
-		if wouldMiss(info.LoadRes) {
+		if info.LoadRes.WouldMiss() {
 			s.stats.missesTotal++
 		}
 		if s.cfg.Trident {
@@ -489,12 +495,6 @@ func (s *System) checkPhase(now int64) {
 		s.stats.phaseClears++
 		s.tel.Emit(telemetry.KindPhaseClear, now, 0, 0, int64(n), 0)
 	}
-}
-
-// wouldMiss reports whether a load access either missed or only hit
-// because a prefetch covered it.
-func wouldMiss(r memsys.Result) bool {
-	return r.L1Miss || r.Outcome == memsys.HitPrefetched
 }
 
 // trackTraversal updates the watch table's per-traversal timing: a
@@ -624,8 +624,10 @@ func (s *System) backOut(pl *trident.Placement, now int64) {
 // trace-formation events occupy the helper.
 //
 // loadsTotal/missesTotal are counted by the callers: step() per load, the
-// batch path aggregated through cpu.SBExec. A batched load is always an L1
-// hit, so its DLT sample is (miss=false, lat=0), the same one computed here.
+// batch path aggregated through cpu.SBExec. A batched load passes the same
+// Result the slow path's StepInfo carries — a fast-probe hit or, as the
+// batch's last instruction, a full access — so its DLT sample is the one
+// computed here.
 func (s *System) monitorLoad(pl *trident.Placement, pc, addr, value uint64, res memsys.Result, now int64) bool {
 	if pl == nil {
 		return false
@@ -644,7 +646,7 @@ func (s *System) monitorLoad(pl *trident.Placement, pc, addr, value uint64, res 
 		ev.Hot.StartPC = headPC
 		queued = s.queue.Push(ev)
 	}
-	if wouldMiss(res) {
+	if res.WouldMiss() {
 		s.stats.missesInTrace++
 		if s.opt != nil && s.opt.Covered(headPC, origPC) {
 			s.stats.missesCovered++

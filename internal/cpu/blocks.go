@@ -27,9 +27,10 @@ const (
 	// memberPlain: reads and writes registers only, at the fixed
 	// one-issue-slot cost (FDIV is excluded: it charges stallCycles).
 	memberPlain
-	// memberMem: LD/LDNF/ST/PREFETCH — batchable while the memory
-	// hierarchy's fast probes apply; a declined probe stops the batch
-	// mid-block with exact resume state.
+	// memberMem: LD/LDNF/ST/PREFETCH — batchable. A load the L1-hit probe
+	// declines retires through the full access and ends the batch after
+	// it; a store the probe declines stops the batch before it, with
+	// exact resume state.
 	memberMem
 	// memberBranch: a conditional branch — included as the block's final
 	// instruction so the executor can resolve it inline (with the real

@@ -348,18 +348,7 @@ func (t *Thread) Step() StepInfo {
 
 	case isa.LD:
 		addr := t.regs[in.Ra] + uint64(in.Imm)
-		res := t.hier.Load(t.pc, addr, now)
-		if stall := res.Latency - t.cfg.OverlapWindow; stall > 0 {
-			src := t.taintSrc[in.Ra]
-			switch {
-			case src == t.pc || t.cfg.MLP <= 1:
-				t.stallCycles += stall // loop-carried chase: serial chain
-			case src != 0:
-				t.stallCycles += stall / max1(t.cfg.MLPDep)
-			default:
-				t.stallCycles += stall / max1(t.cfg.MLP)
-			}
-		}
+		res := t.demandLoad(t.pc, in.Ra, addr)
 		v := t.mem.Load(addr)
 		t.setReg(in.Rd, v)
 		info.IsLoad = true
@@ -438,6 +427,28 @@ func (t *Thread) Step() StepInfo {
 	info.NextPC = next
 	info.Now = t.Now()
 	return info
+}
+
+// demandLoad runs a demand load's full hierarchy access at the current
+// cycle and charges its stall: the latency beyond the overlap window, divided
+// by the memory-level parallelism the address register's taint allows. pc is
+// the load's address and ra its base register, read before the load's own
+// taint update. Step and both batch executors call it for every load the
+// L1-hit probe does not retire, so the MLP rule lives here only.
+func (t *Thread) demandLoad(pc uint64, ra isa.Reg, addr uint64) memsys.Result {
+	res := t.hier.Load(pc, addr, t.Now())
+	if stall := res.Latency - t.cfg.OverlapWindow; stall > 0 {
+		src := t.taintSrc[ra]
+		switch {
+		case src == pc || t.cfg.MLP <= 1:
+			t.stallCycles += stall // loop-carried chase: serial chain
+		case src != 0:
+			t.stallCycles += stall / max1(t.cfg.MLPDep)
+		default:
+			t.stallCycles += stall / max1(t.cfg.MLP)
+		}
+	}
+	return res
 }
 
 // taintRule is how an opcode's register write propagates load-derivedness.

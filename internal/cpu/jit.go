@@ -20,11 +20,12 @@ import (
 //
 // The equivalence obligation is the same as ExecSuperBlock's, inherited
 // opcode by opcode: post-commit stop conditions (weight budget, issue-unit
-// horizon cap, block end) are evaluated after each commit, NeedSlow stops
-// happen *before* the offending instruction, hooked loads and branches
-// pre-stop near the horizon, and a taken back-edge folds to the block entry
-// under the identical conditions. TestExecCompiledMatchesInterpreter and the
-// three-way differential fuzzer hold the two executors bit-identical.
+// horizon cap, a retired load the fast probe declined, block end) are
+// evaluated after each commit, NeedSlow stops happen *before* the offending
+// instruction, hooked loads and branches pre-stop near the horizon, and a
+// taken back-edge folds to the block entry under the identical conditions.
+// TestExecCompiledMatchesInterpreter and the three-way differential fuzzer
+// hold the two executors bit-identical.
 
 // segKind classifies one compiled segment.
 type segKind uint8
@@ -449,8 +450,9 @@ func fuseSparse(fs []func(*Thread), ins []isa.Inst) func(*Thread) {
 
 // ExecCompiled retires instructions from cb under exactly ExecSuperBlock's
 // contract: stop after the instruction whose commit reaches the weight
-// budget or the horizon's issue-unit cap, stop *before* any instruction
-// that needs the slow path (NeedSlow, with t.PC() addressing it), pre-stop
+// budget or the horizon's issue-unit cap, stop after a load the fast probe
+// declined (retired through demandLoad), stop *before* any instruction that
+// needs the slow path (NeedSlow, with t.PC() addressing it), pre-stop
 // hooked loads and branches that might cross the horizon, fold taken
 // back-edges onto the entry, and leave committed/PC exactly as the
 // interpreter would. The caller guarantees t.PC() == cb.Entry() and the
@@ -460,9 +462,11 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 		hookLoad   func(pc, addr, value uint64, res memsys.Result, now int64) bool
 		hookBranch func(pc uint64, in *isa.Inst, taken bool, now int64) bool
 		hookLoop   func(now int64)
+		missStop   bool // a declined hooked load pre-stops (StopBeforeMiss)
 	)
 	if hooks != nil {
 		hookLoad, hookBranch, hookLoop = hooks.Load, hooks.Branch, hooks.LoopBack
+		missStop = hookLoad != nil && hooks.StopBeforeMiss
 	}
 	unitsCap, brCap := t.sbCaps(horizon, hookBranch != nil)
 	units := t.unitsPerInst
@@ -516,13 +520,20 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			si++
 
 		case segLoad:
-			if !loadFastOK || (hookLoad != nil && t.issueUnits+units >= unitsCap) {
+			if !memOK || (hookLoad != nil && t.issueUnits+units >= unitsCap) {
 				return t.jitNeedSlow(sg.pc, &ex)
 			}
 			addr := t.regs[sg.ra] + sg.imm
-			res, ok := t.hier.LoadFast(sg.pc, addr, t.Now())
+			var res memsys.Result
+			ok := false
+			if loadFastOK {
+				res, ok = t.hier.LoadFast(sg.pc, addr, t.Now())
+			}
 			if !ok {
-				return t.jitNeedSlow(sg.pc, &ex)
+				if missStop {
+					return t.jitNeedSlow(sg.pc, &ex)
+				}
+				res = t.demandLoad(sg.pc, sg.ra, addr)
 			}
 			v := t.mem.Load(addr)
 			if sg.rd != isa.ZeroReg {
@@ -530,7 +541,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 				t.taintSrc[sg.rd] = sg.pc
 			}
 			ex.Loads++
-			if res.Outcome == memsys.HitPrefetched {
+			if res.WouldMiss() {
 				ex.WouldMiss++
 			}
 			t.issueUnits += units
@@ -540,7 +551,7 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 			if hookLoad != nil {
 				stop = hookLoad(sg.pc, addr, v, res, t.Now())
 			}
-			if stop || ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
+			if stop || !ok || ex.Weight >= weightBudget || t.issueUnits >= unitsCap || sg.idx+1 == cb.n {
 				t.pc = sg.pc + isa.WordSize
 				t.committed += uint64(ex.N)
 				return ex

@@ -85,63 +85,17 @@ func TestExecCompiledMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestExecCompiledStopsBeforeColdLoad mirrors the interpreter-batch miss test
-// for the compiled tier: a cold load stops the chain with NeedSlow, N counting
-// only the retired prefix, and PC addressing exactly the declining load; the
-// unswept expired fill keeps declining; and after the slow path sweeps it the
-// chain resumes with a fast load.
-func TestExecCompiledStopsBeforeColdLoad(t *testing.T) {
-	seq := []isa.Inst{
-		{Op: isa.LDI, Rd: 1, Imm: 0x4000},    // 0x1000
-		{Op: isa.ADDI, Rd: 2, Ra: 2, Imm: 7}, // 0x1008
-		{Op: isa.LD, Rd: 3, Ra: 1, Imm: 0},   // 0x1010 cold: must stop here
-		{Op: isa.LD, Rd: 4, Ra: 1, Imm: 0},   // 0x1018 sweeps the expired fill
-		{Op: isa.LD, Rd: 5, Ra: 1, Imm: 0},   // 0x1020 fast-probe hit
-		{Op: isa.HALT},                       // 0x1028
-	}
-	p := buildProgram(t, seq)
-	th, ps := newTestThread(p)
-
-	_, cb, ok := ps.BlockAtJIT(0x1000, 0)
-	if !ok || cb == nil {
-		t.Fatalf("no compiled block at entry: ok=%v cb=%v", ok, cb)
-	}
-	if cb.Entry() != 0x1000 || cb.Len() != 5 {
-		t.Fatalf("chain entry=%#x len=%d, want 0x1000 len 5", cb.Entry(), cb.Len())
-	}
-	ex := th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, nil)
-	if !ex.NeedSlow || ex.N != 2 || th.PC() != 0x1010 {
-		t.Fatalf("cold load: %+v pc=%#x, want NeedSlow after 2 at 0x1010", ex, th.PC())
-	}
-	if ex.Loads != 0 {
-		t.Fatalf("declined load counted: Loads=%d", ex.Loads)
-	}
-
-	th.Step() // slow load: misses, fills L1
-	th.AddStall(1000)
-
-	_, cb2, ok := ps.BlockAtJIT(th.PC(), 0)
-	if !ok || cb2 == nil {
-		t.Fatal("no compiled block at resume point")
-	}
-	ex2 := th.ExecCompiled(cb2, math.MaxUint64, math.MaxInt64, nil)
-	if !ex2.NeedSlow || ex2.N != 0 || th.PC() != 0x1018 {
-		t.Fatalf("unswept fill: %+v pc=%#x, want immediate decline at 0x1018", ex2, th.PC())
-	}
-	th.Step() // slow load sweeps the fill
-
-	_, cb3, ok := ps.BlockAtJIT(th.PC(), 0)
-	if !ok || cb3 == nil {
-		t.Fatal("no compiled block at second resume point")
-	}
-	ex3 := th.ExecCompiled(cb3, math.MaxUint64, math.MaxInt64, nil)
-	if ex3.NeedSlow || ex3.N != 1 || ex3.Loads != 1 {
-		t.Fatalf("resumed chain: %+v, want one fast load", ex3)
-	}
-	if th.Reg(5) != th.Reg(3) || th.Reg(4) != th.Reg(3) {
-		t.Fatalf("load values diverged: r3=%#x r4=%#x r5=%#x",
-			th.Reg(3), th.Reg(4), th.Reg(5))
-	}
+// TestExecCompiledStopsAfterColdLoad pins the declined-load contract for the
+// compiled tier (see checkColdLoadContract): every batch there must run as a
+// compiled chain.
+func TestExecCompiledStopsAfterColdLoad(t *testing.T) {
+	checkColdLoadContract(t, func(t *testing.T, th *Thread, ps *ProgramSpace, hooks *SBHooks) SBExec {
+		_, cb, ok := ps.BlockAtJIT(th.PC(), 0)
+		if !ok || cb == nil || cb.Entry() != th.PC() {
+			t.Fatalf("no compiled chain at %#x: ok=%v cb=%v", th.PC(), ok, cb)
+		}
+		return th.ExecCompiled(cb, math.MaxUint64, math.MaxInt64, hooks)
+	})
 }
 
 // TestExecCompiledFoldsBackEdge pins the chain's loop folding: entered at the

@@ -12,11 +12,16 @@ import (
 // the hierarchy's L1-hit fast probe, stores and prefetches through their
 // direct hierarchy calls, and a terminating conditional branch through the
 // real predictor, folding a taken back-edge onto the block entry so whole
-// loop iterations retire per call. Whenever an instruction cannot be proven
-// equivalent to the full Step dispatch (a load the fast probe declines, a
-// missing memory system, an unknown opcode), the batch stops *before* that
-// instruction with exact architectural state, so the caller's one-step loop
-// resumes on precisely the instruction that needs the slow path.
+// loop iterations retire per call. A load the fast probe declines (L1 miss,
+// line in flight, MSHR at capacity) retires inside the batch through Step's
+// own full access and stall charge, and the batch ends right after it — a
+// post-commit stop, so the caller's batch-end work runs at exactly the
+// boundary the one-step loop would have reached. Whenever an instruction
+// cannot be proven equivalent to the full Step dispatch (a store under MSHR
+// pressure, a missing memory system, an unknown opcode), the batch stops
+// *before* that instruction with exact architectural state, so the caller's
+// one-step loop resumes on precisely the instruction that needs the slow
+// path.
 
 // SBHooks lets the simulation core observe batched instructions that its
 // slow path would have monitored, without ExecSuperBlock knowing anything
@@ -39,6 +44,12 @@ type SBHooks struct {
 	// and the batch continues: the entry instruction is guaranteed to
 	// re-execute within this batch. now is the branch's post-commit cycle.
 	LoopBack func(now int64)
+	// StopBeforeMiss makes a Load-hooked batch stop *before* (NeedSlow) a
+	// load the fast probe declines instead of retiring it. The caller sets
+	// it when an event it applies ahead of the hook could fall due at the
+	// load's commit: a miss's stall, and so its commit cycle, is unknown
+	// until the access runs, so the horizon pre-check cannot rule it out.
+	StopBeforeMiss bool
 }
 
 // SBExec reports what one ExecSuperBlock call did.
@@ -46,10 +57,10 @@ type SBExec struct {
 	// N is the number of instructions retired; Weight their total weight.
 	N      int
 	Weight uint64
-	// Loads counts retired LD instructions; WouldMiss counts those whose
-	// L1 hit was a first-use prefetched line (Outcome == HitPrefetched) —
-	// the only "would have missed without prefetching" case a fast-path
-	// load can be, since a real L1 miss declines the probe.
+	// Loads counts retired LD instructions; WouldMiss counts those that
+	// missed L1 or hit a first-use prefetched line (memsys.Result.WouldMiss).
+	// Only the batch's last instruction can be an L1 miss: a declined load
+	// ends the batch after it commits.
 	Loads     uint32
 	WouldMiss uint32
 	// NeedSlow is true when the batch stopped *before* an instruction that
@@ -91,12 +102,13 @@ func (t *Thread) sbCaps(horizon int64, needBr bool) (unitsCap, brCap int64) {
 
 // ExecSuperBlock retires instructions from b until the cumulative weight
 // reaches weightBudget, the thread's cycle counter reaches horizon, a hook
-// asks to stop, the block ends, or an instruction needs the slow path —
-// whichever comes first. Post-commit stop conditions are evaluated after
-// each commit, so the final instruction is exactly the one whose commit
-// crossed the budget or horizon; NeedSlow stops happen *before* the
-// offending instruction, leaving state exactly as the one-step loop would
-// have it when reaching that instruction.
+// asks to stop, a load the fast probe declined has retired, the block ends,
+// or an instruction needs the slow path — whichever comes first. Post-commit
+// stop conditions are evaluated after each commit, so the final instruction
+// is exactly the one whose commit crossed the budget or horizon (or the
+// declined load); NeedSlow stops happen *before* the offending instruction,
+// leaving state exactly as the one-step loop would have it when reaching
+// that instruction.
 //
 // The caller guarantees the thread is not halted and t.PC() addresses
 // b.Insts[0]; semantics, taint propagation, memory-system effects, and
@@ -106,9 +118,11 @@ func (t *Thread) ExecSuperBlock(b Block, weightBudget uint64, horizon int64, hoo
 		hookLoad   func(pc, addr, value uint64, res memsys.Result, now int64) bool
 		hookBranch func(pc uint64, in *isa.Inst, taken bool, now int64) bool
 		hookLoop   func(now int64)
+		missStop   bool // a declined hooked load pre-stops (StopBeforeMiss)
 	)
 	if hooks != nil {
 		hookLoad, hookBranch, hookLoop = hooks.Load, hooks.Branch, hooks.LoopBack
+		missStop = hookLoad != nil && hooks.StopBeforeMiss
 	}
 	unitsCap, brCap := t.sbCaps(horizon, hookBranch != nil)
 	units := t.unitsPerInst
@@ -118,6 +132,7 @@ func (t *Thread) ExecSuperBlock(b Block, weightBudget uint64, horizon int64, hoo
 	memOK := t.hier != nil && t.mem != nil
 	// Fast loads never charge a stall: the probe only succeeds on an L1
 	// hit, and an L1 hit's latency must fit inside the overlap window.
+	// Otherwise every load takes demandLoad.
 	loadFastOK := memOK && t.hier.L1Latency() <= t.cfg.OverlapWindow
 
 	var ex SBExec
@@ -129,6 +144,7 @@ loop:
 		in := &b.Insts[i]
 		branch := false
 		taken := false
+		declined := false  // a load the fast probe declined: stop after it
 		var hookKind uint8 // 0 none, 1 load, 2 branch
 		var hAddr, hVal uint64
 		var hRes memsys.Result
@@ -194,21 +210,31 @@ loop:
 			// A hooked load must not commit past the horizon (the hook's
 			// observation has to precede the between-batch event work), so
 			// pre-stop if this commit would cross. Loads charge no stall on
-			// the fast path, so the pre-check is exact, not conservative.
-			if !loadFastOK || (hookLoad != nil && t.issueUnits+units >= unitsCap) {
+			// the fast path, so for a hit the pre-check is exact.
+			if !memOK || (hookLoad != nil && t.issueUnits+units >= unitsCap) {
 				ex.NeedSlow = true
 				break loop
 			}
 			addr := t.regs[in.Ra] + uint64(in.Imm)
-			res, ok := t.hier.LoadFast(pc, addr, t.Now())
+			var res memsys.Result
+			ok := false
+			if loadFastOK {
+				res, ok = t.hier.LoadFast(pc, addr, t.Now())
+			}
 			if !ok {
-				ex.NeedSlow = true
-				break loop
+				// The probe declined: the hierarchy is untouched, so Step's
+				// full access and stall charge run here instead.
+				if missStop {
+					ex.NeedSlow = true
+					break loop
+				}
+				res = t.demandLoad(pc, in.Ra, addr)
+				declined = true
 			}
 			v := t.mem.Load(addr)
 			t.setReg(in.Rd, v)
 			ex.Loads++
-			if res.Outcome == memsys.HitPrefetched {
+			if res.WouldMiss() {
 				ex.WouldMiss++
 			}
 			if hookLoad != nil {
@@ -304,7 +330,7 @@ loop:
 			pc = nextPC
 			break
 		}
-		if stop || ex.Weight >= weightBudget || t.issueUnits >= unitsCap ||
+		if stop || declined || ex.Weight >= weightBudget || t.issueUnits >= unitsCap ||
 			i+1 == len(b.Insts) {
 			pc = nextPC
 			break

@@ -1,10 +1,12 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"tridentsp/internal/isa"
+	"tridentsp/internal/memsys"
 )
 
 // runRef drives a thread through the one-step interpreter to completion.
@@ -44,6 +46,9 @@ func assertSameState(t *testing.T, got, want *Thread) {
 	}
 	if got.Now() != want.Now() {
 		t.Errorf("cycle diverged: batched %d, step %d", got.Now(), want.Now())
+	}
+	if got.stallCycles != want.stallCycles {
+		t.Errorf("stall cycles diverged: batched %d, step %d", got.stallCycles, want.stallCycles)
 	}
 	if got.Committed() != want.Committed() {
 		t.Errorf("committed diverged: batched %d, step %d", got.Committed(), want.Committed())
@@ -94,77 +99,117 @@ func TestExecSuperBlockMatchesStep(t *testing.T) {
 	}
 }
 
-// TestSuperBlockMissStopsExactly forces an L1 miss mid-superblock and pins
-// the resume contract: the batch stops with N counting only the retired
-// prefix, PC addressing exactly the missing load, and a Step() resume plus
-// re-batch produces the slow path's state.
-func TestSuperBlockMissStopsExactly(t *testing.T) {
-	seq := []isa.Inst{
+// coldLoadKernel has a cold load mid-block, a re-load of its line while the
+// fill's expired in-flight entry is still unswept, and a plain L1 hit.
+func coldLoadKernel() []isa.Inst {
+	return []isa.Inst{
 		{Op: isa.LDI, Rd: 1, Imm: 0x4000},    // 0x1000
 		{Op: isa.ADDI, Rd: 2, Ra: 2, Imm: 7}, // 0x1008
-		{Op: isa.LD, Rd: 3, Ra: 1, Imm: 0},   // 0x1010 cold: must stop here
+		{Op: isa.LD, Rd: 3, Ra: 1, Imm: 0},   // 0x1010 cold: L1 miss
 		{Op: isa.LD, Rd: 4, Ra: 1, Imm: 0},   // 0x1018 sweeps the expired fill
 		{Op: isa.LD, Rd: 5, Ra: 1, Imm: 0},   // 0x1020 fast-probe hit
 		{Op: isa.HALT},                       // 0x1028
 	}
-	p := buildProgram(t, seq)
+}
+
+// batchAt runs one batch of the executor under test at th.PC().
+type batchAt func(t *testing.T, th *Thread, ps *ProgramSpace, hooks *SBHooks) SBExec
+
+// checkColdLoadContract pins the declined-load contract for one executor. A
+// load the fast probe declines retires inside the batch as its last
+// instruction, through Step's own access and stall charge, so after every
+// batch the thread equals a twin that ran Step over the same instructions:
+// registers, taint, stall cycles, clock, commit count, PC, and memsys.Stats.
+// With StopBeforeMiss set, a hooked declined load instead stops the batch
+// before it, leaving the hierarchy untouched.
+func checkColdLoadContract(t *testing.T, run batchAt) {
+	t.Helper()
+	p := buildProgram(t, coldLoadKernel())
+	steps := func(th *Thread, n int) {
+		for i := 0; i < n; i++ {
+			th.Step()
+		}
+	}
+	batch := func(th, ref *Thread, ps *ProgramSpace, hooks *SBHooks, want SBExec, wantPC uint64) {
+		t.Helper()
+		ex := run(t, th, ps, hooks)
+		if ex != want || th.PC() != wantPC {
+			t.Fatalf("batch: %+v pc=%#x, want %+v pc=%#x", ex, th.PC(), want, wantPC)
+		}
+		steps(ref, ex.N)
+		assertSameState(t, th, ref)
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
 	th, ps := newTestThread(p)
-
-	blk, ok := ps.BlockAt(0x1000)
-	if !ok || len(blk.Insts) != 5 {
-		t.Fatalf("block at entry: ok=%v len=%d, want 5 (through the loads)", ok, len(blk.Insts))
+	ref, _ := newTestThread(p)
+	// The cold load is the batch's last instruction although the block runs
+	// on through two more loads.
+	batch(th, ref, ps, nil, SBExec{N: 3, Weight: 3, Loads: 1, WouldMiss: 1}, 0x1018)
+	if th.stallCycles == 0 {
+		t.Fatal("the miss charged no stall; test is vacuous")
 	}
-	ex := th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, nil)
-	if !ex.NeedSlow {
-		t.Fatal("cold load did not request the slow path")
-	}
-	if ex.N != 2 || th.PC() != 0x1010 {
-		t.Fatalf("stopped after %d instructions at pc %#x, want 2 instructions at 0x1010",
-			ex.N, th.PC())
-	}
-	if ex.Loads != 0 {
-		t.Fatalf("declined load counted: Loads=%d", ex.Loads)
-	}
-
-	// Resume through Step: the load misses, fills L1.
-	th.Step()
-	if th.PC() != 0x1018 {
-		t.Fatalf("pc after slow load = %#x, want 0x1018", th.PC())
-	}
-	th.AddStall(1000) // wait out the fill so the line's latency has elapsed
-
-	// The line is resident but its expired in-flight fill entry has not been
-	// swept; the fast probe must keep declining until a full Load sweeps it
-	// (that sweep is where redundancy accounting happens on the slow path).
-	blk2, ok := ps.BlockAt(th.PC())
-	if !ok {
-		t.Fatal("no block at resume point")
-	}
-	ex2 := th.ExecSuperBlock(blk2, math.MaxUint64, math.MaxInt64, nil)
-	if !ex2.NeedSlow || ex2.N != 0 || th.PC() != 0x1018 {
-		t.Fatalf("unswept fill: %+v pc=%#x, want immediate decline at 0x1018", ex2, th.PC())
-	}
-	th.Step() // slow load: sweeps the fill, hits L1
-
-	// Now the probe is provably idle: the third load batches fast.
-	blk3, ok := ps.BlockAt(th.PC())
-	if !ok {
-		t.Fatal("no block at second resume point")
-	}
-	ex3 := th.ExecSuperBlock(blk3, math.MaxUint64, math.MaxInt64, nil)
-	if ex3.NeedSlow || ex3.N != 1 || ex3.Loads != 1 {
-		t.Fatalf("resumed batch: %+v, want one fast load", ex3)
-	}
+	// Wait out the fill. The line is resident but its expired in-flight entry
+	// is unswept, so the probe declines again and the full access sweeps it:
+	// the batch ends after this load too.
+	th.AddStall(1000)
+	ref.AddStall(1000)
+	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1, Loads: 1}, 0x1020)
+	// Now the probe is provably idle: the third load is a fast hit.
+	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1, Loads: 1}, 0x1028)
 	if th.Reg(5) != th.Reg(3) || th.Reg(4) != th.Reg(3) {
-		t.Fatalf("load values diverged: r3=%#x r4=%#x r5=%#x",
-			th.Reg(3), th.Reg(4), th.Reg(5))
+		t.Fatalf("load values diverged: r3=%#x r4=%#x r5=%#x", th.Reg(3), th.Reg(4), th.Reg(5))
 	}
-	if got := th.hier.Stats.Loads; got != 3 {
-		t.Fatalf("hierarchy saw %d loads, want 3", got)
+	if st := th.hier.Stats; st.Loads != 3 || st.L1Hits != 2 {
+		t.Fatalf("hierarchy saw %d loads, %d L1 hits; want 3 and 2", st.Loads, st.L1Hits)
 	}
-	if got := th.hier.Stats.L1Hits; got != 2 {
-		t.Fatalf("hierarchy saw %d L1 hits, want 2", got)
+
+	// Hooked: the hook observes the miss after its commit, exactly as the
+	// slow path's StepInfo reports it.
+	var seen []string
+	hooks := &SBHooks{Load: func(pc, addr, value uint64, res memsys.Result, now int64) bool {
+		seen = append(seen, fmt.Sprintf("pc=%#x addr=%#x v=%#x res=%+v now=%d", pc, addr, value, res, now))
+		return false
+	}}
+	th, ps = newTestThread(p)
+	ref, _ = newTestThread(p)
+	batch(th, ref, ps, hooks, SBExec{N: 3, Weight: 3, Loads: 1, WouldMiss: 1}, 0x1018)
+	twin, _ := newTestThread(p)
+	steps(twin, 2)
+	info := twin.Step()
+	want := fmt.Sprintf("pc=%#x addr=%#x v=%#x res=%+v now=%d",
+		info.PC, info.LoadAddr, info.LoadValue, info.LoadRes, info.Now)
+	if len(seen) != 1 || seen[0] != want || !info.LoadRes.L1Miss {
+		t.Fatalf("load hook saw %q, want [%q] (an L1 miss)", seen, want)
 	}
+
+	// Hooked with StopBeforeMiss (an event the caller applies ahead of the
+	// hook could fall due at the miss's commit): stop before the load.
+	seen = nil
+	hooks.StopBeforeMiss = true
+	th, ps = newTestThread(p)
+	ref, _ = newTestThread(p)
+	batch(th, ref, ps, hooks, SBExec{N: 2, Weight: 2, NeedSlow: true}, 0x1010)
+	if len(seen) != 0 || th.hier.Stats.Loads != 0 {
+		t.Fatalf("pre-stopped load left a trace: hook %q, %d hierarchy loads", seen, th.hier.Stats.Loads)
+	}
+	th.Step()
+	ref.Step()
+	assertSameState(t, th, ref)
+}
+
+// TestSuperBlockMissStopsExactly pins the declined-load contract for the
+// interpreting batch executor (see checkColdLoadContract).
+func TestSuperBlockMissStopsExactly(t *testing.T) {
+	checkColdLoadContract(t, func(t *testing.T, th *Thread, ps *ProgramSpace, hooks *SBHooks) SBExec {
+		blk, ok := ps.BlockAt(th.PC())
+		if !ok {
+			t.Fatalf("no block at %#x", th.PC())
+		}
+		return th.ExecSuperBlock(blk, math.MaxUint64, math.MaxInt64, hooks)
+	})
 }
 
 // TestSuperBlockFoldsBackEdge pins the loop-folding contract: once the batch

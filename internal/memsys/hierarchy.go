@@ -98,6 +98,12 @@ type Result struct {
 	L1Miss bool
 }
 
+// WouldMiss reports whether the access either missed L1 or only hit because
+// a prefetch covered it — the "would-be miss" the coverage statistics count.
+func (r Result) WouldMiss() bool {
+	return r.L1Miss || r.Outcome == HitPrefetched
+}
+
 // Prefetcher is an optional hardware prefetch engine (the stream buffers)
 // consulted on L1 misses and trained on every load.
 type Prefetcher interface {

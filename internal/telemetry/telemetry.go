@@ -165,8 +165,9 @@ const (
 	FPHalted FPReason = iota
 	// FPLimit: the run's instruction budget was reached.
 	FPLimit
-	// FPNeedSlow: the batch stopped before an event-visible instruction
-	// (a declined load, FDIV, a jump, a raised helper event).
+	// FPNeedSlow: the batch stopped before an instruction it cannot retire
+	// (a store under MSHR pressure, a hooked load or branch that might
+	// cross the horizon, a hooked declined load under a chaos schedule).
 	FPNeedSlow
 	// FPFirstSlow: not even the block's first instruction was batchable.
 	FPFirstSlow
@@ -177,13 +178,15 @@ const (
 	FPTraceEntry
 	// FPPatched: the word at pc carries a trace-link patch.
 	FPPatched
+	// FPSentinel: the divergence sentinel has a window to open or close.
+	FPSentinel
 	// NumFPReasons bounds the reason space.
 	NumFPReasons
 )
 
 var fpReasonNames = [NumFPReasons]string{
 	"halted", "limit", "need-slow", "first-slow",
-	"no-block", "trace-entry", "patched",
+	"no-block", "trace-entry", "patched", "sentinel",
 }
 
 // String names the reason.
