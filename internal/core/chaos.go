@@ -151,14 +151,6 @@ func (s *System) attachWatchdog() {
 // off); experiments and tests read its violations.
 func (s *System) Monitor() *chaos.Monitor { return s.monitor }
 
-// ChaosApplied counts fault edges delivered so far (0 without chaos).
-func (s *System) ChaosApplied() uint64 {
-	if s.chaosRun == nil {
-		return 0
-	}
-	return s.chaosRun.Applied
-}
-
 // newShadow builds the unoptimized twin machine for the continuous
 // transparency check: same program image, same core, no Trident, no
 // prefetching, no faults. Timing differs wildly — only architectural state

@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"math"
-
-	"tridentsp/internal/core"
-)
+import "tridentsp/internal/core"
 
 // Ablations quantifies the design choices DESIGN.md calls out, as average
 // speedup over the hardware-prefetching baseline across the suite:
@@ -21,48 +17,19 @@ import (
 //   - value-spec: dynamic value specialization of quasi-invariant loads
 //     (the prior Trident work's optimization, PACT 2005).
 func Ablations(o Options) Table {
-	o = o.withDefaults()
-	t := Table{
+	return speedupsOf(o, Table{
 		ID:    "ablations",
 		Title: "Design-choice ablations (speedup over HW baseline)",
 		Paper: "estimate-init ≈ self-repair (§3.5.1 'no gain'); deref carries the pointer benchmarks",
 		Columns: []string{
 			"self-repair", "estimate-init", "no-deref", "backout", "phase-clear", "value-spec",
 		},
-	}
-	variants := []func(*core.Config){
-		func(c *core.Config) {},
-		func(c *core.Config) { c.InitFromEstimate = true },
-		func(c *core.Config) { c.DerefPointers = false },
-		func(c *core.Config) { c.Backout = true },
-		func(c *core.Config) { c.PhaseClearMature = true },
-		func(c *core.Config) { c.ValueSpecialize = true },
-	}
-	p := newPool(o)
-	suite := o.suite()
-	bases := make([]*task[core.Results], len(suite))
-	runs := make([][]*task[core.Results], len(suite))
-	for i, bm := range suite {
-		bases[i] = p.submitRun(bm, core.BaselineConfig(core.HW8x8), o)
-		runs[i] = make([]*task[core.Results], len(variants))
-		for j, tweak := range variants {
-			cfg := core.DefaultConfig()
-			tweak(&cfg)
-			runs[i][j] = p.submitRun(bm, cfg, o)
-		}
-	}
-	for i, bm := range suite {
-		row := Row{Label: bm.Name}
-		for j := range variants {
-			if !allOK(runs[i][j], bases[i]) {
-				row.Cells = append(row.Cells, math.NaN())
-				continue
-			}
-			row.Cells = append(row.Cells, core.Speedup(runs[i][j].wait(), bases[i].wait()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	meanRow(&t)
-	t.Failures = p.manifest()
-	return t
+	}, []variant{
+		{cfg: core.DefaultConfig()},
+		tweaked("estimate-init", func(c *core.Config) { c.InitFromEstimate = true }),
+		tweaked("no-deref", func(c *core.Config) { c.DerefPointers = false }),
+		tweaked("backout", func(c *core.Config) { c.Backout = true }),
+		tweaked("phase-clear", func(c *core.Config) { c.PhaseClearMature = true }),
+		tweaked("value-spec", func(c *core.Config) { c.ValueSpecialize = true }),
+	})
 }

@@ -184,8 +184,11 @@ func submitStop[T any](p *pool, label string, fn func(stop <-chan struct{}, m *m
 // and with a deadline set, an overlong run is reported as a timeout and
 // abandoned — its stop channel is closed so cooperating tasks (sampled
 // runs' window chains) wind down at their next boundary, while pure-compute
-// exact runs are simply left to finish and be discarded.
+// exact runs are simply left to finish and be discarded. A result that
+// arrives after the deadline is a timeout too, so whether a run met its
+// deadline never depends on how the Go scheduler ordered the two wake-ups.
 func attempt[T any](p *pool, fn func(stop <-chan struct{}, m *memo) T, m *memo) (T, error) {
+	start := time.Now()
 	stop := make(chan struct{})
 	resc := make(chan outcome[T], 1)
 	go func() {
@@ -206,12 +209,14 @@ func attempt[T any](p *pool, fn func(stop <-chan struct{}, m *memo) T, m *memo) 
 	defer timer.Stop()
 	select {
 	case o := <-resc:
-		return o.v, o.err
+		if time.Since(start) <= p.timeout {
+			return o.v, o.err
+		}
 	case <-timer.C:
-		close(stop)
-		var zero T
-		return zero, fmt.Errorf("timed out after %v", p.timeout)
 	}
+	close(stop)
+	var zero T
+	return zero, fmt.Errorf("timed out after %v", p.timeout)
 }
 
 // backoff is the deterministic retry delay: an exponential base plus a
@@ -239,17 +244,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// submitRun schedules one benchmark under one configuration.
-func (p *pool) submitRun(bm workloads.Benchmark, cfg core.Config, o Options) *task[core.Results] {
-	label := fmt.Sprintf("%s %s/%s", bm.Name, cfg.HW, cfg.SW)
+// submitRun schedules one benchmark on one machine variant. The run's label
+// is the benchmark, the HW/SW tag, and the variant's name if it has one.
+func (p *pool) submitRun(bm workloads.Benchmark, v variant, o Options) *task[core.Results] {
+	label := fmt.Sprintf("%s %s/%s", bm.Name, v.cfg.HW, v.cfg.SW)
+	if v.name != "" {
+		label += " " + v.name
+	}
 	return submitStop(p, label, func(stop <-chan struct{}, m *memo) core.Results {
-		return run(bm, cfg, o, stop, m)
+		return run(bm, v.cfg, o, stop, m)
 	})
 }
 
 // allOK waits for every listed run (recording any failures in wait order)
-// and reports whether they all succeeded. Figures call it per row or per
-// cell to decide between real values and holes.
+// and reports whether they all succeeded.
 func allOK(ts ...*task[core.Results]) bool {
 	ok := true
 	for _, t := range ts {

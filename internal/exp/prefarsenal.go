@@ -39,7 +39,7 @@ func PrefArsenal(o Options) Table {
 	for i, bm := range suite {
 		runs[i] = make([]*task[core.Results], len(configs))
 		for j, hw := range configs {
-			runs[i][j] = p.submitRun(bm, core.BaselineConfig(hw), o)
+			runs[i][j] = p.submitRun(bm, baseline(hw), o)
 		}
 	}
 

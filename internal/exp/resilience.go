@@ -50,7 +50,7 @@ func Resilience(o Options) Table {
 	// submitted.
 	baseFuts := make([]*task[core.Results], len(suite))
 	for i, bm := range suite {
-		baseFuts[i] = p.submitRun(bm, cfg, o)
+		baseFuts[i] = p.submitRun(bm, variant{cfg: cfg}, o)
 	}
 	bases := make([]core.Results, len(suite))
 	baseOK := make([]bool, len(suite))

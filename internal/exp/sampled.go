@@ -118,7 +118,7 @@ func SampleVal(o Options) Table {
 		bm := bm
 		cfg := core.DefaultConfig()
 		runs[i] = futs{
-			exact: p.submitRun(bm, cfg, o),
+			exact: p.submitRun(bm, variant{cfg: cfg}, o),
 			sampled: submitStop(p, bm.Name+" sampled", func(stop <-chan struct{}, m *memo) sampling.Estimate {
 				return sampledRun(bm, cfg, o, stop, m)
 			}),

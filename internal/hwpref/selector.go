@@ -258,9 +258,6 @@ func (s *Selector) Names() []string {
 	return names
 }
 
-// NumBackends returns the arsenal size.
-func (s *Selector) NumBackends() int { return len(s.engines) }
-
 // Active returns the currently issuing backend's index.
 func (s *Selector) Active() int { return s.active }
 

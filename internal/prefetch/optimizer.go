@@ -250,13 +250,6 @@ func (o *Optimizer) refreshPotential(ts *traceState) {
 	}
 }
 
-// HasPrefetchState reports whether any prefetch code has been inserted for
-// the trace.
-func (o *Optimizer) HasPrefetchState(startPC uint64) bool {
-	ts, ok := o.traces[startPC]
-	return ok && len(ts.byLoad) > 0
-}
-
 // BaseTrace returns a copy of the trace's base version (formed and
 // classically optimized, without prefetch code). Value specialization
 // regenerates from it so the prefetch optimizer can re-insert cleanly on

@@ -133,9 +133,6 @@ func (b *Builder) SetWord(addr, val uint64) {
 	b.data[addr&^7] = val
 }
 
-// DataEnd returns the first address past all allocations.
-func (b *Builder) DataEnd() uint64 { return b.dataPtr }
-
 // Build resolves labels and encodes the program. Entry is the code base.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {

@@ -247,15 +247,8 @@ func (s *Scheduler) runStartup(total uint64) {
 		}
 		n := min(s.cfg.Detailed, total-s.sys.Progress())
 		iv, after := runWindow(s.sys, n)
-		sig := signals(&iv)
 		inStartup := s.sys.Progress() < s.cfg.Startup
-		phase := !inStartup && s.prevSigOK && s.cfg.PhaseDelta >= 0 &&
-			sigChanged(sig, s.prevSig, s.cfg.PhaseDelta)
-		iv.Phase = phase
-		if phase {
-			s.phaseExtras++
-		}
-		s.prevSig, s.prevSigOK = sig, true
+		phase := s.decidePhase(&iv, inStartup)
 		s.intervals = append(s.intervals, iv)
 		s.nextDetailed = phase || inStartup
 		var p2 int64
@@ -528,13 +521,7 @@ func (s *Scheduler) captureMasterEvents() {
 // continuation verdict).
 func (s *Scheduler) commit(r windowResult, prevEnd uint64) bool {
 	iv := r.iv
-	sig := signals(&iv)
-	phase := s.prevSigOK && s.cfg.PhaseDelta >= 0 && sigChanged(sig, s.prevSig, s.cfg.PhaseDelta)
-	iv.Phase = phase
-	if phase {
-		s.phaseExtras++
-	}
-	s.prevSig, s.prevSigOK = sig, true
+	phase := s.decidePhase(&iv, false)
 	evs := r.events
 	if r.first {
 		// The chain emitted its gap marker before the serial predecessor was
@@ -558,6 +545,24 @@ func (s *Scheduler) commit(r windowResult, prevEnd uint64) bool {
 	s.intervals = append(s.intervals, iv)
 	s.lastRes = r.res
 	s.lastEnd = iv.End
+	return phase
+}
+
+// decidePhase takes the phase decision for the next interval in commit
+// order: the trigger fires when the interval's signals moved more than
+// PhaseDelta from the previous interval's. It flags iv, counts the phase
+// extra, and advances the reference signals. inStartup suppresses the
+// trigger (a startup interval is detailed anyway) but still advances the
+// reference.
+func (s *Scheduler) decidePhase(iv *Interval, inStartup bool) bool {
+	sig := signals(iv)
+	phase := !inStartup && s.prevSigOK && s.cfg.PhaseDelta >= 0 &&
+		sigChanged(sig, s.prevSig, s.cfg.PhaseDelta)
+	iv.Phase = phase
+	if phase {
+		s.phaseExtras++
+	}
+	s.prevSig, s.prevSigOK = sig, true
 	return phase
 }
 

@@ -164,6 +164,3 @@ func (p *Profiler) ClearFormed(target uint64) {
 
 // Capturing reports whether a capture is in progress (test helper).
 func (p *Profiler) Capturing() bool { return p.cap != nil }
-
-// AbortCapture drops an in-progress capture (e.g. the thread halted).
-func (p *Profiler) AbortCapture() { p.cap = nil }

@@ -52,9 +52,11 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 200000 \
 go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -slowpath \
 	-restore "$enginedir/mcf.ckpt" | diff "$enginedir/ref.out" -
 rm -rf "$enginedir"
-# Golden-trace conformance, twice in one process: -count=2 re-runs every
-# workload against the checked-in streams, so a run that mutates shared
-# state (and would only diverge on the second pass) still fails.
+# Golden conformance, twice in one process: -count=2 re-runs every workload
+# against the checked-in event streams, and every experiment table (plus
+# the per-benchmark figures' failure manifests) against tables.txt, so a
+# run that mutates shared state (and would only diverge on the second pass)
+# still fails.
 go test -run Golden -count=2 ./internal/exp/
 # Coverage floor for the telemetry spine: the tracer is the repo's
 # conformance oracle, so its own package stays thoroughly tested.
