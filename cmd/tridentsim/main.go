@@ -437,13 +437,13 @@ func runSampled(sys *core.System, build func() *core.System, bm workloads.Benchm
 			if progress < nextCkpt {
 				return
 			}
-			e := checkpoint.NewEncoder()
-			e.Mark("tridentsim.sampled")
-			if err := schd.SaveState(e); err != nil {
-				fmt.Fprintf(os.Stderr, "warning: checkpoint at %d instructions: %v\n", progress, err)
+			c := checkpoint.NewSaver()
+			c.Mark("tridentsim.sampled")
+			if schd.Checkpoint(c); c.Err() != nil {
+				fmt.Fprintf(os.Stderr, "warning: checkpoint at %d instructions: %v\n", progress, c.Err())
 				return
 			}
-			if f.write(e.Bytes()) {
+			if f.write(c.Bytes()) {
 				nextCkpt = progress + o.every
 			}
 		}
@@ -453,13 +453,10 @@ func runSampled(sys *core.System, build func() *core.System, bm workloads.Benchm
 		return sampling.Estimate{}, nil, err
 	}
 	if f.payload != nil {
-		d := checkpoint.NewDecoder(f.payload)
-		d.Expect("tridentsim.sampled")
-		err := schd.LoadState(d)
-		if err == nil {
-			err = d.Finish()
-		}
-		if err != nil {
+		c := checkpoint.NewLoader(f.payload)
+		c.Mark("tridentsim.sampled")
+		schd.Checkpoint(c)
+		if err := c.Finish(); err != nil {
 			return sampling.Estimate{}, nil, fmt.Errorf("restore %s: %w", o.restore, err)
 		}
 	}

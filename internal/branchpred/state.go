@@ -1,46 +1,25 @@
 package branchpred
 
-import (
-	"fmt"
-
-	"tridentsp/internal/checkpoint"
-)
+import "tridentsp/internal/checkpoint"
 
 // Checkpoint serialization (DESIGN §12): counter tables, global history,
 // and accuracy counters, restored into a predictor built from the same
 // Config.
 
-// SaveState serializes the predictor.
-func (p *Predictor) SaveState(e *checkpoint.Encoder) {
-	e.Mark("branchpred")
-	e.Blob(p.gshare)
-	e.Blob(p.bimodal)
-	e.Blob(p.meta)
-	e.U64(p.history)
-	e.U64(p.Lookups)
-	e.U64(p.Correct)
-}
-
-// LoadState restores state saved by SaveState. The tables are copied from
-// the payload straight into the predictor's own, with no intermediate copy.
-func (p *Predictor) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("branchpred")
-	gshare := d.Raw(d.Len())
-	bimodal := d.Raw(d.Len())
-	meta := d.Raw(d.Len())
-	if d.Err() != nil {
-		return d.Err()
+// Checkpoint walks the predictor. Each counter table travels as one Raw
+// run, so loading copies it from the payload straight into the
+// predictor's own table with no intermediate copy.
+func (p *Predictor) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("branchpred")
+	for _, tab := range [][]byte{p.gshare, p.bimodal, p.meta} {
+		c.Count(len(tab), "predictor counters")
+		if raw := c.Raw(len(tab)); c.Loading() {
+			copy(tab, raw)
+		} else {
+			copy(raw, tab)
+		}
 	}
-	if len(gshare) != len(p.gshare) || len(bimodal) != len(p.bimodal) || len(meta) != len(p.meta) {
-		return fmt.Errorf("%w: predictor table sizes %d/%d/%d, expected %d/%d/%d",
-			checkpoint.ErrCorrupt, len(gshare), len(bimodal), len(meta),
-			len(p.gshare), len(p.bimodal), len(p.meta))
-	}
-	copy(p.gshare, gshare)
-	copy(p.bimodal, bimodal)
-	copy(p.meta, meta)
-	p.history = d.U64()
-	p.Lookups = d.U64()
-	p.Correct = d.U64()
-	return d.Err()
+	c.U64(&p.history)
+	c.U64(&p.Lookups)
+	c.U64(&p.Correct)
 }

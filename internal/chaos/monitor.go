@@ -65,9 +65,10 @@ func (m *Monitor) Tick(now int64) {
 	if now < m.nextAt {
 		return
 	}
-	for now >= m.nextAt {
-		m.nextAt += m.Every
-	}
+	// Skip every probe point the clock has passed in one step: a stall of
+	// many periods (or a clock restored from a damaged checkpoint) must not
+	// cost one iteration per period.
+	m.nextAt += ((now-m.nextAt)/m.Every + 1) * m.Every
 	m.RunChecks(now)
 }
 

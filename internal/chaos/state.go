@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 
 	"tridentsp/internal/checkpoint"
 )
@@ -13,63 +12,35 @@ import (
 // up mid-schedule by cursor position — the edges themselves are re-expanded
 // from the shared Schedule at construction.
 
-// SaveState serializes the cursor position.
-func (r *Run) SaveState(e *checkpoint.Encoder) {
-	e.Mark("chaos.run")
-	e.Int(r.idx)
-	e.U64(r.Applied)
+// Checkpoint walks the cursor position. Loading targets a freshly started
+// Run over the same Schedule.
+func (r *Run) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("chaos.run")
+	c.Int(&r.idx)
+	c.U64(&r.Applied)
+	if c.Loading() && (r.idx < 0 || r.idx > len(r.edges)) {
+		c.Failf("chaos cursor %d outside schedule of %d edges", r.idx, len(r.edges))
+	}
 }
 
-// LoadState restores state saved by SaveState into a freshly started Run
-// over the same Schedule.
-func (r *Run) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("chaos.run")
-	idx := d.Int()
-	applied := d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if idx < 0 || idx > len(r.edges) {
-		return fmt.Errorf("%w: chaos cursor %d outside schedule of %d edges",
-			checkpoint.ErrCorrupt, idx, len(r.edges))
-	}
-	r.idx = idx
-	r.Applied = applied
-	return nil
-}
-
-// SaveState serializes the watchdog's probe cursor and violation history.
+// Checkpoint walks the watchdog's probe cursor and violation history.
 // Violations restore as opaque error strings — they are reporting payload,
-// never matched programmatically.
-func (m *Monitor) SaveState(e *checkpoint.Encoder) {
-	e.Mark("chaos.monitor")
-	e.I64(m.nextAt)
-	e.U64(m.ticks)
-	e.Len(len(m.violations))
-	for _, v := range m.violations {
-		e.Str(v.Check)
-		e.I64(v.At)
-		e.Str(v.Err.Error())
-	}
-}
-
-// LoadState restores state saved by SaveState. The registered checks stay
-// as constructed — they close over live structures and are not state.
-func (m *Monitor) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("chaos.monitor")
-	m.nextAt = d.I64()
-	m.ticks = d.U64()
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	m.violations = m.violations[:0]
-	for i := 0; i < n; i++ {
-		m.violations = append(m.violations, Violation{
-			Check: d.Str(),
-			At:    d.I64(),
-			Err:   errors.New(d.Str()),
-		})
-	}
-	return d.Err()
+// never matched programmatically. The registered checks stay as
+// constructed: they close over live structures and are not state.
+func (m *Monitor) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("chaos.monitor")
+	c.I64(&m.nextAt)
+	c.U64(&m.ticks)
+	checkpoint.Slice(c, &m.violations, func(c *checkpoint.Codec, v *Violation) {
+		c.Str(&v.Check)
+		c.I64(&v.At)
+		var msg string
+		if v.Err != nil {
+			msg = v.Err.Error()
+		}
+		c.Str(&msg)
+		if c.Loading() {
+			v.Err = errors.New(msg)
+		}
+	})
 }

@@ -9,95 +9,150 @@ import (
 	"testing"
 )
 
-// TestCodecRoundTrip drives every primitive through an encode/decode cycle,
-// including the edge values fixed-width encodings are most likely to mangle.
-func TestCodecRoundTrip(t *testing.T) {
-	e := NewEncoder()
-	e.Mark("head")
-	e.U64(0)
-	e.U64(^uint64(0))
-	e.I64(math.MinInt64)
-	e.I64(math.MaxInt64)
-	e.U32(0xdeadbeef)
-	e.U8(0x7f)
-	e.Bool(true)
-	e.Bool(false)
-	e.Int(-42)
-	e.F64(math.Inf(-1))
-	e.F64(math.Copysign(0, -1))
-	e.F64(3.14159)
-	e.Blob([]byte{1, 2, 3})
-	e.Blob(nil)
-	e.Str("hello, checkpoint")
-	e.Str("")
-	e.Mark("tail")
+// roundTripFields is one value of every primitive, including the edge
+// values fixed-width encodings are most likely to mangle.
+type roundTripFields struct {
+	u0, uMax     uint64
+	iMin, iMax   int64
+	u32          uint32
+	u8           uint8
+	yes, no      bool
+	n            int
+	inf, negZero float64
+	pi           float64
+	blob, empty  []byte
+	str, none    string
+}
 
-	d := NewDecoder(e.Bytes())
-	d.Expect("head")
-	if got := d.U64(); got != 0 {
-		t.Errorf("U64(0) = %d", got)
+func (f *roundTripFields) walk(c *Codec) {
+	c.Mark("head")
+	c.U64(&f.u0)
+	c.U64(&f.uMax)
+	c.I64(&f.iMin)
+	c.I64(&f.iMax)
+	c.U32(&f.u32)
+	c.U8(&f.u8)
+	c.Bool(&f.yes)
+	c.Bool(&f.no)
+	c.Int(&f.n)
+	c.F64(&f.inf)
+	c.F64(&f.negZero)
+	c.F64(&f.pi)
+	c.Blob(&f.blob)
+	c.Blob(&f.empty)
+	c.Str(&f.str)
+	c.Str(&f.none)
+	c.Mark("tail")
+}
+
+// TestCodecRoundTrip drives every primitive through a save/load cycle of
+// one walk.
+func TestCodecRoundTrip(t *testing.T) {
+	want := roundTripFields{
+		uMax: ^uint64(0), iMin: math.MinInt64, iMax: math.MaxInt64,
+		u32: 0xdeadbeef, u8: 0x7f, yes: true, n: -42,
+		inf: math.Inf(-1), negZero: math.Copysign(0, -1), pi: 3.14159,
+		blob: []byte{1, 2, 3}, str: "hello, checkpoint",
 	}
-	if got := d.U64(); got != ^uint64(0) {
-		t.Errorf("U64(max) = %d", got)
-	}
-	if got := d.I64(); got != math.MinInt64 {
-		t.Errorf("I64(min) = %d", got)
-	}
-	if got := d.I64(); got != math.MaxInt64 {
-		t.Errorf("I64(max) = %d", got)
-	}
-	if got := d.U32(); got != 0xdeadbeef {
-		t.Errorf("U32 = %#x", got)
-	}
-	if got := d.U8(); got != 0x7f {
-		t.Errorf("U8 = %#x", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Errorf("Bool round trip failed")
-	}
-	if got := d.Int(); got != -42 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := d.F64(); !math.IsInf(got, -1) {
-		t.Errorf("F64(-inf) = %g", got)
-	}
-	if got := d.F64(); math.Float64bits(got) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Errorf("F64(-0) bits = %#x", math.Float64bits(got))
-	}
-	if got := d.F64(); got != 3.14159 {
-		t.Errorf("F64 = %g", got)
-	}
-	if got := d.Blob(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Blob = %v", got)
-	}
-	if got := d.Blob(); len(got) != 0 {
-		t.Errorf("Blob(nil) = %v", got)
-	}
-	if got := d.Str(); got != "hello, checkpoint" {
-		t.Errorf("Str = %q", got)
-	}
-	if got := d.Str(); got != "" {
-		t.Errorf("Str(empty) = %q", got)
-	}
-	d.Expect("tail")
+	e := NewSaver()
+	want.walk(e)
+
+	var got roundTripFields
+	d := NewLoader(e.Bytes())
+	got.walk(d)
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
+	if got.u0 != 0 || got.uMax != want.uMax || got.iMin != want.iMin || got.iMax != want.iMax {
+		t.Errorf("64-bit integers = %d %d %d %d", got.u0, got.uMax, got.iMin, got.iMax)
+	}
+	if got.u32 != 0xdeadbeef || got.u8 != 0x7f || got.n != -42 {
+		t.Errorf("U32/U8/Int = %#x %#x %d", got.u32, got.u8, got.n)
+	}
+	if !got.yes || got.no {
+		t.Errorf("Bool round trip failed")
+	}
+	if !math.IsInf(got.inf, -1) || math.Float64bits(got.negZero) != math.Float64bits(want.negZero) || got.pi != 3.14159 {
+		t.Errorf("F64 = %g %#x %g", got.inf, math.Float64bits(got.negZero), got.pi)
+	}
+	if len(got.blob) != 3 || got.blob[0] != 1 || got.blob[2] != 3 || len(got.empty) != 0 {
+		t.Errorf("Blob = %v, %v", got.blob, got.empty)
+	}
+	if got.str != want.str || got.none != "" {
+		t.Errorf("Str = %q, %q", got.str, got.none)
+	}
 }
 
-// TestDecoderStickyError verifies a decode failure latches: later reads
-// return zero values and the original error survives to Finish.
+// TestCodecCollections round-trips the sequence helpers and checks the
+// structural guards: a fixed count or presence flag that disagrees with
+// the loading machine is refused, and a map travels in key order.
+func TestCodecCollections(t *testing.T) {
+	type rec struct {
+		kind uint8
+		v    int64
+	}
+	walk := func(c *Codec, words []uint64, recs *[]rec, m *map[int]string, have bool) {
+		c.Count(len(words), "words")
+		Words(c, words)
+		Slice(c, recs, func(c *Codec, r *rec) {
+			Enum(c, &r.kind)
+			c.I64(&r.v)
+		})
+		Map(c, m, func(c *Codec, k *int, v *string) {
+			c.Int(k)
+			c.Str(v)
+		})
+		c.Present(have, "a widget")
+	}
+	recs := []rec{{1, -5}, {2, 7}}
+	m := map[int]string{3: "c", 1: "a", 2: "b"}
+	e := NewSaver()
+	walk(e, []uint64{9, 8, 7}, &recs, &m, true)
+	e2 := NewSaver()
+	walk(e2, []uint64{9, 8, 7}, &recs, &map[int]string{1: "a", 2: "b", 3: "c"}, true)
+	if string(e.Bytes()) != string(e2.Bytes()) {
+		t.Fatal("equal maps serialized differently")
+	}
+
+	words := make([]uint64, 3)
+	var gotRecs []rec
+	var gotMap map[int]string
+	d := NewLoader(e.Bytes())
+	walk(d, words, &gotRecs, &gotMap, true)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if words[0] != 9 || words[2] != 7 || len(gotRecs) != 2 || gotRecs[1] != (rec{2, 7}) || len(gotMap) != 3 || gotMap[2] != "b" {
+		t.Fatalf("round trip: words %v recs %v map %v", words, gotRecs, gotMap)
+	}
+
+	d = NewLoader(e.Bytes())
+	walk(d, make([]uint64, 4), &gotRecs, &gotMap, true)
+	if !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("count mismatch: %v, want ErrCorrupt", d.Err())
+	}
+	d = NewLoader(e.Bytes())
+	walk(d, make([]uint64, 3), &gotRecs, &gotMap, false)
+	if !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("presence mismatch: %v, want ErrCorrupt", d.Err())
+	}
+}
+
+// TestDecoderStickyError verifies a load failure latches: later reads
+// yield zero values and the original error survives to Finish.
 func TestDecoderStickyError(t *testing.T) {
-	e := NewEncoder()
+	e := NewSaver()
 	e.Mark("a")
-	e.U64(7)
-	d := NewDecoder(e.Bytes())
-	d.Expect("b") // wrong section
+	seven := uint64(7)
+	e.U64(&seven)
+	d := NewLoader(e.Bytes())
+	d.Mark("b") // wrong section
 	if d.Err() == nil {
 		t.Fatal("wrong section mark not detected")
 	}
 	first := d.Err()
-	if got := d.U64(); got != 0 {
+	got := uint64(99)
+	if d.U64(&got); got != 0 {
 		t.Errorf("read after error = %d, want 0", got)
 	}
 	if d.Err() != first {
@@ -108,25 +163,25 @@ func TestDecoderStickyError(t *testing.T) {
 	}
 }
 
-// TestDecoderTruncation decodes every strict prefix of a valid stream: each
+// TestDecoderTruncation loads every strict prefix of a valid stream: each
 // must end in an error (possibly at Finish), and none may panic.
 func TestDecoderTruncation(t *testing.T) {
-	e := NewEncoder()
-	e.Mark("sec")
-	e.U64(123456789)
-	e.Blob([]byte("payload bytes"))
-	e.Str("name")
-	e.Bool(true)
+	walk := func(c *Codec, n *uint64, blob *[]byte, name *string, flag *bool) {
+		c.Mark("sec")
+		c.U64(n)
+		c.Blob(blob)
+		c.Str(name)
+		c.Bool(flag)
+	}
+	n, blob, name, flag := uint64(123456789), []byte("payload bytes"), "name", true
+	e := NewSaver()
+	walk(e, &n, &blob, &name, &flag)
 	full := e.Bytes()
-	for n := 0; n < len(full); n++ {
-		d := NewDecoder(full[:n])
-		d.Expect("sec")
-		d.U64()
-		d.Blob()
-		d.Str()
-		d.Bool()
+	for k := 0; k < len(full); k++ {
+		d := NewLoader(full[:k])
+		walk(d, &n, &blob, &name, &flag)
 		if d.Finish() == nil {
-			t.Errorf("prefix of %d/%d bytes decoded without error", n, len(full))
+			t.Errorf("prefix of %d/%d bytes decoded without error", k, len(full))
 		}
 	}
 }
@@ -136,8 +191,9 @@ func TestDecoderTruncation(t *testing.T) {
 func TestDecoderHostileLength(t *testing.T) {
 	var raw []byte
 	raw = binary.LittleEndian.AppendUint32(raw, ^uint32(0)) // 4 GiB blob "length"
-	d := NewDecoder(raw)
-	if b := d.Blob(); b != nil {
+	d := NewLoader(raw)
+	var b []byte
+	if d.Blob(&b); b != nil {
 		t.Errorf("hostile blob returned %d bytes", len(b))
 	}
 	if !errors.Is(d.Finish(), ErrCorrupt) {

@@ -302,12 +302,13 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 // the diff carries — the pages m does not share with base.
 func memDiffPages(t *testing.T, m, base *program.Memory) int {
 	t.Helper()
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, base)
-	d := checkpoint.NewDecoder(e.Bytes())
-	d.Expect("program.memdiff")
-	d.Int() // base mapped-word count
-	n := d.Len()
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, base)
+	d := checkpoint.NewLoader(e.Bytes())
+	d.Mark("program.memdiff")
+	var mapped int
+	d.Int(&mapped) // base mapped-word count
+	n := d.Len(0)
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode memdiff header: %v", err)
 	}
@@ -387,13 +388,13 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	bm, _ := workloads.ByName("swim")
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
-	e := checkpoint.NewEncoder()
+	e := checkpoint.NewSaver()
 	e.Mark("core.system")
-	sys.thread.SaveState(e)
-	sys.live.SaveState(e)
+	sys.thread.Checkpoint(e)
+	sys.live.Checkpoint(e)
 	e.Mark("program.memory")
 	e.Len(0)
-	e.Int(0)
+	e.Int(new(int))
 	err := NewSystem(cfg, bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
 	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"program.memory"`) {
 		t.Fatalf("dense-memory blob: err = %v, want ErrCorrupt naming \"program.memory\"", err)

@@ -131,12 +131,9 @@ func mapTracePC(pl *trident.Placement, pc uint64) uint64 {
 // the ROI cache's meta line carries the same version, so files of older
 // formats read as misses rather than reaching RestoreROI.
 func (s *System) SaveROI() []byte {
-	e := checkpoint.NewEncoder()
-	e.Mark("core.roi3")
-	s.thread.SaveArchState(e)
-	s.mem.SaveStateDiff(e, s.image)
-	e.U64(s.Progress())
-	return e.Bytes()
+	c := checkpoint.NewSaver()
+	s.roi(c)
+	return c.Bytes()
 }
 
 // RestoreROI replaces the architectural state with a SaveROI blob, leaving
@@ -145,16 +142,9 @@ func (s *System) SaveROI() []byte {
 // The machine's progress becomes the blob's stamp: ffwdInstrs absorbs the
 // skipped gap, origInstrs keeps this run's own detailed accounting.
 func (s *System) RestoreROI(blob []byte) error {
-	d := checkpoint.NewDecoder(blob)
-	d.Expect("core.roi3")
-	if err := s.thread.LoadArchState(d); err != nil {
-		return err
-	}
-	if err := s.mem.LoadStateDiff(d, s.image); err != nil {
-		return err
-	}
-	at := d.U64()
-	if err := d.Finish(); err != nil {
+	c := checkpoint.NewLoader(blob)
+	at := s.roi(c)
+	if err := c.Finish(); err != nil {
 		return err
 	}
 	if at < s.origInstrs {
@@ -167,4 +157,16 @@ func (s *System) RestoreROI(blob []byte) error {
 	s.sbEntry = 0
 	s.sbHeadPending = false
 	return nil
+}
+
+// roi walks a region-of-interest snapshot — the architectural thread state,
+// data memory as a diff against the image, and the progress stamp — and
+// returns the stamp (the machine's own progress when saving).
+func (s *System) roi(c *checkpoint.Codec) uint64 {
+	c.Mark("core.roi3")
+	s.thread.CheckpointArch(c)
+	s.mem.CheckpointDiff(c, s.image)
+	at := s.Progress()
+	c.U64(&at)
+	return at
 }

@@ -2,17 +2,15 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"tridentsp/internal/checkpoint"
 )
 
-// Checkpoint/restore for the whole machine (DESIGN §12). SaveState walks
-// every subsystem's SaveState in a fixed order; RestoreState loads the same
-// order into a System freshly built from the identical Config and program.
-// Wiring, derived constants, and registered callbacks come from
-// construction — only mutable state travels, so a Config mismatch surfaces
+// Checkpoint/restore for the whole machine (DESIGN §12). SaveState and
+// RestoreState run one walk (checkpoint) over every subsystem's own walk in
+// a fixed order, saving from or loading into a System built from the
+// identical Config and program. Wiring, derived constants, and registered
+// callbacks come from construction — only mutable state travels, so a Config mismatch surfaces
 // as a structural validation error, never as silent divergence. Data memory
 // travels as a diff against the program's immutable image (s.image), the
 // same codec SaveROI uses: the blob carries the written working set, and
@@ -48,9 +46,9 @@ func (s *System) SaveState() ([]byte, error) {
 	if s.apply != nil && !s.thread.Halted() {
 		return nil, errors.New("core: optimization in flight; Quiesce before SaveState")
 	}
-	e := checkpoint.NewEncoder()
-	s.saveState(e)
-	return e.Bytes(), nil
+	c := checkpoint.NewSaver()
+	s.checkpoint(c)
+	return c.Bytes(), nil
 }
 
 // RestoreState loads a SaveState blob into this machine, which must have
@@ -72,11 +70,9 @@ func (s *System) RestoreState(blob []byte) error {
 // rewind uses it: the rewind stays inside one run, whose tier residency
 // keeps accumulating across it.
 func (s *System) restore(blob []byte) error {
-	d := checkpoint.NewDecoder(blob)
-	if err := s.loadState(d); err != nil {
-		return err
-	}
-	return d.Finish()
+	c := checkpoint.NewLoader(blob)
+	s.checkpoint(c)
+	return c.Finish()
 }
 
 // resetEngineCounters zeroes the engine-class counters a fresh machine
@@ -90,330 +86,113 @@ func (s *System) resetEngineCounters() {
 	}
 }
 
-func (s *System) saveState(e *checkpoint.Encoder) {
-	e.Mark("core.system")
-	s.thread.SaveState(e)
-	s.live.SaveState(e)
-	s.mem.SaveStateDiff(e, s.image)
-	s.hier.SaveState(e)
-	e.Bool(s.sb != nil)
-	if s.sb != nil {
-		s.sb.SaveState(e)
+// checkpoint walks the whole machine: every subsystem in a fixed order,
+// then the execution loop's own state. Optional subsystems travel behind a
+// presence flag that loading checks against this machine's configuration.
+func (s *System) checkpoint(c *checkpoint.Codec) {
+	c.Mark("core.system")
+	s.thread.Checkpoint(c)
+	s.live.Checkpoint(c)
+	s.mem.CheckpointDiff(c, s.image)
+	s.hier.Checkpoint(c)
+	if c.Present(s.sb != nil, "stream buffers") {
+		s.sb.Checkpoint(c)
 	}
-	e.Bool(s.hwp != nil)
-	if s.hwp != nil {
-		s.hwp.SaveState(e)
+	if c.Present(s.hwp != nil, "an arsenal prefetcher") {
+		s.hwp.Checkpoint(c)
 	}
-	s.bp.SaveState(e)
-	s.cache.SaveState(e)
-	e.Bool(s.cfg.Trident)
-	if s.cfg.Trident {
-		s.prof.SaveState(e)
-		s.watch.SaveState(e)
-		s.table.SaveState(e)
-		e.Bool(s.vpt != nil)
-		if s.vpt != nil {
-			s.vpt.SaveState(e)
+	s.bp.Checkpoint(c)
+	s.cache.Checkpoint(c)
+	if c.Present(s.cfg.Trident, "Trident") {
+		s.prof.Checkpoint(c)
+		s.watch.Checkpoint(c)
+		s.table.Checkpoint(c)
+		if c.Present(s.vpt != nil, "a value profile table") {
+			s.vpt.Checkpoint(c)
 		}
-		s.queue.SaveState(e)
-		s.helper.SaveState(e)
-		e.Bool(s.opt != nil)
-		if s.opt != nil {
-			s.opt.SaveState(e)
+		s.queue.Checkpoint(c)
+		s.helper.Checkpoint(c)
+		if c.Present(s.opt != nil, "a prefetch optimizer") {
+			s.opt.Checkpoint(c)
 		}
 	}
 
-	// Execution-loop state. Placement pointers serialize as indices into
-	// the code cache's placement slice.
-	e.Mark("core.loop")
-	e.Int(s.cache.PlacementIndex(s.curPl))
-	e.I64(s.traversalStart)
-	e.Bool(s.inTraversal)
-	e.I64(s.lastNow)
-	e.Len(len(s.patched))
-	for _, b := range s.patched {
-		e.Bool(b)
-	}
-	e.I64(s.applyAt)
-	e.Bool(s.interfering)
-	e.Int(s.cache.PlacementIndex(s.sbPl))
-	e.U64(s.sbEntry)
-	e.Bool(s.sbHeadPending)
-
-	ids := make([]int, 0, len(s.activity))
-	for id := range s.activity {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	e.Len(len(ids))
-	for _, id := range ids {
-		a := s.activity[id]
-		e.Int(id)
-		e.U64(a.entries)
-		e.U64(a.traversals)
-		e.Bool(a.hasLoop)
-		e.Bool(a.hasLoopSet)
-	}
-
-	e.Bool(s.chaosRun != nil)
-	if s.chaosRun != nil {
-		s.chaosRun.SaveState(e)
-	}
-	e.Bool(s.monitor != nil)
-	if s.monitor != nil {
-		s.monitor.SaveState(e)
-	}
-	e.Bool(s.shadow != nil)
-	if s.shadow != nil {
-		s.shadow.saveState(e)
-	}
-	e.Len(len(s.latFactors))
-	for _, f := range s.latFactors {
-		e.I64(f)
-	}
-	e.Len(len(s.assocLimits))
-	for _, l := range s.assocLimits {
-		e.Int(l)
-	}
-
-	e.Str(s.aborted)
-	e.U64(s.phaseMarkInstrs)
-	e.U64(s.phaseMarkMisses)
-	e.F64(s.phaseRate)
-	e.Bool(s.phaseRateValid)
-	e.U64(s.origInstrs)
-	e.U64(s.ffwdInstrs)
-
-	st := &s.stats
-	e.U64(st.tracesFormed)
-	e.U64(st.tracesBackedOut)
-	e.U64(st.tracesSpecialized)
-	e.U64(st.phaseClears)
-	e.U64(st.missesTotal)
-	e.U64(st.missesInTrace)
-	e.U64(st.missesCovered)
-	e.U64(st.loadsInTrace)
-	e.U64(st.loadsTotal)
-	e.U64(st.applyErrors)
-	e.U64(st.traceTraversal)
-	e.U64(st.sentinelChecks)
-	e.U64(st.sentinelTrips)
-
-	e.U64(s.sentinelNextAt)
-	e.Bool(s.sentinelSnap != nil)
-	if s.sentinelSnap != nil {
-		e.Blob(s.sentinelSnap)
-	}
-	e.U64(s.sentinelSnapAt)
-
-	e.Bool(s.tel != nil)
-	if s.tel != nil {
-		s.tel.SaveState(e)
-	}
-}
-
-// present validates a subsystem-presence flag against what this System's
-// configuration actually built.
-func present(d *checkpoint.Decoder, have bool, what string) error {
-	want := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if want != have {
-		return fmt.Errorf("%w: checkpoint %s %s but this machine %s it — different configuration",
-			checkpoint.ErrCorrupt, hasWord(want), what, hasWord(have))
-	}
-	return nil
-}
-
-func hasWord(b bool) string {
-	if b {
-		return "has"
-	}
-	return "lacks"
-}
-
-func (s *System) loadState(d *checkpoint.Decoder) error {
-	d.Expect("core.system")
-	if err := s.thread.LoadState(d); err != nil {
-		return err
-	}
-	if err := s.live.LoadState(d); err != nil {
-		return err
-	}
-	if err := s.mem.LoadStateDiff(d, s.image); err != nil {
-		return err
-	}
-	if err := s.hier.LoadState(d); err != nil {
-		return err
-	}
-	if err := present(d, s.sb != nil, "stream buffers"); err != nil {
-		return err
-	}
-	if s.sb != nil {
-		if err := s.sb.LoadState(d); err != nil {
-			return err
-		}
-	}
-	if err := present(d, s.hwp != nil, "an arsenal prefetcher"); err != nil {
-		return err
-	}
-	if s.hwp != nil {
-		if err := s.hwp.LoadState(d); err != nil {
-			return err
-		}
-	}
-	if err := s.bp.LoadState(d); err != nil {
-		return err
-	}
-	if err := s.cache.LoadState(d); err != nil {
-		return err
-	}
-	if err := present(d, s.cfg.Trident, "Trident"); err != nil {
-		return err
-	}
-	if s.cfg.Trident {
-		if err := s.prof.LoadState(d); err != nil {
-			return err
-		}
-		if err := s.watch.LoadState(d); err != nil {
-			return err
-		}
-		if err := s.table.LoadState(d); err != nil {
-			return err
-		}
-		if err := present(d, s.vpt != nil, "a value profile table"); err != nil {
-			return err
-		}
-		if s.vpt != nil {
-			if err := s.vpt.LoadState(d); err != nil {
-				return err
-			}
-		}
-		if err := s.queue.LoadState(d); err != nil {
-			return err
-		}
-		if err := s.helper.LoadState(d); err != nil {
-			return err
-		}
-		if err := present(d, s.opt != nil, "a prefetch optimizer"); err != nil {
-			return err
-		}
-		if s.opt != nil {
-			if err := s.opt.LoadState(d); err != nil {
-				return err
-			}
-		}
-	}
-
-	d.Expect("core.loop")
-	s.curPl = s.cache.PlacementByIndex(d.Int())
-	s.traversalStart = d.I64()
-	s.inTraversal = d.Bool()
-	s.lastNow = d.I64()
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(s.patched) {
-		return fmt.Errorf("%w: patch bitmap covers %d words, program has %d",
-			checkpoint.ErrCorrupt, n, len(s.patched))
+	// Execution-loop state. Placement pointers travel as indices into the
+	// code cache's placement slice.
+	c.Mark("core.loop")
+	curPl, sbPl := s.cache.PlacementIndex(s.curPl), s.cache.PlacementIndex(s.sbPl)
+	c.Int(&curPl)
+	c.I64(&s.traversalStart)
+	c.Bool(&s.inTraversal)
+	c.I64(&s.lastNow)
+	if !c.Count(len(s.patched), "patched-word flags") {
+		return
 	}
 	for i := range s.patched {
-		s.patched[i] = d.Bool()
+		c.Bool(&s.patched[i])
 	}
-	s.apply = nil
-	s.applyAt = d.I64()
-	s.interfering = d.Bool()
-	s.sbPl = s.cache.PlacementByIndex(d.Int())
-	s.sbEntry = d.U64()
-	s.sbHeadPending = d.Bool()
+	c.I64(&s.applyAt)
+	c.Bool(&s.interfering)
+	c.Int(&sbPl)
+	c.U64(&s.sbEntry)
+	c.Bool(&s.sbHeadPending)
+	if c.Loading() {
+		s.curPl = s.cache.PlacementByIndex(curPl)
+		s.sbPl = s.cache.PlacementByIndex(sbPl)
+		s.apply = nil
+	}
+	checkpoint.Map(c, &s.activity, func(c *checkpoint.Codec, id *int, p **traceActivity) {
+		if *p == nil {
+			*p = new(traceActivity)
+		}
+		a := *p
+		c.Int(id)
+		c.U64(&a.entries)
+		c.U64(&a.traversals)
+		c.Bool(&a.hasLoop)
+		c.Bool(&a.hasLoopSet)
+	})
 
-	na := d.Len()
-	if d.Err() != nil {
-		return d.Err()
+	if c.Present(s.chaosRun != nil, "a chaos schedule") {
+		s.chaosRun.Checkpoint(c)
 	}
-	s.activity = make(map[int]*traceActivity, na)
-	for i := 0; i < na; i++ {
-		id := d.Int()
-		s.activity[id] = &traceActivity{
-			entries:    d.U64(),
-			traversals: d.U64(),
-			hasLoop:    d.Bool(),
-			hasLoopSet: d.Bool(),
-		}
+	if c.Present(s.monitor != nil, "a watchdog monitor") {
+		s.monitor.Checkpoint(c)
 	}
+	if c.Present(s.shadow != nil, "a shadow machine") {
+		s.shadow.checkpoint(c)
+	}
+	checkpoint.Slice(c, &s.latFactors, (*checkpoint.Codec).I64)
+	checkpoint.Slice(c, &s.assocLimits, (*checkpoint.Codec).Int)
 
-	if err := present(d, s.chaosRun != nil, "a chaos schedule"); err != nil {
-		return err
-	}
-	if s.chaosRun != nil {
-		if err := s.chaosRun.LoadState(d); err != nil {
-			return err
-		}
-	}
-	if err := present(d, s.monitor != nil, "a watchdog monitor"); err != nil {
-		return err
-	}
-	if s.monitor != nil {
-		if err := s.monitor.LoadState(d); err != nil {
-			return err
-		}
-	}
-	if err := present(d, s.shadow != nil, "a shadow machine"); err != nil {
-		return err
-	}
-	if s.shadow != nil {
-		if err := s.shadow.loadState(d); err != nil {
-			return err
-		}
-	}
-	s.latFactors = s.latFactors[:0]
-	for k := d.Len(); k > 0; k-- {
-		s.latFactors = append(s.latFactors, d.I64())
-	}
-	s.assocLimits = s.assocLimits[:0]
-	for k := d.Len(); k > 0; k-- {
-		s.assocLimits = append(s.assocLimits, d.Int())
-	}
-
-	s.aborted = d.Str()
-	s.phaseMarkInstrs = d.U64()
-	s.phaseMarkMisses = d.U64()
-	s.phaseRate = d.F64()
-	s.phaseRateValid = d.Bool()
-	s.origInstrs = d.U64()
-	s.ffwdInstrs = d.U64()
+	c.Str(&s.aborted)
+	c.U64(&s.phaseMarkInstrs)
+	c.U64(&s.phaseMarkMisses)
+	c.F64(&s.phaseRate)
+	c.Bool(&s.phaseRateValid)
+	c.U64(&s.origInstrs)
+	c.U64(&s.ffwdInstrs)
 
 	st := &s.stats
-	st.tracesFormed = d.U64()
-	st.tracesBackedOut = d.U64()
-	st.tracesSpecialized = d.U64()
-	st.phaseClears = d.U64()
-	st.missesTotal = d.U64()
-	st.missesInTrace = d.U64()
-	st.missesCovered = d.U64()
-	st.loadsInTrace = d.U64()
-	st.loadsTotal = d.U64()
-	st.applyErrors = d.U64()
-	st.traceTraversal = d.U64()
-	st.sentinelChecks = d.U64()
-	st.sentinelTrips = d.U64()
+	for _, v := range []*uint64{&st.tracesFormed, &st.tracesBackedOut, &st.tracesSpecialized,
+		&st.phaseClears, &st.missesTotal, &st.missesInTrace, &st.missesCovered,
+		&st.loadsInTrace, &st.loadsTotal, &st.applyErrors, &st.traceTraversal,
+		&st.sentinelChecks, &st.sentinelTrips} {
+		c.U64(v)
+	}
 
-	s.sentinelNextAt = d.U64()
-	s.sentinelSnap = nil
-	if d.Bool() {
-		s.sentinelSnap = d.Blob()
+	c.U64(&s.sentinelNextAt)
+	snap := s.sentinelSnap != nil
+	c.Bool(&snap)
+	if c.Loading() {
+		s.sentinelSnap = nil
 	}
-	s.sentinelSnapAt = d.U64()
+	if snap {
+		c.Blob(&s.sentinelSnap)
+	}
+	c.U64(&s.sentinelSnapAt)
 
-	if err := present(d, s.tel != nil, "telemetry"); err != nil {
-		return err
+	if c.Present(s.tel != nil, "telemetry") {
+		s.tel.Checkpoint(c)
 	}
-	if s.tel != nil {
-		if err := s.tel.LoadState(d); err != nil {
-			return err
-		}
-	}
-	return d.Err()
 }

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"tridentsp/internal/branchpred"
-	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
 )
@@ -258,28 +257,3 @@ func jumpIndex(target, base, size uint64) uint64 {
 // code-cache PC back to the equivalent original-program PC before a
 // functional gap; the next fetch resumes there.
 func (t *Thread) SetPC(pc uint64) { t.pc = pc }
-
-// SaveArchState serializes only the architectural thread state — registers,
-// PC, halted — the portable slice a region-of-interest checkpoint carries.
-// Timing state (cycle, stalls, issue slots, taint, commit count) is
-// config-dependent and deliberately excluded.
-func (t *Thread) SaveArchState(e *checkpoint.Encoder) {
-	e.Mark("cpu.arch")
-	for _, r := range t.regs {
-		e.U64(r)
-	}
-	e.U64(t.pc)
-	e.Bool(t.halted)
-}
-
-// LoadArchState restores what SaveArchState wrote, leaving timing state
-// untouched.
-func (t *Thread) LoadArchState(d *checkpoint.Decoder) error {
-	d.Expect("cpu.arch")
-	for i := range t.regs {
-		t.regs[i] = d.U64()
-	}
-	t.pc = d.U64()
-	t.halted = d.Bool()
-	return d.Err()
-}

@@ -276,15 +276,15 @@ func ffWarmSame(t *testing.T, where string, got *FFProbes, gotLoads []ffLoad, wa
 	if !reflect.DeepEqual(gotLoads, want.loads) {
 		t.Fatalf("%s: Load sequence\n got %v\nwant %v", where, gotLoads, want.loads)
 	}
-	enc := func(save func(*checkpoint.Encoder)) []byte {
-		e := checkpoint.NewEncoder()
+	enc := func(save func(*checkpoint.Codec)) []byte {
+		e := checkpoint.NewSaver()
 		save(e)
 		return e.Bytes()
 	}
-	if !bytes.Equal(enc(got.Hier.SaveState), enc(want.hier.SaveState)) {
+	if !bytes.Equal(enc(got.Hier.Checkpoint), enc(want.hier.Checkpoint)) {
 		t.Fatalf("%s: warmed hierarchy differs", where)
 	}
-	if !bytes.Equal(enc(got.BP.SaveState), enc(want.bp.SaveState)) {
+	if !bytes.Equal(enc(got.BP.Checkpoint), enc(want.bp.Checkpoint)) {
 		t.Fatalf("%s: warmed predictor differs", where)
 	}
 }

@@ -276,28 +276,29 @@ func TestOddSetCount(t *testing.T) {
 // encodeTable writes a DLT checkpoint by hand: effective associativity, then
 // per set the PCs of its entries in recency order.
 func encodeTable(assoc int, sets [][]uint64) []byte {
-	e := checkpoint.NewEncoder()
+	e := checkpoint.NewSaver()
 	e.Mark("dlt")
-	e.Int(assoc)
+	e.Int(&assoc)
 	e.Len(len(sets))
 	for _, set := range sets {
 		e.Len(len(set))
 		for _, pc := range set {
-			e.U64(pc)
-			e.U32(0)
-			e.U32(0)
-			e.I64(0)
-			e.U64(0)
-			e.I64(0)
-			e.U8(0)
-			e.Bool(false)
-			e.Bool(false)
-			e.Bool(false)
-			e.Bool(true)
+			e.U64(&pc)
+			e.U32(new(uint32))
+			e.U32(new(uint32))
+			e.I64(new(int64))
+			e.U64(new(uint64))
+			e.I64(new(int64))
+			e.U8(new(uint8))
+			e.Bool(new(bool))
+			e.Bool(new(bool))
+			e.Bool(new(bool))
+			valid := true
+			e.Bool(&valid)
 		}
 	}
-	e.U64(0)
-	e.U64(0)
+	e.U64(new(uint64))
+	e.U64(new(uint64))
 	return e.Bytes()
 }
 
@@ -317,7 +318,9 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 		{"assoc zero", 0, [][]uint64{{}, {}, {}, {}}, "associativity 0, built with 2 ways"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := New(smallConfig()).LoadState(checkpoint.NewDecoder(encodeTable(tc.assoc, tc.sets)))
+			d := checkpoint.NewLoader(encodeTable(tc.assoc, tc.sets))
+			New(smallConfig()).Checkpoint(d)
+			err := d.Err()
 			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("LoadState = %v, want ErrCorrupt naming %q", err, tc.want)
 			}

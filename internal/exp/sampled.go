@@ -70,9 +70,9 @@ func sampledRun(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan 
 	opts := sampling.Options{Jobs: o.SampleJobs, NewSystem: build, Stop: stop}
 	if m != nil {
 		opts.OnCommit = func(uint64) {
-			e := checkpoint.NewEncoder()
-			if err := sched.SaveState(e); err == nil {
-				m.store(e.Bytes())
+			c := checkpoint.NewSaver()
+			if sched.Checkpoint(c); c.Err() == nil {
+				m.store(c.Bytes())
 			}
 		}
 	}
@@ -81,7 +81,9 @@ func sampledRun(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan 
 		panic(err)
 	}
 	if snap := m.load(); snap != nil {
-		if err := sched.LoadState(checkpoint.NewDecoder(snap)); err != nil {
+		c := checkpoint.NewLoader(snap)
+		sched.Checkpoint(c)
+		if err := c.Finish(); err != nil {
 			panic(err)
 		}
 	}

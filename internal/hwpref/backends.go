@@ -66,11 +66,7 @@ func (n *nextLine) OnSupply(dst []uint64, lineAddr uint64) []uint64 {
 	return dst
 }
 
-func (n *nextLine) save(e *checkpoint.Encoder) { e.Mark("hwpref.nextline") }
-func (n *nextLine) load(d *checkpoint.Decoder) error {
-	d.Expect("hwpref.nextline")
-	return d.Err()
-}
+func (n *nextLine) checkpoint(c *checkpoint.Codec) { c.Mark("hwpref.nextline") }
 
 // --- per-PC stride ---
 
@@ -145,38 +141,19 @@ func (s *stride) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) [
 
 func (s *stride) OnSupply(dst []uint64, lineAddr uint64) []uint64 { return dst }
 
-func (s *stride) save(e *checkpoint.Encoder) {
-	e.Mark("hwpref.stride")
-	e.Len(len(s.table))
-	for _, t := range s.table {
-		e.U64(t.pc)
-		e.U64(t.lastAddr)
-		e.I64(t.stride)
-		e.U8(t.conf)
-		e.Bool(t.valid)
-	}
-}
-
-func (s *stride) load(d *checkpoint.Decoder) error {
-	d.Expect("hwpref.stride")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(s.table) {
-		return fmt.Errorf("%w: stride table size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(s.table))
+func (s *stride) checkpoint(c *checkpoint.Codec) {
+	c.Mark("hwpref.stride")
+	if !c.Count(len(s.table), "stride-table entries") {
+		return
 	}
 	for i := range s.table {
-		s.table[i] = strideEntry{
-			pc:       d.U64(),
-			lastAddr: d.U64(),
-			stride:   d.I64(),
-			conf:     d.U8(),
-			valid:    d.Bool(),
-		}
+		t := &s.table[i]
+		c.U64(&t.pc)
+		c.U64(&t.lastAddr)
+		c.I64(&t.stride)
+		c.U8(&t.conf)
+		c.Bool(&t.valid)
 	}
-	return d.Err()
 }
 
 // --- best-offset ---
@@ -283,47 +260,27 @@ func (b *bestOffset) OnSupply(dst []uint64, lineAddr uint64) []uint64 {
 	return b.trigger(dst, lineAddr)
 }
 
-func (b *bestOffset) save(e *checkpoint.Encoder) {
-	e.Mark("hwpref.bestoffset")
-	for _, s := range b.scores {
-		e.I64(int64(s))
-	}
-	e.Int(b.testIdx)
-	e.Int(b.round)
-	e.I64(b.best)
-	e.Bool(b.on)
-	e.Len(len(b.rr))
-	for i := range b.rr {
-		e.U64(b.rr[i])
-		e.Bool(b.rrValid[i])
-	}
-}
-
-func (b *bestOffset) load(d *checkpoint.Decoder) error {
-	d.Expect("hwpref.bestoffset")
+func (b *bestOffset) checkpoint(c *checkpoint.Codec) {
+	c.Mark("hwpref.bestoffset")
 	for i := range b.scores {
-		b.scores[i] = int32(d.I64())
+		v := int64(b.scores[i])
+		c.I64(&v)
+		b.scores[i] = int32(v)
 	}
-	b.testIdx = d.Int()
-	b.round = d.Int()
-	b.best = d.I64()
-	b.on = d.Bool()
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(b.rr) {
-		return fmt.Errorf("%w: best-offset table size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(b.rr))
+	c.Int(&b.testIdx)
+	c.Int(&b.round)
+	c.I64(&b.best)
+	c.Bool(&b.on)
+	if !c.Count(len(b.rr), "best-offset table entries") {
+		return
 	}
 	for i := range b.rr {
-		b.rr[i] = d.U64()
-		b.rrValid[i] = d.Bool()
+		c.U64(&b.rr[i])
+		c.Bool(&b.rrValid[i])
 	}
-	if d.Err() == nil && (b.testIdx < 0 || b.testIdx >= len(boOffsets)) {
-		return fmt.Errorf("%w: best-offset test index %d", checkpoint.ErrCorrupt, b.testIdx)
+	if c.Err() == nil && (b.testIdx < 0 || b.testIdx >= len(boOffsets)) {
+		c.Failf("best-offset test index %d", b.testIdx)
 	}
-	return d.Err()
 }
 
 // --- GHB delta correlation ---
@@ -407,57 +364,31 @@ func (g *ghb) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []ui
 
 func (g *ghb) OnSupply(dst []uint64, lineAddr uint64) []uint64 { return dst }
 
-func (g *ghb) save(e *checkpoint.Encoder) {
-	e.Mark("hwpref.ghb")
-	e.Len(len(g.deltas))
-	for _, d := range g.deltas {
-		e.I64(d)
+func (g *ghb) checkpoint(c *checkpoint.Codec) {
+	c.Mark("hwpref.ghb")
+	if !c.Count(len(g.deltas), "GHB history entries") {
+		return
 	}
-	e.Int(g.head)
-	e.Len(len(g.idx))
-	for _, ie := range g.idx {
-		e.I64(ie.d1)
-		e.I64(ie.d2)
-		e.Int(ie.pos)
-		e.Bool(ie.valid)
-	}
-	e.U64(g.lastLine)
-	e.Bool(g.lastValid)
-	e.I64(g.prevDelta)
-	e.Bool(g.prevValid)
-}
-
-func (g *ghb) load(d *checkpoint.Decoder) error {
-	d.Expect("hwpref.ghb")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(g.deltas) {
-		return fmt.Errorf("%w: ghb history size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(g.deltas))
-	}
-	for i := range g.deltas {
-		g.deltas[i] = d.I64()
-	}
-	g.head = d.Int()
-	n = d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(g.idx) {
-		return fmt.Errorf("%w: ghb index size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(g.idx))
+	checkpoint.Words(c, g.deltas)
+	c.Int(&g.head)
+	if !c.Count(len(g.idx), "GHB index entries") {
+		return
 	}
 	for i := range g.idx {
-		g.idx[i] = ghbIdxEntry{d1: d.I64(), d2: d.I64(), pos: d.Int(), valid: d.Bool()}
+		ie := &g.idx[i]
+		c.I64(&ie.d1)
+		c.I64(&ie.d2)
+		c.Int(&ie.pos)
+		c.Bool(&ie.valid)
+		if c.Err() == nil && (ie.pos < 0 || ie.pos >= len(g.deltas)) {
+			c.Failf("ghb index entry %d points at history slot %d of %d", i, ie.pos, len(g.deltas))
+		}
 	}
-	g.lastLine = d.U64()
-	g.lastValid = d.Bool()
-	g.prevDelta = d.I64()
-	g.prevValid = d.Bool()
-	if d.Err() == nil && (g.head < 0 || g.head >= len(g.deltas)) {
-		return fmt.Errorf("%w: ghb head %d", checkpoint.ErrCorrupt, g.head)
+	c.U64(&g.lastLine)
+	c.Bool(&g.lastValid)
+	c.I64(&g.prevDelta)
+	c.Bool(&g.prevValid)
+	if c.Err() == nil && (g.head < 0 || g.head >= len(g.deltas)) {
+		c.Failf("ghb head %d", g.head)
 	}
-	return d.Err()
 }

@@ -276,12 +276,12 @@ func TestBackendCheckpointRoundTrip(t *testing.T) {
 			now1 := int64(0)
 			drive(s1, tc.stream[:split], &now1)
 
-			e := checkpoint.NewEncoder()
-			s1.SaveState(e)
+			e := checkpoint.NewSaver()
+			s1.Checkpoint(e)
 			s2, port2 := single(tc.backend())
-			d := checkpoint.NewDecoder(e.Bytes())
-			if err := s2.LoadState(d); err != nil {
-				t.Fatalf("LoadState: %v", err)
+			d := checkpoint.NewLoader(e.Bytes())
+			if s2.Checkpoint(d); d.Err() != nil {
+				t.Fatalf("LoadState: %v", d.Err())
 			}
 			if err := d.Finish(); err != nil {
 				t.Fatalf("Finish: %v", err)
@@ -319,13 +319,13 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 	now1 := int64(0)
 	drive(s1, stream[:73], &now1) // mid-probe: 73 is inside a probe window
 
-	e := checkpoint.NewEncoder()
-	s1.SaveState(e)
+	e := checkpoint.NewSaver()
+	s1.Checkpoint(e)
 	port2 := &testPort{latency: 100}
 	s2 := New(cfg, scfg, port2, Arsenal(cfg)...)
-	d := checkpoint.NewDecoder(e.Bytes())
-	if err := s2.LoadState(d); err != nil {
-		t.Fatalf("LoadState: %v", err)
+	d := checkpoint.NewLoader(e.Bytes())
+	if s2.Checkpoint(d); d.Err() != nil {
+		t.Fatalf("LoadState: %v", d.Err())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -357,18 +357,23 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 func TestLoadStateRejectsWrongArsenal(t *testing.T) {
 	cfg := DefaultConfig()
 	full, _ := single(NewNextLine(cfg))
-	e := checkpoint.NewEncoder()
-	full.SaveState(e)
+	e := checkpoint.NewSaver()
+	full.Checkpoint(e)
+	load := func(s *Selector) error {
+		d := checkpoint.NewLoader(e.Bytes())
+		s.Checkpoint(d)
+		return d.Err()
+	}
 
 	t.Run("backend-count", func(t *testing.T) {
 		s, _ := fullArsenal(cfg)
-		if err := s.LoadState(checkpoint.NewDecoder(e.Bytes())); err == nil {
+		if err := load(s); err == nil {
 			t.Fatalf("restoring a 1-backend checkpoint into a 4-backend arsenal succeeded")
 		}
 	})
 	t.Run("backend-name", func(t *testing.T) {
 		s, _ := single(NewGHB(cfg))
-		if err := s.LoadState(checkpoint.NewDecoder(e.Bytes())); err == nil {
+		if err := load(s); err == nil {
 			t.Fatalf("restoring a next-line checkpoint into a ghb selector succeeded")
 		}
 	})

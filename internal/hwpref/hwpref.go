@@ -96,9 +96,8 @@ type Backend interface {
 	// from the buffer. Backends that run ahead (next-line, best-offset)
 	// append follow-on proposals.
 	OnSupply(dst []uint64, lineAddr uint64) []uint64
-	// save/load serialize the predictor tables (state.go pattern).
-	save(e *checkpoint.Encoder)
-	load(d *checkpoint.Decoder) error
+	// checkpoint walks the predictor tables (state.go pattern).
+	checkpoint(c *checkpoint.Codec)
 }
 
 // bufLine is one prefetched line in the shared buffer, tagged with the

@@ -22,11 +22,7 @@ func (b *stubBackend) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bo
 	return dst
 }
 func (b *stubBackend) OnSupply(dst []uint64, lineAddr uint64) []uint64 { return dst }
-func (b *stubBackend) save(e *checkpoint.Encoder)                      { e.Mark("hwpref.stub") }
-func (b *stubBackend) load(d *checkpoint.Decoder) error {
-	d.Expect("hwpref.stub")
-	return d.Err()
-}
+func (b *stubBackend) checkpoint(c *checkpoint.Codec)                  { c.Mark("hwpref.stub") }
 
 // clockRig drives committed loads at a scripted cycles-per-load rate.
 type clockRig struct {

@@ -1,10 +1,6 @@
 package hwpref
 
-import (
-	"fmt"
-
-	"tridentsp/internal/checkpoint"
-)
+import "tridentsp/internal/checkpoint"
 
 // Checkpoint serialization (DESIGN §12): the epoch machinery, the decision
 // log, and each engine's buffer, counters, and predictor tables. Restores
@@ -12,141 +8,67 @@ import (
 // different arsenal shape fails structural validation instead of silently
 // diverging.
 
-// SaveState serializes the selector.
-func (s *Selector) SaveState(e *checkpoint.Encoder) {
-	e.Mark("hwpref")
-	e.Len(len(s.engines))
-	e.U64(s.loads)
-	e.Int(s.active)
-	e.Bool(s.probing)
-	e.Int(s.probeIdx)
-	e.U64(s.epochEnd)
-	e.I64(s.markCycle)
-	e.U64(s.rounds)
-	e.U64(s.switches)
-	e.Int(s.lastWin)
-	e.U64(s.boost)
-	for i := range s.engines {
-		e.I64(s.scores[i])
-		e.U64(s.residency[i])
+// Checkpoint walks the selector.
+func (s *Selector) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("hwpref")
+	if !c.Count(len(s.engines), "arsenal backends") {
+		return
 	}
-	e.Len(len(s.decisions))
-	for _, d := range s.decisions {
-		e.U64(d.Loads)
-		e.I64(d.Cycle)
-		e.Int(d.Backend)
-		e.Bool(d.Exploit)
-		e.I64(d.Score)
+	c.U64(&s.loads)
+	c.Int(&s.active)
+	c.Bool(&s.probing)
+	c.Int(&s.probeIdx)
+	c.U64(&s.epochEnd)
+	c.I64(&s.markCycle)
+	c.U64(&s.rounds)
+	c.U64(&s.switches)
+	c.Int(&s.lastWin)
+	c.U64(&s.boost)
+	if c.Err() == nil && (s.boost < 1 || s.boost > maxBoost) {
+		c.Failf("arsenal exploit boost %d outside 1..%d", s.boost, maxBoost)
 	}
-	e.U64(s.decisionCount)
-	e.Len(len(s.buf))
-	for _, bl := range s.buf {
-		e.U64(bl.line)
-		e.I64(bl.ready)
-		e.Int(bl.by)
-	}
-	for _, en := range s.engines {
-		e.Str(en.backend.Name())
-		en.backend.save(e)
-		e.U64(en.stats.Fills)
-		e.U64(en.stats.FillsDenied)
-		e.U64(en.stats.Supplies)
-		e.U64(en.stats.EvictedUnused)
-	}
-}
-
-// LoadState restores state saved by SaveState.
-func (s *Selector) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("hwpref")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(s.engines) {
-		return fmt.Errorf("%w: checkpoint arsenal has %d backends, this machine has %d — different prefetch configuration",
-			checkpoint.ErrCorrupt, n, len(s.engines))
-	}
-	s.loads = d.U64()
-	s.active = d.Int()
-	s.probing = d.Bool()
-	s.probeIdx = d.Int()
-	s.epochEnd = d.U64()
-	s.markCycle = d.I64()
-	s.rounds = d.U64()
-	s.switches = d.U64()
-	s.lastWin = d.Int()
-	s.boost = d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if s.boost < 1 || s.boost > maxBoost {
-		return fmt.Errorf("%w: arsenal exploit boost %d outside 1..%d",
-			checkpoint.ErrCorrupt, s.boost, maxBoost)
-	}
-	if s.active < 0 || s.active >= len(s.engines) ||
-		s.probeIdx < 0 || s.probeIdx >= len(s.engines) ||
-		s.lastWin < 0 || s.lastWin >= len(s.engines) {
-		return fmt.Errorf("%w: arsenal backend index out of range (active=%d probe=%d win=%d of %d)",
-			checkpoint.ErrCorrupt, s.active, s.probeIdx, s.lastWin, len(s.engines))
+	if n := len(s.engines); c.Err() == nil && (s.active < 0 || s.active >= n ||
+		s.probeIdx < 0 || s.probeIdx >= n || s.lastWin < 0 || s.lastWin >= n) {
+		c.Failf("arsenal backend index out of range (active=%d probe=%d win=%d of %d)",
+			s.active, s.probeIdx, s.lastWin, n)
 	}
 	for i := range s.engines {
-		s.scores[i] = d.I64()
-		s.residency[i] = d.U64()
+		c.I64(&s.scores[i])
+		c.U64(&s.residency[i])
 	}
-	nd := d.Len()
-	if d.Err() != nil {
-		return d.Err()
+	checkpoint.Slice(c, &s.decisions, func(c *checkpoint.Codec, d *Decision) {
+		c.U64(&d.Loads)
+		c.I64(&d.Cycle)
+		c.Int(&d.Backend)
+		c.Bool(&d.Exploit)
+		c.I64(&d.Score)
+	})
+	if c.Err() == nil && len(s.decisions) > maxDecisions {
+		c.Failf("%d retained decisions exceeds the %d cap", len(s.decisions), maxDecisions)
 	}
-	if nd > maxDecisions {
-		return fmt.Errorf("%w: %d retained decisions exceeds the %d cap",
-			checkpoint.ErrCorrupt, nd, maxDecisions)
-	}
-	s.decisions = s.decisions[:0]
-	for i := 0; i < nd; i++ {
-		s.decisions = append(s.decisions, Decision{
-			Loads:   d.U64(),
-			Cycle:   d.I64(),
-			Backend: d.Int(),
-			Exploit: d.Bool(),
-			Score:   d.I64(),
-		})
-	}
-	s.decisionCount = d.U64()
-	k := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if k > s.cfg.BufferLines {
-		return fmt.Errorf("%w: prefetch buffer holds %d lines, capacity %d",
-			checkpoint.ErrCorrupt, k, s.cfg.BufferLines)
-	}
-	s.buf = s.buf[:0]
-	for j := 0; j < k; j++ {
-		bl := bufLine{line: d.U64(), ready: d.I64(), by: d.Int()}
-		if bl.by < 0 || bl.by >= len(s.engines) {
-			return fmt.Errorf("%w: buffered line issued by backend %d of %d",
-				checkpoint.ErrCorrupt, bl.by, len(s.engines))
+	c.U64(&s.decisionCount)
+	checkpoint.Slice(c, &s.buf, func(c *checkpoint.Codec, bl *bufLine) {
+		c.U64(&bl.line)
+		c.I64(&bl.ready)
+		c.Int(&bl.by)
+		if c.Err() == nil && (bl.by < 0 || bl.by >= len(s.engines)) {
+			c.Failf("buffered line issued by backend %d of %d", bl.by, len(s.engines))
 		}
-		s.buf = append(s.buf, bl)
+	})
+	if c.Err() == nil && len(s.buf) > s.cfg.BufferLines {
+		c.Failf("prefetch buffer holds %d lines, capacity %d", len(s.buf), s.cfg.BufferLines)
 	}
 	for _, en := range s.engines {
-		name := d.Str()
-		if err := d.Err(); err != nil {
-			return err
+		name := en.backend.Name()
+		c.Str(&name)
+		if c.Err() == nil && name != en.backend.Name() {
+			c.Failf("checkpoint arsenal backend %q, this machine has %q — different prefetch configuration",
+				name, en.backend.Name())
 		}
-		if name != en.backend.Name() {
-			return fmt.Errorf("%w: checkpoint arsenal backend %q, this machine has %q — different prefetch configuration",
-				checkpoint.ErrCorrupt, name, en.backend.Name())
-		}
-		if err := en.backend.load(d); err != nil {
-			return err
-		}
-		en.stats = EngineStats{
-			Fills:         d.U64(),
-			FillsDenied:   d.U64(),
-			Supplies:      d.U64(),
-			EvictedUnused: d.U64(),
-		}
+		en.backend.checkpoint(c)
+		c.U64(&en.stats.Fills)
+		c.U64(&en.stats.FillsDenied)
+		c.U64(&en.stats.Supplies)
+		c.U64(&en.stats.EvictedUnused)
 	}
-	return d.Err()
 }

@@ -7,22 +7,21 @@ import "tridentsp/internal/checkpoint"
 // went through the encodable-range check, and a checkpoint must round-trip
 // them bit-exactly regardless.
 
-// Save serializes the instruction.
-func (in Inst) Save(e *checkpoint.Encoder) {
-	e.U8(uint8(in.Op))
-	e.U8(uint8(in.Rd))
-	e.U8(uint8(in.Ra))
-	e.U8(uint8(in.Rb))
-	e.I64(in.Imm)
+// Checkpoint walks the instruction.
+func (in *Inst) Checkpoint(c *checkpoint.Codec) {
+	checkpoint.Enum(c, &in.Op)
+	CheckpointReg(c, &in.Rd)
+	CheckpointReg(c, &in.Ra)
+	CheckpointReg(c, &in.Rb)
+	c.I64(&in.Imm)
 }
 
-// LoadInst deserializes one instruction written by Save.
-func LoadInst(d *checkpoint.Decoder) Inst {
-	return Inst{
-		Op:  Op(d.U8()),
-		Rd:  Reg(d.U8()),
-		Ra:  Reg(d.U8()),
-		Rb:  Reg(d.U8()),
-		Imm: d.I64(),
+// CheckpointReg walks a register field. Loading refuses a register outside
+// the architectural file: the executors index the register file with it
+// unchecked.
+func CheckpointReg(c *checkpoint.Codec, r *Reg) {
+	checkpoint.Enum(c, r)
+	if c.Loading() && *r >= NumRegs {
+		c.Failf("register r%d outside the %d-register file", *r, NumRegs)
 	}
 }

@@ -2,8 +2,7 @@ package memsys
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"slices"
 
 	"tridentsp/internal/checkpoint"
 )
@@ -18,191 +17,130 @@ import (
 // of insertion history, and restores by re-insertion (every reader of the
 // table is layout-independent).
 
-// SaveState serializes the hierarchy.
-func (h *Hierarchy) SaveState(e *checkpoint.Encoder) {
-	e.Mark("memsys.hier")
-	e.I64(h.cfg.MemLatency)
-	e.I64(h.cfg.BusOccupancy)
-	saveCache(e, h.l1)
-	saveCache(e, h.l2)
-	saveCache(e, h.l3)
-
-	keys := make([]uint64, 0, h.inflight.len())
-	h.inflight.each(func(k uint64, _ fill) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.Len(len(keys))
-	for _, k := range keys {
-		v, _ := h.inflight.get(k)
-		e.U64(k)
-		e.I64(v.ready)
-		e.U8(uint8(v.source))
+// Checkpoint walks the hierarchy.
+func (h *Hierarchy) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("memsys.hier")
+	c.I64(&h.cfg.MemLatency)
+	c.I64(&h.cfg.BusOccupancy)
+	for _, level := range []*cache{h.l1, h.l2, h.l3} {
+		checkpointCache(c, level)
 	}
 
-	e.I64(h.busFree)
-
-	e.Len(len(h.victims.ring))
-	for i := range h.victims.ring {
-		e.U64(h.victims.ring[i])
-		e.Bool(h.victims.valid[i])
+	var lines []uint64
+	if c.Loading() {
+		h.inflight.clear()
+	} else {
+		h.inflight.each(func(k uint64, _ fill) { lines = append(lines, k) })
+		slices.Sort(lines)
 	}
-	e.Int(h.victims.next)
-
-	e.Len(len(h.fillHeap))
-	for _, v := range h.fillHeap {
-		e.I64(v)
+	for i, n := 0, c.Len(len(lines)); i < n; i++ {
+		var line uint64
+		var f fill
+		if !c.Loading() {
+			line = lines[i]
+			f, _ = h.inflight.get(line)
+		}
+		c.U64(&line)
+		c.I64(&f.ready)
+		checkpoint.Enum(c, &f.source)
+		if c.Loading() && c.Err() == nil {
+			h.inflight.put(line, f)
+		}
 	}
+
+	c.I64(&h.busFree)
+
+	v := h.victims
+	if !c.Count(len(v.ring), "victim-cache lines") {
+		return
+	}
+	for i := range v.ring {
+		c.U64(&v.ring[i])
+		c.Bool(&v.valid[i])
+	}
+	c.Int(&v.next)
+	if c.Err() == nil && (v.next < 0 || v.next >= len(v.ring)) {
+		c.Failf("victim ring cursor %d outside its %d lines", v.next, len(v.ring))
+	}
+	if c.Loading() {
+		v.idx.clear()
+		for i, ok := range v.valid {
+			if ok {
+				v.idx.put(v.ring[i], int32(i))
+			}
+		}
+	}
+
+	checkpoint.Slice(c, &h.fillHeap, (*checkpoint.Codec).I64)
 
 	s := &h.Stats
-	e.U64(s.Loads)
-	e.U64(s.Stores)
-	for _, c := range s.ByOutcome {
-		e.U64(c)
-	}
-	e.U64(s.L1Hits)
-	e.U64(s.L2Hits)
-	e.U64(s.L3Hits)
-	e.U64(s.MemAccesses)
-	e.U64(s.PrefetchesIssued)
-	e.U64(s.PrefetchesRedundant)
-	e.U64(s.PrefetchesDropped)
-	e.U64(s.WastedPrefetches)
-	e.I64(s.TotalLoadLatency)
-	e.I64(s.TotalMissLatency)
-}
-
-// LoadState restores state saved by SaveState.
-func (h *Hierarchy) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("memsys.hier")
-	h.cfg.MemLatency = d.I64()
-	h.cfg.BusOccupancy = d.I64()
-	if err := loadCache(d, h.l1); err != nil {
-		return err
-	}
-	if err := loadCache(d, h.l2); err != nil {
-		return err
-	}
-	if err := loadCache(d, h.l3); err != nil {
-		return err
-	}
-
-	h.inflight.clear()
-	for n := d.Len(); n > 0; n-- {
-		k := d.U64()
-		f := fill{ready: d.I64(), source: FillSource(d.U8())}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		h.inflight.put(k, f)
-	}
-
-	h.busFree = d.I64()
-
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(h.victims.ring) {
-		return fmt.Errorf("%w: victim ring size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(h.victims.ring))
-	}
-	h.victims.idx.clear()
-	for i := 0; i < n; i++ {
-		h.victims.ring[i] = d.U64()
-		h.victims.valid[i] = d.Bool()
-		if h.victims.valid[i] {
-			h.victims.idx.put(h.victims.ring[i], int32(i))
-		}
-	}
-	h.victims.next = d.Int()
-
-	h.fillHeap = h.fillHeap[:0]
-	for n := d.Len(); n > 0; n-- {
-		h.fillHeap = append(h.fillHeap, d.I64())
-	}
-
-	s := &h.Stats
-	s.Loads = d.U64()
-	s.Stores = d.U64()
-	for i := range s.ByOutcome {
-		s.ByOutcome[i] = d.U64()
-	}
-	s.L1Hits = d.U64()
-	s.L2Hits = d.U64()
-	s.L3Hits = d.U64()
-	s.MemAccesses = d.U64()
-	s.PrefetchesIssued = d.U64()
-	s.PrefetchesRedundant = d.U64()
-	s.PrefetchesDropped = d.U64()
-	s.WastedPrefetches = d.U64()
-	s.TotalLoadLatency = d.I64()
-	s.TotalMissLatency = d.I64()
-	return d.Err()
-}
-
-// saveCache writes one cache level's sets in recency order (slot 0 = MRU),
-// so the restored replacement behaviour matches exactly. Each way travels
-// unpacked — tag, a valid flag (always true), the prefetched mark — so the
-// checkpoint format does not depend on the in-memory packing.
-func saveCache(e *checkpoint.Encoder, c *cache) {
-	e.Len(len(c.count))
-	for si := range c.count {
-		set := c.set(uint64(si))
-		e.Len(len(set))
-		for _, w := range set {
-			e.U64(w >> 1)
-			e.Bool(true)
-			e.Bool(w&wayPrefetched != 0)
-		}
-	}
+	c.U64(&s.Loads)
+	c.U64(&s.Stores)
+	checkpoint.Words(c, s.ByOutcome[:])
+	c.U64(&s.L1Hits)
+	c.U64(&s.L2Hits)
+	c.U64(&s.L3Hits)
+	c.U64(&s.MemAccesses)
+	c.U64(&s.PrefetchesIssued)
+	c.U64(&s.PrefetchesRedundant)
+	c.U64(&s.PrefetchesDropped)
+	c.U64(&s.WastedPrefetches)
+	c.I64(&s.TotalLoadLatency)
+	c.I64(&s.TotalMissLatency)
 }
 
 // wayBytes is one saved way's size: tag (8), valid flag (1), prefetched (1).
 const wayBytes = 10
 
-// loadCache restores one cache level by decoding straight into its flat way
-// array. Each set's ways are taken from the payload in one piece and parsed
-// here, with the checks the per-field decoder would make: flag bytes must
-// be 0 or 1. A way the packed layout cannot hold — one marked invalid, or a
-// tag of 2⁶³ or more — is refused as corrupt rather than restored as a dead
-// slot.
-func loadCache(d *checkpoint.Decoder, c *cache) error {
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(c.count) {
-		return fmt.Errorf("%w: cache has %d sets, checkpoint %d", checkpoint.ErrCorrupt, len(c.count), n)
+// checkpointCache walks one cache level's sets in recency order (slot 0 =
+// MRU), so the restored replacement behaviour matches exactly. Each way
+// travels unpacked — tag, a valid flag (always true), the prefetched mark —
+// so the checkpoint format does not depend on the in-memory packing. A
+// set's ways travel as one Raw run: saving packs them straight from the
+// flat way array, loading parses them straight back into it with the checks
+// the per-field reads would make (flag bytes must be 0 or 1). A way the
+// packed layout cannot hold — one marked invalid, or a tag of 2⁶³ or more —
+// is refused as corrupt rather than restored as a dead slot.
+func checkpointCache(k *checkpoint.Codec, c *cache) {
+	if !k.Count(len(c.count), "cache sets") {
+		return
 	}
 	for si := range c.count {
-		k := d.Len()
-		if d.Err() != nil {
-			return d.Err()
+		n := k.Len(int(c.count[si]))
+		if k.Err() == nil && n > c.assoc {
+			k.Failf("cache set %d holds %d lines, associativity %d", si, n, c.assoc)
 		}
-		if k > c.assoc {
-			return fmt.Errorf("%w: cache set %d holds %d lines, associativity %d",
-				checkpoint.ErrCorrupt, si, k, c.assoc)
+		raw := k.Raw(n * wayBytes)
+		if k.Err() != nil {
+			return
 		}
-		raw := d.Raw(k * wayBytes)
-		if d.Err() != nil {
-			return d.Err()
+		if !k.Loading() {
+			for j, w := range c.set(uint64(si)) {
+				r := raw[j*wayBytes : (j+1)*wayBytes]
+				binary.LittleEndian.PutUint64(r, w>>1)
+				r[8] = 1
+				r[9] = byte(w & wayPrefetched)
+			}
+			continue
 		}
-		c.count[si] = int32(k)
+		c.count[si] = int32(n)
 		set := c.set(uint64(si))
 		for j := range set {
 			w := raw[j*wayBytes : (j+1)*wayBytes]
 			if w[8] > 1 || w[9] > 1 {
-				return fmt.Errorf("%w: cache set %d way %d: invalid boolean byte", checkpoint.ErrCorrupt, si, j)
+				k.Failf("cache set %d way %d: invalid boolean byte", si, j)
+				return
 			}
 			tag, valid, prefetched := binary.LittleEndian.Uint64(w), w[8] == 1, w[9] == 1
 			if !valid {
-				return fmt.Errorf("%w: cache set %d way %d is marked invalid", checkpoint.ErrCorrupt, si, j)
+				k.Failf("cache set %d way %d is marked invalid", si, j)
+				return
 			}
 			if tag >= 1<<63 {
-				return fmt.Errorf("%w: cache set %d way %d holds tag %#x, too wide to pack",
-					checkpoint.ErrCorrupt, si, j, tag)
+				k.Failf("cache set %d way %d holds tag %#x, too wide to pack", si, j, tag)
+				return
 			}
 			set[j] = packWay(tag, prefetched)
 		}
 	}
-	return d.Err()
 }

@@ -26,7 +26,7 @@ func cacheFixture() *cache {
 // order a U64 tag, Bool true, Bool prefetched. Packing the ways in memory
 // must not change a byte of it.
 func TestSaveCacheLayout(t *testing.T) {
-	want := checkpoint.NewEncoder()
+	want := checkpoint.NewSaver()
 	want.Len(4)
 	for _, set := range [][]struct {
 		tag        uint64
@@ -39,21 +39,23 @@ func TestSaveCacheLayout(t *testing.T) {
 	} {
 		want.Len(len(set))
 		for _, w := range set {
-			want.U64(w.tag)
-			want.Bool(true)
-			want.Bool(w.prefetched)
+			valid := true
+			want.U64(&w.tag)
+			want.Bool(&valid)
+			want.Bool(&w.prefetched)
 		}
 	}
-	got := checkpoint.NewEncoder()
-	saveCache(got, cacheFixture())
+	got := checkpoint.NewSaver()
+	checkpointCache(got, cacheFixture())
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("saveCache bytes:\n got %x\nwant %x", got.Bytes(), want.Bytes())
+		t.Fatalf("checkpointCache bytes:\n got %x\nwant %x", got.Bytes(), want.Bytes())
 	}
 
 	// And they decode back into the same flat array.
 	c := newCache(CacheConfig{SizeBytes: 8 * 64, Assoc: 2, Latency: 1}, 64)
-	if err := loadCache(checkpoint.NewDecoder(got.Bytes()), c); err != nil {
-		t.Fatal(err)
+	d := checkpoint.NewLoader(got.Bytes())
+	if checkpointCache(d, c); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	ref := cacheFixture()
 	for si := range ref.count {
@@ -77,20 +79,23 @@ func TestLoadCacheRejectsUnpackableWays(t *testing.T) {
 		{"wide tag", 1 << 63, true, "set 1 way 1 holds tag 0x8000000000000000"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := checkpoint.NewEncoder()
+			e := checkpoint.NewSaver()
 			e.Len(2)
 			e.Len(0)
 			e.Len(2)
-			e.U64(3)
-			e.Bool(true)
-			e.Bool(false)
-			e.U64(tc.tag)
-			e.Bool(tc.valid)
-			e.Bool(false)
+			tag, yes, no := uint64(3), true, false
+			e.U64(&tag)
+			e.Bool(&yes)
+			e.Bool(&no)
+			e.U64(&tc.tag)
+			e.Bool(&tc.valid)
+			e.Bool(&no)
 			c := newCache(CacheConfig{SizeBytes: 4 * 64, Assoc: 2, Latency: 1}, 64)
-			err := loadCache(checkpoint.NewDecoder(e.Bytes()), c)
+			d := checkpoint.NewLoader(e.Bytes())
+			checkpointCache(d, c)
+			err := d.Err()
 			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("loadCache = %v, want ErrCorrupt naming %q", err, tc.want)
+				t.Fatalf("checkpointCache = %v, want ErrCorrupt naming %q", err, tc.want)
 			}
 		})
 	}
@@ -111,25 +116,49 @@ func TestLoadCacheRejectsBadFlagBytes(t *testing.T) {
 		{"truncated set", 1, 0, true, "truncated stream"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := checkpoint.NewEncoder()
+			e := checkpoint.NewSaver()
 			e.Len(2)
 			e.Len(0)
 			e.Len(2)
-			e.U64(3)
-			e.Bool(true)
-			e.Bool(false)
-			e.U64(4)
-			e.U8(tc.valid)
-			e.U8(tc.prefetched)
+			tag, next, yes, no := uint64(3), uint64(4), true, false
+			e.U64(&tag)
+			e.Bool(&yes)
+			e.Bool(&no)
+			e.U64(&next)
+			e.U8(&tc.valid)
+			e.U8(&tc.prefetched)
 			blob := e.Bytes()
 			if tc.truncate {
 				blob = blob[:len(blob)-1]
 			}
 			c := newCache(CacheConfig{SizeBytes: 4 * 64, Assoc: 2, Latency: 1}, 64)
-			err := loadCache(checkpoint.NewDecoder(blob), c)
+			d := checkpoint.NewLoader(blob)
+			checkpointCache(d, c)
+			err := d.Err()
 			if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("loadCache = %v, want ErrCorrupt naming %q", err, tc.want)
+				t.Fatalf("checkpointCache = %v, want ErrCorrupt naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestHierarchyCheckpointRejectsVictimCursor: the victim ring's cursor
+// indexes the ring on the next eviction, so a restored cursor outside the
+// ring is refused as corrupt instead of panicking there.
+func TestHierarchyCheckpointRejectsVictimCursor(t *testing.T) {
+	for _, next := range []int{0, -1, len(New(DefaultConfig()).victims.ring)} {
+		h := New(DefaultConfig())
+		h.victims.next = next
+		e := checkpoint.NewSaver()
+		h.Checkpoint(e)
+		d := checkpoint.NewLoader(e.Bytes())
+		New(DefaultConfig()).Checkpoint(d)
+		err := d.Finish()
+		if next == 0 && err != nil {
+			t.Fatalf("valid hierarchy refused: %v", err)
+		}
+		if next != 0 && !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("victim cursor %d: restore = %v, want ErrCorrupt", next, err)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package prefetch
 
 import (
-	"sort"
+	"maps"
 
 	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/isa"
@@ -17,105 +17,47 @@ import (
 // registry restores values through get-or-create, keeping cached pointers
 // valid).
 
-// SaveState serializes the optimizer.
-func (o *Optimizer) SaveState(e *checkpoint.Encoder) {
-	e.Mark("prefetch.opt")
-	pcs := make([]uint64, 0, len(o.traces))
-	for pc := range o.traces {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	e.Len(len(pcs))
-	for _, pc := range pcs {
-		ts := o.traces[pc]
-		e.U64(ts.startPC)
-		trace.SaveTrace(e, ts.base)
-		e.Int(ts.curID)
-		e.Len(len(ts.groups))
-		for _, g := range ts.groups {
-			saveGroupState(e, g)
+// Checkpoint walks the optimizer.
+func (o *Optimizer) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("prefetch.opt")
+	checkpoint.Map(c, &o.traces, func(c *checkpoint.Codec, pc *uint64, p **traceState) {
+		if *p == nil {
+			*p = new(traceState)
 		}
-		loadPCs := make([]uint64, 0, len(ts.byLoad))
-		for lpc := range ts.byLoad {
-			loadPCs = append(loadPCs, lpc)
-		}
-		sort.Slice(loadPCs, func(i, j int) bool { return loadPCs[i] < loadPCs[j] })
-		e.Len(len(loadPCs))
-		for _, lpc := range loadPCs {
-			e.U64(lpc)
-			e.Int(groupIndex(ts.groups, ts.byLoad[lpc]))
-		}
-		potPCs := make([]uint64, 0, len(ts.potential))
-		for ppc := range ts.potential {
-			potPCs = append(potPCs, ppc)
-		}
-		sort.Slice(potPCs, func(i, j int) bool { return potPCs[i] < potPCs[j] })
-		e.Len(len(potPCs))
-		for _, ppc := range potPCs {
-			e.U64(ppc)
-		}
-	}
-	e.U64(o.Stats.Insertions)
-	e.U64(o.Stats.Repairs)
-	e.U64(o.Stats.Matured)
-	e.U64(o.Stats.PrefetchesPlaced)
-	e.U64(o.Stats.DerefChainsPlaced)
-}
-
-// LoadState restores state saved by SaveState.
-func (o *Optimizer) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("prefetch.opt")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	o.traces = make(map[uint64]*traceState, n)
-	for i := 0; i < n; i++ {
-		ts := &traceState{startPC: d.U64()}
-		base, err := trace.LoadTrace(d)
-		if err != nil {
-			return err
-		}
-		ts.base = base
-		ts.curID = d.Int()
-		for k := d.Len(); k > 0; k-- {
-			g, err := loadGroupState(d)
-			if err != nil {
-				return err
+		ts := *p
+		c.U64(&ts.startPC)
+		*pc = ts.startPC
+		trace.Checkpoint(c, &ts.base)
+		c.Int(&ts.curID)
+		checkpoint.Slice(c, &ts.groups, func(c *checkpoint.Codec, g **groupState) {
+			if *g == nil {
+				*g = new(groupState)
 			}
-			ts.groups = append(ts.groups, g)
-		}
-		nb := d.Len()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		ts.byLoad = make(map[uint64]*groupState, nb)
-		for j := 0; j < nb; j++ {
-			lpc := d.U64()
-			gi := d.Int()
-			if d.Err() != nil {
-				return d.Err()
-			}
+			walkGroupState(c, *g)
+		})
+		checkpoint.Map(c, &ts.byLoad, func(c *checkpoint.Codec, lpc *uint64, g **groupState) {
+			c.U64(lpc)
+			gi := groupIndex(ts.groups, *g)
+			c.Int(&gi)
+			*g = nil
 			if gi >= 0 && gi < len(ts.groups) {
-				ts.byLoad[lpc] = ts.groups[gi]
+				*g = ts.groups[gi]
 			}
+		})
+		if c.Loading() {
+			// A load whose group index resolves to no group is dropped.
+			maps.DeleteFunc(ts.byLoad, func(_ uint64, g *groupState) bool { return g == nil })
 		}
-		np := d.Len()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		ts.potential = make(map[uint64]bool, np)
-		for j := 0; j < np; j++ {
-			ts.potential[d.U64()] = true
-		}
-		o.traces[ts.startPC] = ts
-	}
-	o.Stats.Insertions = d.U64()
-	o.Stats.Repairs = d.U64()
-	o.Stats.Matured = d.U64()
-	o.Stats.PrefetchesPlaced = d.U64()
-	o.Stats.DerefChainsPlaced = d.U64()
-	return d.Err()
+		checkpoint.Map(c, &ts.potential, func(c *checkpoint.Codec, ppc *uint64, v *bool) {
+			c.U64(ppc)
+			*v = true
+		})
+	})
+	c.U64(&o.Stats.Insertions)
+	c.U64(&o.Stats.Repairs)
+	c.U64(&o.Stats.Matured)
+	c.U64(&o.Stats.PrefetchesPlaced)
+	c.U64(&o.Stats.DerefChainsPlaced)
 }
 
 func groupIndex(groups []*groupState, g *groupState) int {
@@ -127,104 +69,41 @@ func groupIndex(groups []*groupState, g *groupState) int {
 	return -1
 }
 
-func saveGroupState(e *checkpoint.Encoder, g *groupState) {
-	saveGroup(e, &g.Group)
-	e.I64(g.distance)
-	e.I64(g.maxDist)
-	e.I64(g.repairsUsed)
-	e.I64(g.lastAvgLat)
-	e.Bool(g.hasLast)
-	e.Bool(g.mature)
-	e.I64(g.patchStride)
-	e.Len(len(g.prefetches))
-	for _, l := range g.prefetches {
-		e.U64(l.pc)
-		e.I64(l.off)
-	}
-	e.Len(len(g.derefMembers))
-	for i := range g.derefMembers {
-		saveMember(e, &g.derefMembers[i])
-	}
+func walkGroupState(c *checkpoint.Codec, g *groupState) {
+	walkGroup(c, &g.Group)
+	c.I64(&g.distance)
+	c.I64(&g.maxDist)
+	c.I64(&g.repairsUsed)
+	c.I64(&g.lastAvgLat)
+	c.Bool(&g.hasLast)
+	c.Bool(&g.mature)
+	c.I64(&g.patchStride)
+	checkpoint.Slice(c, &g.prefetches, func(c *checkpoint.Codec, l *prefetchLoc) {
+		c.U64(&l.pc)
+		c.I64(&l.off)
+	})
+	checkpoint.Slice(c, &g.derefMembers, walkMember)
 }
 
-func loadGroupState(d *checkpoint.Decoder) (*groupState, error) {
-	g := &groupState{}
-	if err := loadGroup(d, &g.Group); err != nil {
-		return nil, err
-	}
-	g.distance = d.I64()
-	g.maxDist = d.I64()
-	g.repairsUsed = d.I64()
-	g.lastAvgLat = d.I64()
-	g.hasLast = d.Bool()
-	g.mature = d.Bool()
-	g.patchStride = d.I64()
-	for k := d.Len(); k > 0; k-- {
-		g.prefetches = append(g.prefetches, prefetchLoc{pc: d.U64(), off: d.I64()})
-	}
-	for k := d.Len(); k > 0; k-- {
-		var m Member
-		if err := loadMember(d, &m); err != nil {
-			return nil, err
-		}
-		g.derefMembers = append(g.derefMembers, m)
-	}
-	return g, d.Err()
+func walkGroup(c *checkpoint.Codec, g *Group) {
+	isa.CheckpointReg(c, &g.BaseReg)
+	c.Int(&g.Gen)
+	checkpoint.Slice(c, &g.Members, walkMember)
+	c.Bool(&g.StrideOK)
+	c.I64(&g.Stride)
+	c.Bool(&g.PointerBase)
+	c.Bool(&g.ProducerOK)
+	isa.CheckpointReg(c, &g.ProducerBase)
+	c.I64(&g.ProducerOff)
+	c.Int(&g.ProducerIdx)
+	c.I64(&g.ProducerStride)
+	isa.CheckpointReg(c, &g.ProducerAddend)
 }
 
-func saveGroup(e *checkpoint.Encoder, g *Group) {
-	e.U8(uint8(g.BaseReg))
-	e.Int(g.Gen)
-	e.Len(len(g.Members))
-	for i := range g.Members {
-		saveMember(e, &g.Members[i])
-	}
-	e.Bool(g.StrideOK)
-	e.I64(g.Stride)
-	e.Bool(g.PointerBase)
-	e.Bool(g.ProducerOK)
-	e.U8(uint8(g.ProducerBase))
-	e.I64(g.ProducerOff)
-	e.Int(g.ProducerIdx)
-	e.I64(g.ProducerStride)
-	e.U8(uint8(g.ProducerAddend))
-}
-
-func loadGroup(d *checkpoint.Decoder, g *Group) error {
-	g.BaseReg = isa.Reg(d.U8())
-	g.Gen = d.Int()
-	for k := d.Len(); k > 0; k-- {
-		var m Member
-		if err := loadMember(d, &m); err != nil {
-			return err
-		}
-		g.Members = append(g.Members, m)
-	}
-	g.StrideOK = d.Bool()
-	g.Stride = d.I64()
-	g.PointerBase = d.Bool()
-	g.ProducerOK = d.Bool()
-	g.ProducerBase = isa.Reg(d.U8())
-	g.ProducerOff = d.I64()
-	g.ProducerIdx = d.Int()
-	g.ProducerStride = d.I64()
-	g.ProducerAddend = isa.Reg(d.U8())
-	return d.Err()
-}
-
-func saveMember(e *checkpoint.Encoder, m *Member) {
-	e.U64(m.OrigPC)
-	e.I64(m.Offset)
-	e.Int(m.Index)
-	e.U8(uint8(m.Class))
-	e.I64(m.Stride)
-}
-
-func loadMember(d *checkpoint.Decoder, m *Member) error {
-	m.OrigPC = d.U64()
-	m.Offset = d.I64()
-	m.Index = d.Int()
-	m.Class = LoadClass(d.U8())
-	m.Stride = d.I64()
-	return d.Err()
+func walkMember(c *checkpoint.Codec, m *Member) {
+	c.U64(&m.OrigPC)
+	c.I64(&m.Offset)
+	c.Int(&m.Index)
+	checkpoint.Enum(c, &m.Class)
+	c.I64(&m.Stride)
 }

@@ -35,12 +35,12 @@ func diffProgram(t *testing.T) *Program {
 // clone of base, failing the test on any encode/decode error.
 func roundTrip(t *testing.T, m *Memory, base *Memory, p *Program) *Memory {
 	t.Helper()
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, base)
-	d := checkpoint.NewDecoder(e.Bytes())
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, base)
+	d := checkpoint.NewLoader(e.Bytes())
 	out := NewMemory(p)
-	if err := out.LoadStateDiff(d, base); err != nil {
-		t.Fatalf("LoadStateDiff: %v", err)
+	if out.CheckpointDiff(d, base); d.Err() != nil {
+		t.Fatalf("LoadStateDiff: %v", d.Err())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -84,8 +84,8 @@ func TestSaveStateDiffEmpty(t *testing.T) {
 	p := diffProgram(t)
 	base := p.Image()
 	m := NewMemory(p)
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, base)
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, base)
 	if full := len(encodeFull(m)); len(e.Bytes()) >= full {
 		t.Errorf("empty diff (%dB) not smaller than full snapshot (%dB)",
 			len(e.Bytes()), full)
@@ -105,8 +105,8 @@ func TestSaveStateDiffEmpty(t *testing.T) {
 // encodeFull returns m diffed against an empty base — every mapped page
 // travels — as the size a dense snapshot would have, for comparison.
 func encodeFull(m *Memory) []byte {
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, &Memory{})
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, &Memory{})
 	return e.Bytes()
 }
 
@@ -146,13 +146,15 @@ func TestLoadStateDiffRejectsOtherImage(t *testing.T) {
 	p := diffProgram(t)
 	m := NewMemory(p)
 	m.Store(0x10000, 11)
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, p.Image())
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, p.Image())
 
 	q := diffProgram(t)
 	q.Data[0x40000] = 40
 	other := q.Image()
-	err := NewMemory(q).LoadStateDiff(checkpoint.NewDecoder(e.Bytes()), other)
+	d := checkpoint.NewLoader(e.Bytes())
+	NewMemory(q).CheckpointDiff(d, other)
+	err := d.Err()
 	if !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("LoadStateDiff against another image: err = %v, want ErrCorrupt", err)
 	}
@@ -221,11 +223,11 @@ func TestLoadStateDiffGrowsTableOnce(t *testing.T) {
 	}
 	out := NewMemory(p)
 	capBefore := cap(out.tab)
-	e := checkpoint.NewEncoder()
-	m.SaveStateDiff(e, base)
-	d := checkpoint.NewDecoder(e.Bytes())
-	if err := out.LoadStateDiff(d, base); err != nil {
-		t.Fatal(err)
+	e := checkpoint.NewSaver()
+	m.CheckpointDiff(e, base)
+	d := checkpoint.NewLoader(e.Bytes())
+	if out.CheckpointDiff(d, base); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if !reflect.DeepEqual(out.Snapshot(), m.Snapshot()) {
 		t.Fatal("restored memory differs from the saved one")

@@ -65,8 +65,8 @@ type Options struct {
 	NewSystem func() *core.System
 	// OnCommit, when set, fires after every committed schedule step whose
 	// state is snapshot-safe: each startup window and each completed chain.
-	// The argument is committed program progress. SaveState may be called
-	// from inside the callback.
+	// The argument is committed program progress. A saving Checkpoint walk
+	// may run from inside the callback.
 	OnCommit func(progress uint64)
 	// Stop, when non-nil, aborts the run at the next safe point (between
 	// windows / chains) once it becomes receivable. The partial estimate
@@ -140,10 +140,11 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler for the master sys, which must be fresh
-// from NewSystem or be restored through LoadState before Run: the producer
-// starts its own machine from the same point. cfg is taken after
-// WithDefaults; roi may be nil (no checkpoint reuse). The first interval is
-// always detailed — the run starts cold exactly as an exact run does.
+// from NewSystem or be restored through a loading Checkpoint walk before
+// Run: the producer starts its own machine from the same point. cfg is
+// taken after WithDefaults; roi may be nil (no checkpoint reuse). The first
+// interval is always detailed — the run starts cold exactly as an exact run
+// does.
 func NewScheduler(sys *core.System, cfg Config, roi *ROICache, opts Options) (*Scheduler, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -613,8 +614,8 @@ func (s *Scheduler) advance(sys *core.System, target uint64, stopc <-chan struct
 
 // startProducer starts the fast-forward pass on a machine of its own,
 // positioned where the master stands when Run begins: instruction 0 (a
-// fresh machine), or the snapshot LoadState restored the master from (a
-// mid-startup state, or S0). In a fresh run the producer therefore
+// fresh machine), or the snapshot a loading Checkpoint restored the master
+// from (a mid-startup state, or S0). In a fresh run the producer therefore
 // fast-forwards alongside the serial startup prefix rather than after it.
 // It cannot know p0 yet, only that p0 ≥ Startup, so it streams every slot
 // whose warm-up starts at or past both its start point and Startup;
@@ -687,7 +688,7 @@ func (s *Scheduler) produceSlots(sys *core.System, start, k0, K uint64) bool {
 	}
 	if sys.Progress() != start {
 		s.prodErr = fmt.Errorf("sampling: producer seeded at progress %d, master at %d "+
-			"(the master must be fresh or restored through LoadState)", sys.Progress(), start)
+			"(the master must be fresh or restored through Checkpoint)", sys.Progress(), start)
 		return false
 	}
 	I, W := s.cfg.Interval, s.cfg.Warmup

@@ -105,9 +105,9 @@ func shapeRuns(t *testing.T, build func() *core.System, cfg Config, total uint64
 	var sched *Scheduler
 	sched = newSched(Options{OnCommit: func(uint64) {
 		commits++
-		e := checkpoint.NewEncoder()
-		if err := sched.SaveState(e); err != nil {
-			t.Fatal(err)
+		e := checkpoint.NewSaver()
+		if sched.Checkpoint(e); e.Err() != nil {
+			t.Fatal(e.Err())
 		}
 		switch {
 		case commits == 3:
@@ -128,7 +128,7 @@ func shapeRuns(t *testing.T, build func() *core.System, cfg Config, total uint64
 	resumed := map[string]outcome{}
 	for name, blob := range snaps {
 		s := newSched(Options{})
-		if err := s.LoadState(checkpoint.NewDecoder(blob)); err != nil {
+		if err := loadScheduler(s, blob); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		est := s.Run(total)

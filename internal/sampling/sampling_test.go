@@ -53,6 +53,24 @@ func newScheduler(t *testing.T, bench string, cfg Config, roi *ROICache, jobs in
 	return sched
 }
 
+// schedulerState serializes the scheduler the way checkpoint writers do
+// (one walk into a fresh stream), failing the test on error.
+func schedulerState(t *testing.T, s *Scheduler) []byte {
+	t.Helper()
+	e := checkpoint.NewSaver()
+	if s.Checkpoint(e); e.Err() != nil {
+		t.Fatal(e.Err())
+	}
+	return e.Bytes()
+}
+
+// loadScheduler restores a schedulerState blob into s.
+func loadScheduler(s *Scheduler, blob []byte) error {
+	d := checkpoint.NewLoader(blob)
+	s.Checkpoint(d)
+	return d.Err()
+}
+
 func runSampledCfg(t *testing.T, bench string, total uint64, cfg Config, roi *ROICache, jobs int) Estimate {
 	t.Helper()
 	sched := newScheduler(t, bench, cfg, roi, jobs)
@@ -223,9 +241,9 @@ func TestSampledResumeDeterminism(t *testing.T) {
 		OnCommit: func(uint64) {
 			commits++
 			snap := func() []byte {
-				e := checkpoint.NewEncoder()
-				if err := sched.SaveState(e); err != nil {
-					t.Error(err)
+				e := checkpoint.NewSaver()
+				if sched.Checkpoint(e); e.Err() != nil {
+					t.Error(e.Err())
 				}
 				return e.Bytes()
 			}
@@ -252,7 +270,7 @@ func TestSampledResumeDeterminism(t *testing.T) {
 
 	for name, blob := range map[string][]byte{"startup": blobA, "windowed": blobB, "windowed-last": blobC} {
 		sched2 := newScheduler(t, "mcf", testConfig(), nil, jobs)
-		if err := sched2.LoadState(checkpoint.NewDecoder(blob)); err != nil {
+		if err := loadScheduler(sched2, blob); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got := sched2.Run(total)
@@ -326,7 +344,7 @@ func TestROICacheRebuildsOlderFormat(t *testing.T) {
 	const total = 800_000
 	dir := t.TempDir()
 	roi := NewROICache(dir, "mcf", "test", testConfig())
-	stale := checkpoint.NewEncoder()
+	stale := checkpoint.NewSaver()
 	stale.Mark("core.roi2")
 	const slots = total / 100_000
 	for k := uint64(1); k <= slots; k++ {

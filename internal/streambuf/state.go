@@ -1,95 +1,44 @@
 package streambuf
 
-import (
-	"fmt"
-
-	"tridentsp/internal/checkpoint"
-)
+import "tridentsp/internal/checkpoint"
 
 // Checkpoint serialization (DESIGN §12): the stride-detection table, the
 // per-buffer run-ahead state, and the counters. Restores into an engine
 // freshly built from the same Config.
 
-// SaveState serializes the stream-buffer engine.
-func (s *StreamBuffers) SaveState(e *checkpoint.Encoder) {
-	e.Mark("streambuf")
-	e.Len(len(s.table))
-	for _, t := range s.table {
-		e.U64(t.pc)
-		e.U64(t.lastAddr)
-		e.I64(t.stride)
-		e.U8(t.conf)
-		e.Bool(t.valid)
-	}
-	e.Len(len(s.buffers))
-	for i := range s.buffers {
-		b := &s.buffers[i]
-		e.Len(len(b.entries))
-		for _, be := range b.entries {
-			e.U64(be.line)
-			e.I64(be.ready)
-		}
-		e.U64(b.nextLine)
-		e.I64(b.stride)
-		e.I64(b.lastUse)
-		e.Bool(b.active)
-	}
-	e.U64(s.Stats.Allocations)
-	e.U64(s.Stats.Supplies)
-	e.U64(s.Stats.Fills)
-	e.U64(s.Stats.FillsDenied)
-}
-
-// LoadState restores state saved by SaveState.
-func (s *StreamBuffers) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("streambuf")
-	n := d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(s.table) {
-		return fmt.Errorf("%w: stride table size %d, expected %d",
-			checkpoint.ErrCorrupt, n, len(s.table))
+// Checkpoint walks the stream-buffer engine.
+func (s *StreamBuffers) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("streambuf")
+	if !c.Count(len(s.table), "stride-table entries") {
+		return
 	}
 	for i := range s.table {
-		s.table[i] = strideEntry{
-			pc:       d.U64(),
-			lastAddr: d.U64(),
-			stride:   d.I64(),
-			conf:     d.U8(),
-			valid:    d.Bool(),
-		}
+		t := &s.table[i]
+		c.U64(&t.pc)
+		c.U64(&t.lastAddr)
+		c.I64(&t.stride)
+		c.U8(&t.conf)
+		c.Bool(&t.valid)
 	}
-	n = d.Len()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(s.buffers) {
-		return fmt.Errorf("%w: %d stream buffers, expected %d",
-			checkpoint.ErrCorrupt, n, len(s.buffers))
+	if !c.Count(len(s.buffers), "stream buffers") {
+		return
 	}
 	for i := range s.buffers {
 		b := &s.buffers[i]
-		k := d.Len()
-		if d.Err() != nil {
-			return d.Err()
+		checkpoint.Slice(c, &b.entries, func(c *checkpoint.Codec, be *bufEntry) {
+			c.U64(&be.line)
+			c.I64(&be.ready)
+		})
+		if k := len(b.entries); c.Err() == nil && k > s.cfg.BufferEntries {
+			c.Failf("stream buffer %d holds %d entries, depth %d", i, k, s.cfg.BufferEntries)
 		}
-		if k > s.cfg.BufferEntries {
-			return fmt.Errorf("%w: stream buffer %d holds %d entries, depth %d",
-				checkpoint.ErrCorrupt, i, k, s.cfg.BufferEntries)
-		}
-		b.entries = b.entries[:0]
-		for j := 0; j < k; j++ {
-			b.entries = append(b.entries, bufEntry{line: d.U64(), ready: d.I64()})
-		}
-		b.nextLine = d.U64()
-		b.stride = d.I64()
-		b.lastUse = d.I64()
-		b.active = d.Bool()
+		c.U64(&b.nextLine)
+		c.I64(&b.stride)
+		c.I64(&b.lastUse)
+		c.Bool(&b.active)
 	}
-	s.Stats.Allocations = d.U64()
-	s.Stats.Supplies = d.U64()
-	s.Stats.Fills = d.U64()
-	s.Stats.FillsDenied = d.U64()
-	return d.Err()
+	c.U64(&s.Stats.Allocations)
+	c.U64(&s.Stats.Supplies)
+	c.U64(&s.Stats.Fills)
+	c.U64(&s.Stats.FillsDenied)
 }

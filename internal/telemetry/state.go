@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
+	"slices"
 
 	"tridentsp/internal/checkpoint"
 )
@@ -14,181 +14,118 @@ import (
 // reason counters, the optimizer's distance histogram) keep addressing the
 // live values.
 
-// SaveState serializes the tracer. No-op on a disabled (nil) tracer — the
-// caller records tracer presence itself.
-func (t *Tracer) SaveState(e *checkpoint.Encoder) {
-	e.Mark("telemetry")
-	e.U64(t.seq)
-	saveRing(e, &t.sem)
-	saveRing(e, &t.eng)
-	t.reg.saveState(e)
+// Checkpoint walks the tracer. Loading targets a tracer built with the same
+// Options (ring capacities must match). The caller records tracer presence
+// itself: a disabled (nil) tracer has no walk.
+func (t *Tracer) Checkpoint(c *checkpoint.Codec) {
+	c.Mark("telemetry")
+	c.U64(&t.seq)
+	t.sem.checkpoint(c)
+	t.eng.checkpoint(c)
+	t.reg.checkpoint(c)
 }
 
-// LoadState restores state saved by SaveState into a tracer built with the
-// same Options (ring capacities must match).
-func (t *Tracer) LoadState(d *checkpoint.Decoder) error {
-	d.Expect("telemetry")
-	t.seq = d.U64()
-	if err := loadRing(d, &t.sem); err != nil {
-		return err
+// checkpoint walks the ring's event count and its retained events, oldest
+// first, in place.
+func (r *ring) checkpoint(c *checkpoint.Codec) {
+	c.U64(&r.n)
+	kept := min(r.n, uint64(len(r.buf)))
+	if n := c.Len(int(kept)); c.Err() == nil && uint64(n) != kept {
+		c.Failf("ring holds %d events for count %d (capacity %d)", n, r.n, len(r.buf))
 	}
-	if err := loadRing(d, &t.eng); err != nil {
-		return err
+	if c.Err() != nil {
+		return
 	}
-	return t.reg.loadState(d)
-}
-
-func saveRing(e *checkpoint.Encoder, r *ring) {
-	e.U64(r.n)
-	retained := r.events()
-	e.Len(len(retained))
-	for i := range retained {
-		ev := &retained[i]
-		e.U64(ev.Seq)
-		e.I64(ev.Cycle)
-		e.U8(uint8(ev.Kind))
-		e.U64(ev.PC)
-		e.U64(ev.Aux)
-		e.I64(ev.Arg)
-		e.I64(ev.Arg2)
+	for i := r.n - kept; i < r.n; i++ {
+		ev := &r.buf[i&r.mask]
+		c.U64(&ev.Seq)
+		c.I64(&ev.Cycle)
+		checkpoint.Enum(c, &ev.Kind)
+		c.U64(&ev.PC)
+		c.U64(&ev.Aux)
+		c.I64(&ev.Arg)
+		c.I64(&ev.Arg2)
 	}
 }
 
-func loadRing(d *checkpoint.Decoder, r *ring) error {
-	n := d.U64()
-	cnt := d.Len()
-	if d.Err() != nil {
-		return d.Err()
+// checkpoint walks every instrument in name order. Loading walks into
+// detached records and then applies each through the get-or-create
+// accessors, after checking it against what the live registry holds.
+func (r *Registry) checkpoint(c *checkpoint.Codec) {
+	counters, gauges, hists := r.Counters(), r.Gauges(), r.Histograms()
+	checkpoint.Slice(c, &counters, func(c *checkpoint.Codec, p **Counter) {
+		if *p == nil {
+			*p = new(Counter)
+		}
+		c.Str(&(*p).Name)
+		c.U64(&(*p).V)
+	})
+	checkpoint.Slice(c, &gauges, func(c *checkpoint.Codec, p **Gauge) {
+		if *p == nil {
+			*p = new(Gauge)
+		}
+		c.Str(&(*p).Name)
+		c.F64(&(*p).V)
+	})
+	checkpoint.Slice(c, &hists, func(c *checkpoint.Codec, p **Histogram) {
+		if *p == nil {
+			*p = new(Histogram)
+		}
+		h := *p
+		c.Str(&h.Name)
+		checkpoint.Slice(c, &h.Bounds, (*checkpoint.Codec).I64)
+		if c.Loading() {
+			h.Counts = make([]uint64, len(h.Bounds)+1)
+		}
+		checkpoint.Words(c, h.Counts)
+		c.I64(&h.Sum)
+		c.U64(&h.N)
+	})
+	if !c.Loading() {
+		return
 	}
-	want := n
-	if want > uint64(len(r.buf)) {
-		want = uint64(len(r.buf))
-	}
-	if uint64(cnt) != want {
-		return fmt.Errorf("%w: ring holds %d events for count %d (capacity %d)",
-			checkpoint.ErrCorrupt, cnt, n, len(r.buf))
-	}
-	r.n = n
-	for i := uint64(0); i < uint64(cnt); i++ {
-		r.buf[(n-uint64(cnt)+i)&r.mask] = Event{
-			Seq:   d.U64(),
-			Cycle: d.I64(),
-			Kind:  Kind(d.U8()),
-			PC:    d.U64(),
-			Aux:   d.U64(),
-			Arg:   d.I64(),
-			Arg2:  d.I64(),
+	for _, x := range counters {
+		if r.checkInstrument(c, x.Name, r.counters[x.Name] != nil) {
+			r.Counter(x.Name).V = x.V
 		}
 	}
-	return d.Err()
-}
-
-func (r *Registry) saveState(e *checkpoint.Encoder) {
-	counters := r.Counters()
-	e.Len(len(counters))
-	for _, c := range counters {
-		e.Str(c.Name)
-		e.U64(c.V)
+	for _, x := range gauges {
+		if r.checkInstrument(c, x.Name, r.gauges[x.Name] != nil) {
+			r.Gauge(x.Name).V = x.V
+		}
 	}
-	gauges := r.Gauges()
-	e.Len(len(gauges))
-	for _, g := range gauges {
-		e.Str(g.Name)
-		e.F64(g.V)
-	}
-	hists := r.Histograms()
-	e.Len(len(hists))
-	for _, h := range hists {
-		e.Str(h.Name)
-		e.Len(len(h.Bounds))
-		for _, b := range h.Bounds {
-			e.I64(b)
-		}
-		for _, c := range h.Counts {
-			e.U64(c)
-		}
-		e.I64(h.Sum)
-		e.U64(h.N)
-	}
-}
-
-func (r *Registry) loadState(d *checkpoint.Decoder) error {
-	for k := d.Len(); k > 0; k-- {
-		name := d.Str()
-		v := d.U64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := r.checkInstrument(name, r.counters[name] != nil); err != nil {
-			return err
-		}
-		r.Counter(name).V = v
-	}
-	for k := d.Len(); k > 0; k-- {
-		name := d.Str()
-		v := d.F64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := r.checkInstrument(name, r.gauges[name] != nil); err != nil {
-			return err
-		}
-		r.Gauge(name).V = v
-	}
-	for k := d.Len(); k > 0; k-- {
-		name := d.Str()
-		nb := d.Len()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		bounds := make([]int64, nb)
-		ascending := true
-		for i := range bounds {
-			bounds[i] = d.I64()
-			if i > 0 && bounds[i] <= bounds[i-1] {
-				ascending = false
+	for _, x := range hists {
+		for i := 1; i < len(x.Bounds); i++ {
+			if x.Bounds[i] <= x.Bounds[i-1] {
+				c.Failf("histogram %q bounds not ascending", x.Name)
 			}
 		}
-		if d.Err() != nil {
-			return d.Err()
+		if !r.checkInstrument(c, x.Name, r.hists[x.Name] != nil) {
+			return
 		}
-		if !ascending {
-			return fmt.Errorf("%w: histogram %q bounds not ascending", checkpoint.ErrCorrupt, name)
+		h := r.Histogram(x.Name, x.Bounds...)
+		if !slices.Equal(h.Bounds, x.Bounds) {
+			c.Failf("histogram %q has bounds %v, checkpoint %v", x.Name, h.Bounds, x.Bounds)
+			return
 		}
-		if err := r.checkInstrument(name, r.hists[name] != nil); err != nil {
-			return err
-		}
-		h := r.Histogram(name, bounds...)
-		if len(h.Bounds) != nb {
-			return fmt.Errorf("%w: histogram %q has %d bounds, checkpoint %d",
-				checkpoint.ErrCorrupt, name, len(h.Bounds), nb)
-		}
-		for i := range h.Bounds {
-			if h.Bounds[i] != bounds[i] {
-				return fmt.Errorf("%w: histogram %q bound %d mismatch", checkpoint.ErrCorrupt, name, i)
-			}
-		}
-		for i := range h.Counts {
-			h.Counts[i] = d.U64()
-		}
-		h.Sum = d.I64()
-		h.N = d.U64()
+		copy(h.Counts, x.Counts)
+		h.Sum, h.N = x.Sum, x.N
 	}
-	return d.Err()
 }
 
 // checkInstrument rejects a checkpointed name that the live registry holds
 // as a different instrument type — the registry would panic on the
 // get-or-create path, and a corrupt file must surface as an error instead.
-func (r *Registry) checkInstrument(name string, sameKind bool) error {
-	if sameKind {
-		return nil
+// It reports whether the walk is still healthy.
+func (r *Registry) checkInstrument(c *checkpoint.Codec, name string, sameKind bool) bool {
+	if c.Err() != nil || sameKind {
+		return c.Err() == nil
 	}
-	_, c := r.counters[name]
+	_, ctr := r.counters[name]
 	_, g := r.gauges[name]
 	_, h := r.hists[name]
-	if c || g || h {
-		return fmt.Errorf("%w: instrument %q type mismatch", checkpoint.ErrCorrupt, name)
+	if ctr || g || h {
+		c.Failf("instrument %q type mismatch", name)
 	}
-	return nil
+	return c.Err() == nil
 }

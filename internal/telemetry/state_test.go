@@ -10,9 +10,16 @@ import (
 
 // saveTracer serializes t the way a system checkpoint does.
 func saveTracer(t *Tracer) []byte {
-	e := checkpoint.NewEncoder()
-	t.SaveState(e)
+	e := checkpoint.NewSaver()
+	t.Checkpoint(e)
 	return e.Bytes()
+}
+
+// loadTracer restores blob into t the way a system restore does.
+func loadTracer(t *Tracer, blob []byte) error {
+	d := checkpoint.NewLoader(blob)
+	t.Checkpoint(d)
+	return d.Err()
 }
 
 // busyTracer builds a small-ring tracer with both rings overflowed and
@@ -43,8 +50,7 @@ func TestStateRoundTrip(t *testing.T) {
 	// capacity, instruments re-created by the same wiring code.
 	re := New(Options{RingCap: 8})
 	reH := re.Metrics().Histogram("latency", 4, 16, 64)
-	d := checkpoint.NewDecoder(blob)
-	if err := re.LoadState(d); err != nil {
+	if err := loadTracer(re, blob); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
 
@@ -84,7 +90,7 @@ func TestStateRoundTrip(t *testing.T) {
 func TestStateRingCapacityMismatch(t *testing.T) {
 	blob := saveTracer(busyTracer())
 	re := New(Options{RingCap: 32})
-	if err := re.LoadState(checkpoint.NewDecoder(blob)); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if err := loadTracer(re, blob); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("LoadState with mismatched ring capacity: %v, want ErrCorrupt", err)
 	}
 }
@@ -95,7 +101,7 @@ func TestStateInstrumentTypeMismatch(t *testing.T) {
 	blob := saveTracer(busyTracer())
 	re := New(Options{RingCap: 8})
 	re.Metrics().Gauge("loads")
-	if err := re.LoadState(checkpoint.NewDecoder(blob)); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if err := loadTracer(re, blob); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("LoadState with instrument type clash: %v, want ErrCorrupt", err)
 	}
 }
@@ -105,7 +111,7 @@ func TestStateTruncation(t *testing.T) {
 	blob := saveTracer(busyTracer())
 	for cut := 0; cut < len(blob); cut += 7 {
 		re := New(Options{RingCap: 8})
-		if err := re.LoadState(checkpoint.NewDecoder(blob[:cut])); err == nil {
+		if err := loadTracer(re, blob[:cut]); err == nil {
 			t.Fatalf("LoadState accepted a %d-byte prefix of %d", cut, len(blob))
 		}
 	}

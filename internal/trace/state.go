@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"tridentsp/internal/checkpoint"
-	"tridentsp/internal/isa"
-)
+import "tridentsp/internal/checkpoint"
 
 // Checkpoint serialization (DESIGN §12) for trace bodies. Traces are
 // referenced from both the code cache (placements) and the optimizer
@@ -12,41 +9,23 @@ import (
 // framework mutates a trace body after placement; new versions are fresh
 // objects).
 
-// SaveTrace serializes one trace.
-func SaveTrace(e *checkpoint.Encoder, t *Trace) {
-	e.Mark("trace")
-	e.Int(t.ID)
-	e.U64(t.StartPC)
-	e.Len(len(t.Insts))
-	for i := range t.Insts {
-		ti := &t.Insts[i]
-		ti.Inst.Save(e)
-		e.U8(uint8(ti.Kind))
-		e.U64(ti.OrigPC)
-		e.U64(ti.ExitTarget)
-		e.Int(ti.Weight)
-		e.Bool(ti.Inserted)
+// Checkpoint walks the trace *t. Loading replaces *t with a fresh trace
+// rather than overwriting the body it pointed to, which other references
+// may share.
+func Checkpoint(c *checkpoint.Codec, t **Trace) {
+	if c.Loading() {
+		*t = new(Trace)
 	}
-}
-
-// LoadTrace deserializes one trace written by SaveTrace.
-func LoadTrace(d *checkpoint.Decoder) (*Trace, error) {
-	d.Expect("trace")
-	t := &Trace{ID: d.Int(), StartPC: d.U64()}
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	t.Insts = make([]Inst, n)
-	for i := range t.Insts {
-		t.Insts[i] = Inst{
-			Inst:       isa.LoadInst(d),
-			Kind:       Kind(d.U8()),
-			OrigPC:     d.U64(),
-			ExitTarget: d.U64(),
-			Weight:     d.Int(),
-			Inserted:   d.Bool(),
-		}
-	}
-	return t, d.Err()
+	tr := *t
+	c.Mark("trace")
+	c.Int(&tr.ID)
+	c.U64(&tr.StartPC)
+	checkpoint.Slice(c, &tr.Insts, func(c *checkpoint.Codec, ti *Inst) {
+		ti.Inst.Checkpoint(c)
+		checkpoint.Enum(c, &ti.Kind)
+		c.U64(&ti.OrigPC)
+		c.U64(&ti.ExitTarget)
+		c.Int(&ti.Weight)
+		c.Bool(&ti.Inserted)
+	})
 }

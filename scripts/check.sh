@@ -68,8 +68,12 @@ go tool cover -func=/tmp/telemetry.cover | awk '
 		if (pct < 70) exit 1
 	}'
 # Checkpoint torture: truncation at every byte boundary, bit flips at every
-# position, and kill-mid-write must all fail loudly, never load garbage.
-go test -run 'TestFileTorture|TestFileKillMidWrite' -count=2 ./internal/checkpoint/
+# position, and kill-mid-write must all fail loudly, never load garbage. The
+# golden digests pin the machine and scheduler checkpoint bytes across a
+# configuration matrix, and the flip sweep requires a machine restored from
+# a one-byte-corrupted blob either to refuse it or to keep running.
+go test -run 'TestFileTorture|TestFileKillMidWrite|TestGoldenCheckpointBytes|TestGoldenSchedulerCheckpointBytes|TestRestoreFlipSweep' \
+	-count=2 ./internal/checkpoint/ ./internal/core/ ./internal/sampling/
 # Parallel window scheduler race leg (DESIGN §15): the producer/worker/
 # reconciler pipeline and the singleflight ROI cache are the repo's only
 # intentionally concurrent simulator internals, so their byte-identity and
