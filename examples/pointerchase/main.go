@@ -47,8 +47,8 @@ func buildChase(nodes int, nodeSize int64) *tridentsp.Program {
 		if i == nodes-1 {
 			next = arena
 		}
-		p.Data[node] = next
-		p.Data[node+8] = uint64(i)
+		p.Data.Store(node, next)
+		p.Data.Store(node+8, uint64(i))
 	}
 	return p
 }

@@ -46,7 +46,7 @@ func Assemble(name, src string) (*program.Program, error) {
 		codeBase: 0x1000,
 		dataBase: 0x100000,
 		symbols:  map[string]uint64{},
-		data:     map[uint64]uint64{},
+		data:     &program.Memory{},
 	}
 	lines := strings.Split(src, "\n")
 
@@ -96,7 +96,7 @@ type assembler struct {
 	insts    []isa.Inst
 	lineOf   []int
 	symbols  map[string]uint64
-	data     map[uint64]uint64
+	data     *program.Memory
 	sawCode  bool
 }
 
@@ -224,7 +224,7 @@ func (a *assembler) directive(op, rest string, ln int, final bool) error {
 					return err
 				}
 				if final && v != 0 {
-					a.data[addr+uint64(i)*8] = v
+					a.data.Store(addr+uint64(i)*8, v)
 				}
 			}
 		}

@@ -118,7 +118,7 @@ func TestAssembleDataDirectiveMovesCursor(t *testing.T) {
 	if a != 0x400000 || b != 0x800000 {
 		t.Fatalf("cursors: a=%#x b=%#x", a, b)
 	}
-	if p.Data[0x400000] != 1 || p.Data[0x800000] != 2 {
+	if p.Data.Load(0x400000) != 1 || p.Data.Load(0x800000) != 2 {
 		t.Fatal("data not placed at directed addresses")
 	}
 }

@@ -46,7 +46,7 @@ func flipWorkload() *program.Program {
 	b.CondBr(isa.BNE, 6, "outer")
 	b.Halt()
 	p := b.MustBuild()
-	p.Data[flag] = 1
+	p.Data.Store(flag, 1)
 	return p
 }
 

@@ -76,7 +76,7 @@ func randomProgram(seed int64) *program.Program {
 
 	p := b.MustBuild()
 	for i := 0; i < 4096; i++ {
-		p.Data[data+uint64(i)*8] = r.Uint64()
+		p.Data.Store(data+uint64(i)*8, r.Uint64())
 	}
 	return p
 }

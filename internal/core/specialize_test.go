@@ -37,7 +37,7 @@ func divWorkload(scale uint64) *program.Program {
 	b.Halt()
 	p := b.MustBuild()
 	for i := 0; i < 4096; i++ {
-		p.Data[arr+uint64(i)*8] = uint64(i) * 1234567
+		p.Data.Store(arr+uint64(i)*8, uint64(i)*1234567)
 	}
 	return p
 }
@@ -86,7 +86,7 @@ func TestValueSpecializationTransparent(t *testing.T) {
 		b.Halt()
 		p := b.MustBuild()
 		for i := 0; i < 2048; i++ {
-			p.Data[arr+uint64(i)*8] = uint64(i)*977 + 13
+			p.Data.Store(arr+uint64(i)*8, uint64(i)*977+13)
 		}
 		return p
 	}
@@ -138,7 +138,7 @@ func TestValueSpecializationGuardDeoptimizes(t *testing.T) {
 		b.Halt()
 		p := b.MustBuild()
 		for i := 0; i < 2048; i++ {
-			p.Data[arr+uint64(i)*8] = uint64(i)*31 + 7
+			p.Data.Store(arr+uint64(i)*8, uint64(i)*31+7)
 		}
 		return p
 	}

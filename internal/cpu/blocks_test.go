@@ -23,7 +23,7 @@ func buildProgram(t *testing.T, insts []isa.Inst) *program.Program {
 	}
 	return &program.Program{
 		Base: 0x1000, Code: code, Entry: 0x1000,
-		Data: map[uint64]uint64{}, Name: "blocks-test",
+		Data: &program.Memory{}, Name: "blocks-test",
 	}
 }
 

@@ -338,7 +338,7 @@ func TestMispredictPenaltyCharged(t *testing.T) {
 		b.Halt()
 		p := b.MustBuild()
 		for i := 0; i < 256; i++ {
-			p.Data[arr+uint64(i*8)] = pattern(i)
+			p.Data.Store(arr+uint64(i*8), pattern(i))
 		}
 		th := New(DefaultConfig(), NewProgramSpace(p), p.Entry, program.NewMemory(p),
 			memsys.New(memsys.DefaultConfig()), branchpred.New(branchpred.DefaultConfig()))

@@ -169,14 +169,19 @@ func ffCases() []ffCase {
 	}
 }
 
-// ffData is the data image every case runs against.
-var ffData = map[uint64]uint64{0x5000: 0x77, 0x5008: 0x99}
+// ffData builds the data image every case runs against.
+func ffData() *program.Memory {
+	m := &program.Memory{}
+	m.Store(0x5000, 0x77)
+	m.Store(0x5008, 0x99)
+	return m
+}
 
 // ffThread builds a thread over insts (no encoding step, so unknown opcodes
 // survive) at entry, with a private memory cloned from the data image.
 func ffThread(insts []isa.Inst, entry uint64) *Thread {
 	ps := &ProgramSpace{base: ffBase, insts: insts, blocks: NewBlockCache(ffBase)}
-	p := &program.Program{Base: ffBase, Entry: ffBase, Data: ffData, Name: "ffwd-test"}
+	p := &program.Program{Base: ffBase, Entry: ffBase, Data: ffData(), Name: "ffwd-test"}
 	th := New(DefaultConfig(), ps, ffBase, program.NewMemory(p),
 		memsys.New(memsys.DefaultConfig()), branchpred.New(branchpred.DefaultConfig()))
 	if entry != 0 {

@@ -16,7 +16,7 @@ type Builder struct {
 	code    []isa.Inst
 	labels  map[string]int // label -> instruction index
 	fixups  map[int]string // instruction index -> label
-	data    map[uint64]uint64
+	data    *Memory
 	dataPtr uint64
 	errs    []error
 }
@@ -29,7 +29,7 @@ func NewBuilder(name string, base, dataBase uint64) *Builder {
 		name:    name,
 		labels:  make(map[string]int),
 		fixups:  make(map[int]string),
-		data:    make(map[uint64]uint64),
+		data:    &Memory{},
 		dataPtr: (dataBase + 7) &^ 7,
 	}
 }
@@ -122,7 +122,7 @@ func (b *Builder) AllocWords(vals ...uint64) uint64 {
 	addr := b.Alloc(uint64(len(vals)) * 8)
 	for i, v := range vals {
 		if v != 0 {
-			b.data[addr+uint64(i)*8] = v
+			b.data.Store(addr+uint64(i)*8, v)
 		}
 	}
 	return addr
@@ -130,10 +130,13 @@ func (b *Builder) AllocWords(vals ...uint64) uint64 {
 
 // SetWord initializes one data word.
 func (b *Builder) SetWord(addr, val uint64) {
-	b.data[addr&^7] = val
+	b.data.Store(addr, val)
 }
 
 // Build resolves labels and encodes the program. Entry is the code base.
+// The builder's data image becomes the program's Data; the builder goes on
+// with a copy-on-write clone of it, so building twice yields two programs
+// that never write into each other's data.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -155,10 +158,9 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[i] = w
 	}
-	data := make(map[uint64]uint64, len(b.data))
-	for a, v := range b.data {
-		data[a] = v
-	}
+	data := b.data
+	data.share()
+	b.data = data.clone()
 	return &Program{
 		Base:  b.base,
 		Code:  code,

@@ -23,8 +23,12 @@ type Program struct {
 	Code []uint64
 	// Entry is the initial PC.
 	Entry uint64
-	// Data is the initial data memory contents, 8-byte aligned words.
-	Data map[uint64]uint64
+	// Data is the initial data memory, built paged: the image every run's
+	// Memory clones copy-on-write and every memory checkpoint diffs
+	// against. Write it with Store while building the program; the first
+	// clone (NewMemory, Clone, ClonePristine) or Prebuild freezes it, and
+	// from then on a Store into it panics. nil reads as an empty image.
+	Data *Memory
 	// Name identifies the program in stats output.
 	Name string
 
@@ -32,14 +36,6 @@ type Program struct {
 	// until then. It is deliberately not copied by Clone: a clone may be
 	// mutated, and the cache must never go stale.
 	insts []isa.Inst
-
-	// memImage is the paged form of Data, built lazily by NewMemory and
-	// shared with clones (every simulator run deep-copies pages from it,
-	// which is far cheaper than re-walking the Data map). memImageLen is
-	// len(Data) at build time; NewMemory rebuilds when it no longer
-	// matches, so entries added after a build are never silently dropped.
-	memImage    *Memory
-	memImageLen int
 
 	// master points at the immutable, predecoded program this one was
 	// cloned from (nil when the source had not been predecoded at clone
@@ -101,35 +97,21 @@ func (p *Program) WordAt(pc uint64) (uint64, bool) {
 }
 
 // Clone returns a run-ready copy of the program: Code is deep-copied (the
-// simulator patches the live image in place), while Data and the paged
-// memory image are shared with the source. Clones exist to be run, and a run
-// never writes Data — it builds its memory as a copy-on-write view of the
-// shared image — so cloning the map (once the single largest cost of
-// starting a run) bought nothing. Callers that seed extra Data entries must
-// do so on the source before cloning; the length check in NewMemory catches
-// entries added afterwards, silent in-place overwrites are not tracked.
+// simulator patches the live image in place), while Data is shared and
+// frozen. A run never writes Data: it builds its memory as a copy-on-write
+// clone of the image, so copying the image per run would buy nothing.
+// Callers that seed data must do so before the first clone; a Store into
+// the image afterwards panics rather than leak into every clone.
 func (p *Program) Clone() *Program {
-	c := &Program{Base: p.Base, Entry: p.Entry, Name: p.Name, Data: p.Data,
-		master: p.masterRef()}
-	c.Code = append([]uint64(nil), p.Code...)
-	if c.Data == nil {
-		c.Data = map[uint64]uint64{}
-	}
-	c.memImage, c.memImageLen = p.ensureMemImage(), len(p.Data)
-	return c
+	return &Program{Base: p.Base, Code: slices.Clone(p.Code), Entry: p.Entry,
+		Data: p.Image(), Name: p.Name, master: p.masterRef()}
 }
 
-// ClonePristine returns the cheap clone the simulator keeps as its pristine
-// code image alongside the live, patched one: Code is deep-copied (patching
-// must not reach the pristine copy), while Data — which the simulator never
-// mutates — and the built memory image are shared with the source.
-func (p *Program) ClonePristine() *Program {
-	c := &Program{Base: p.Base, Entry: p.Entry, Name: p.Name, Data: p.Data,
-		master: p.masterRef()}
-	c.Code = append([]uint64(nil), p.Code...)
-	c.memImage, c.memImageLen = p.ensureMemImage(), len(p.Data)
-	return c
-}
+// ClonePristine returns the copy the simulator keeps as its pristine code
+// image alongside the live, patched one. It is Clone: the code is private
+// (patching must not reach the pristine copy) and Data, which the simulator
+// never writes, is the shared frozen image.
+func (p *Program) ClonePristine() *Program { return p.Clone() }
 
 // masterRef resolves the immutable ancestor a clone should remember: the
 // source's own master when it has one, or the source itself when it has been
@@ -161,11 +143,16 @@ func (p *Program) Pristine() *Program {
 	return p.ClonePristine()
 }
 
-// Image returns the program's cached paged memory image (built on first
-// use). The image is shared and immutable once built: it is the
-// copy-on-write base every run's Memory clones from, and the base every
-// memory checkpoint (full-machine and region-of-interest) diffs against.
-func (p *Program) Image() *Memory { return p.ensureMemImage() }
+// Image returns the program's data image, frozen: the copy-on-write base
+// every run's Memory clones from, and the base every memory checkpoint
+// (full-machine and region-of-interest) diffs against.
+func (p *Program) Image() *Memory {
+	if p.Data == nil {
+		p.Data = &Memory{}
+	}
+	p.Data.freeze()
+	return p.Data
+}
 
 // Listing disassembles the whole code segment, one instruction per line.
 func (p *Program) Listing() []string {
@@ -201,6 +188,8 @@ type Memory struct {
 	// not grow the dense table unboundedly. nil until first needed.
 	high   map[uint64]*memPage
 	mapped int
+	owned  []*memPage // the pages whose owner is this memory
+	frozen bool       // a published image (see freeze): Store panics
 }
 
 // denseLimit bounds the dense page table: pages below it (1 GiB of address
@@ -217,41 +206,44 @@ const (
 type memPage struct {
 	words [memPageWords]uint64
 	valid [memPageWords / 64]uint64
-	// owner is the Memory that may write this page. Clones share page
-	// pointers (copy-on-write); a Store through a Memory that does not own
-	// the page copies it first. The cached master image is never written
-	// after it is built, so sharing its pages across concurrently-cloned
-	// runs is race-free.
+	// owner is the Memory that may write this page in place, or nil when
+	// the page is shared. Clones share page pointers (copy-on-write); a
+	// Store through a Memory that does not own the page copies it first.
+	// A published image's pages are all shared and never written again, so
+	// any number of concurrently cloned runs may read them.
 	owner *Memory
 }
 
-// NewMemory creates a memory initialized from the program's data image. The
-// paged image is built once per program (or whenever Data has grown since)
-// and cached; each call returns an independent deep copy of it.
-func NewMemory(p *Program) *Memory {
-	return p.ensureMemImage().clone()
-}
+// NewMemory returns a run memory for the program: a copy-on-write clone of
+// its data image, which the call freezes.
+func NewMemory(p *Program) *Memory { return p.Image().clone() }
 
-// Prebuild forces the lazy caches (predecoded instructions and the paged
-// memory image). A program shared as an immutable master — cloned
+// Prebuild forces the lazy caches (predecoded instructions) and freezes the
+// data image. A program shared as an immutable master — cloned
 // concurrently by a harness worker pool — must be prebuilt before it is
 // published, so the clones only ever read it.
 func (p *Program) Prebuild() {
 	p.Predecode()
-	p.ensureMemImage()
+	p.Image()
 }
 
-// ensureMemImage builds (or rebuilds, when Data has grown) the cached paged
-// form of Data.
-func (p *Program) ensureMemImage() *Memory {
-	if p.memImage == nil || p.memImageLen != len(p.Data) {
-		m := &Memory{}
-		for a, v := range p.Data {
-			m.Store(a, v)
-		}
-		p.memImage, p.memImageLen = m, len(p.Data)
+// share gives up ownership of every page: from then on a Store through any
+// Memory holding them, this one included, copies a page before writing it.
+func (m *Memory) share() {
+	for _, pg := range m.owned {
+		pg.owner = nil
 	}
-	return p.memImage
+	m.owned = nil
+}
+
+// freeze publishes the memory as a shared image. Its pages are shared with
+// every clone, so a write into the image itself would leak into all of them;
+// Store panics instead.
+func (m *Memory) freeze() {
+	if !m.frozen {
+		m.share()
+		m.frozen = true
+	}
 }
 
 // clone returns a copy-on-write clone: the page table is copied but the
@@ -336,15 +328,8 @@ func (m *Memory) Load(addr uint64) uint64 {
 func (m *Memory) Store(addr, val uint64) {
 	w := addr >> 3
 	pg := m.page(w)
-	if pg == nil {
-		pg = &memPage{owner: m}
-		m.setPage(w>>memPageShift, pg)
-	} else if pg.owner != m {
-		np := new(memPage)
-		*np = *pg
-		np.owner = m
-		m.setPage(w>>memPageShift, np)
-		pg = np
+	if pg == nil || pg.owner != m {
+		pg = m.own(w>>memPageShift, pg)
 	}
 	o := w & memPageMask
 	pg.words[o] = val
@@ -352,6 +337,22 @@ func (m *Memory) Store(addr, val uint64) {
 		pg.valid[o>>6] |= bit
 		m.mapped++
 	}
+}
+
+// own installs a page this memory may write at page index idx: a private
+// copy of shared, or a fresh page when shared is nil.
+func (m *Memory) own(idx uint64, shared *memPage) *memPage {
+	if m.frozen {
+		panic("program: Store into a frozen data image; the image is shared by every memory cloned from it and is immutable")
+	}
+	pg := new(memPage)
+	if shared != nil {
+		*pg = *shared
+	}
+	pg.owner = m
+	m.setPage(idx, pg)
+	m.owned = append(m.owned, pg)
+	return pg
 }
 
 // Valid reports whether the word containing addr has ever been written.

@@ -149,7 +149,7 @@ func TestAllocAlignmentAndWords(t *testing.T) {
 }
 
 func TestMemoryLoadStoreAligned(t *testing.T) {
-	m := NewMemory(&Program{Data: map[uint64]uint64{}})
+	m := NewMemory(&Program{Data: &Memory{}})
 	m.Store(0x1000, 42)
 	if m.Load(0x1000) != 42 {
 		t.Fatal("load after store")
@@ -171,7 +171,7 @@ func TestMemoryLoadStoreAligned(t *testing.T) {
 }
 
 func TestMemorySnapshotSorted(t *testing.T) {
-	m := NewMemory(&Program{Data: map[uint64]uint64{}})
+	m := NewMemory(&Program{Data: &Memory{}})
 	m.Store(0x3000, 3)
 	m.Store(0x1000, 1)
 	m.Store(0x2000, 2)
@@ -200,8 +200,11 @@ func TestCloneContract(t *testing.T) {
 		t.Error("Clone shares code")
 	}
 	// Data is shared: runs read it only (memory is a copy-on-write view of
-	// the paged image), and cloning the map dominated run startup.
-	if &c.Data == &p.Data && c.Data[a] != 5 {
+	// the paged image), and copying the image would dominate run startup.
+	if c.Data != p.Data {
+		t.Error("clone does not share the data image")
+	}
+	if c.Data.Load(a) != 5 {
 		t.Error("clone lost data")
 	}
 	// The clone's run memory is still fully independent of the source's.
@@ -209,6 +212,64 @@ func TestCloneContract(t *testing.T) {
 	m1.Store(a, 7)
 	if m2.Load(a) != 5 {
 		t.Errorf("clone memories interfere: got %d, want 5", m2.Load(a))
+	}
+}
+
+// TestPublishedImageFrozen: once a data image is published — by Prebuild or
+// by the program's first clone — a Store into it panics instead of leaking
+// into every memory cloned from it, on a mapped page and an unmapped one
+// alike, while the run memories cloned from it stay writable.
+func TestPublishedImageFrozen(t *testing.T) {
+	for name, publish := range map[string]func(*Program){
+		"Prebuild":      (*Program).Prebuild,
+		"NewMemory":     func(p *Program) { NewMemory(p) },
+		"Clone":         func(p *Program) { p.Clone() },
+		"ClonePristine": func(p *Program) { p.ClonePristine() },
+	} {
+		p := diffProgram(t)
+		p.Data.Store(0x50000, 50) // writable until published
+		publish(p)
+		m := NewMemory(p)
+		m.Store(0x10000, 11)
+		for _, addr := range []uint64{0x10000, 0x90000} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "shared") || !strings.Contains(msg, "immutable") {
+						t.Errorf("%s: Store(%#x) into the published image: panic %q, want one naming the shared, immutable image",
+							name, addr, msg)
+					}
+				}()
+				p.Data.Store(addr, 7)
+			}()
+		}
+		if p.Data.Load(0x10000) != 10 || p.Data.Load(0x50000) != 50 || p.Data.Valid(0x90000) {
+			t.Errorf("%s: published image changed", name)
+		}
+		if m.Load(0x10000) != 11 || m.Load(0x50000) != 50 {
+			t.Errorf("%s: run memory reads %d, %d; want 11, 50", name, m.Load(0x10000), m.Load(0x50000))
+		}
+	}
+}
+
+// TestBuildTwiceSeparatesImages: a builder built twice hands out two data
+// images, and neither the programs nor the builder write into another's.
+func TestBuildTwiceSeparatesImages(t *testing.T) {
+	b := NewBuilder("twice", 0x1000, 0x10000)
+	b.Halt()
+	a := b.AllocWords(5)
+	p, q := b.MustBuild(), b.MustBuild()
+	if p.Data == q.Data {
+		t.Fatal("two builds share one data image")
+	}
+	p.Data.Store(a, 6)
+	b.SetWord(a+8, 9)
+	r := b.MustBuild()
+	if q.Data.Load(a) != 5 || r.Data.Load(a) != 5 {
+		t.Errorf("a program's write reached another image: q=%d r=%d, want 5", q.Data.Load(a), r.Data.Load(a))
+	}
+	if p.Data.Valid(a+8) || q.Data.Valid(a+8) || r.Data.Load(a+8) != 9 {
+		t.Error("a builder write after Build reached an image already built")
 	}
 }
 

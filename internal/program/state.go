@@ -68,27 +68,18 @@ func (m *Memory) saveDiff(c *checkpoint.Codec, base *Memory) {
 
 // loadDiff makes the memory base-with-the-diff-applied, sharing every
 // untouched page with base copy-on-write (exactly the shape a fresh
-// NewMemory clone has after replaying the same stores). Pages this memory
-// already owns are overwritten in place rather than reallocated: sampled
-// runs restore a region-of-interest snapshot once per interval, and a fresh
-// 4KB allocation per page per restore made garbage-collection churn the
-// dominant restore cost. Owned pages are referenced only by this memory
-// (clones share the image's pages, which stay owned by the image), so
-// in-place reuse is invisible to every other Memory.
+// NewMemory clone has after replaying the same stores). The diff's pages
+// overwrite pages this memory already owns, whatever index they held:
+// sampled runs restore a region-of-interest snapshot once per interval, and
+// a fresh 4KB allocation per page per restore made garbage-collection churn
+// the dominant restore cost. Owned pages are referenced only by this memory
+// (clones share the image's pages, which nobody owns), so in-place reuse is
+// invisible to every other Memory.
 func (m *Memory) loadDiff(c *checkpoint.Codec, base *Memory) {
 	nDiff := c.Len(0)
 	if c.Err() != nil {
 		return
 	}
-	var own map[uint64]*memPage
-	m.forEachPage(func(idx uint64, pg *memPage) {
-		if pg.owner == m {
-			if own == nil {
-				own = make(map[uint64]*memPage)
-			}
-			own[idx] = pg
-		}
-	})
 	// Reset to the base layout: shared page pointers, copy-on-write.
 	if len(base.tab) > len(m.tab) {
 		m.tab = make([]*memPage, len(base.tab))
@@ -98,10 +89,10 @@ func (m *Memory) loadDiff(c *checkpoint.Codec, base *Memory) {
 	for i := 0; i < nDiff; i++ {
 		var idx uint64
 		c.U64(&idx)
-		pg := own[idx]
-		if pg == nil {
-			pg = &memPage{owner: m}
+		if i == len(m.owned) {
+			m.owned = append(m.owned, &memPage{owner: m})
 		}
+		pg := m.owned[i]
 		checkpoint.Words(c, pg.words[:])
 		checkpoint.Words(c, pg.valid[:])
 		if c.Err() != nil {
@@ -109,6 +100,8 @@ func (m *Memory) loadDiff(c *checkpoint.Codec, base *Memory) {
 		}
 		m.setPage(idx, pg)
 	}
+	clear(m.owned[nDiff:])
+	m.owned = m.owned[:nDiff]
 	for n := c.Len(0); n > 0; n-- {
 		var idx uint64
 		c.U64(&idx)

@@ -25,9 +25,9 @@ func diffProgram(t *testing.T) *Program {
 	b.AllocWords(1, 2, 3)
 	p := b.MustBuild()
 	// Spread data across distinct pages (page = 512 words = 4KB).
-	p.Data[0x10000] = 10
-	p.Data[0x20000] = 20
-	p.Data[0x30000] = 30
+	p.Data.Store(0x10000, 10)
+	p.Data.Store(0x20000, 20)
+	p.Data.Store(0x30000, 30)
 	return p
 }
 
@@ -150,7 +150,7 @@ func TestLoadStateDiffRejectsOtherImage(t *testing.T) {
 	m.CheckpointDiff(e, p.Image())
 
 	q := diffProgram(t)
-	q.Data[0x40000] = 40
+	q.Data.Store(0x40000, 40)
 	other := q.Image()
 	d := checkpoint.NewLoader(e.Bytes())
 	NewMemory(q).CheckpointDiff(d, other)

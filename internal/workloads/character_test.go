@@ -150,7 +150,7 @@ func TestBenchmarksHaveDistinctWorkingSets(t *testing.T) {
 			t.Logf("note: %s and %s share code size %d", bm.Name, other, key)
 		}
 		sizes[key] = bm.Name
-		if len(p.Data) == 0 {
+		if p.Data.Footprint() == 0 {
 			t.Errorf("%s: no initialized data", bm.Name)
 		}
 	}

@@ -79,6 +79,6 @@ func aluPad(b *program.Builder, n int) {
 func seedEvery(p *program.Program, base, size, stride uint64) {
 	r := newRand(base ^ size ^ 0x5eed)
 	for off := uint64(0); off < size; off += stride {
-		p.Data[base+off] = r.next()
+		p.Data.Store(base+off, r.next())
 	}
 }

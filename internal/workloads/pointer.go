@@ -52,9 +52,9 @@ func Mcf(s Scale) *program.Program {
 	nodes := nodeBytes / 64
 	for i := uint64(0); i < arcs; i++ {
 		arc := arcBase + i*arcSize
-		pr.Data[arc] = r.next() % 1000
-		pr.Data[arc+8] = nodeBase + (r.next()%nodes)*64
-		pr.Data[arc+16] = r.next() % 1000
+		pr.Data.Store(arc, r.next()%1000)
+		pr.Data.Store(arc+8, nodeBase+(r.next()%nodes)*64)
+		pr.Data.Store(arc+16, r.next()%1000)
 	}
 	seedEvery(pr, nodeBase, nodeBytes, 64)
 	return pr
@@ -122,8 +122,8 @@ func Dot(s Scale) *program.Program {
 	for i := uint64(0); i < chunks; i++ {
 		cur := arena + perm[i]*chunkSize
 		next := arena + perm[(i+1)%chunks]*chunkSize
-		pr.Data[cur] = next
-		pr.Data[cur+8] = r.next()
+		pr.Data.Store(cur, next)
+		pr.Data.Store(cur+8, r.next())
 	}
 	seedEvery(pr, table, tableBytes, 64)
 	return pr
@@ -185,11 +185,11 @@ func Parser(s Scale) *program.Program {
 		for c := uint64(0); c < chain; c++ {
 			node := pool + nextNode*32
 			nextNode++
-			pr.Data[node] = head
-			pr.Data[node+8] = r.next()
+			pr.Data.Store(node, head)
+			pr.Data.Store(node+8, r.next())
 			head = node
 		}
-		pr.Data[table+bkt*8] = head
+		pr.Data.Store(table+bkt*8, head)
 	}
 	return pr
 }
@@ -264,7 +264,7 @@ func Gap(s Scale) *program.Program {
 	pr := b.MustBuild()
 	r := newRand(0x6a9)
 	for off := uint64(0); off < codeBytes && off < 8192*8; off += 8 {
-		pr.Data[bytecode+off] = r.next()
+		pr.Data.Store(bytecode+off, r.next())
 	}
 	seedEvery(pr, heap, heapBytes, 64)
 	seedEvery(pr, vec, heapBytes/2, 64)
@@ -282,7 +282,7 @@ func fillHandlerTable(pr *program.Program, tbl uint64, n int) {
 		if in.Op == isa.JMP {
 			first := pr.Base + uint64(i+1)*isa.WordSize
 			for h := 0; h < n; h++ {
-				pr.Data[tbl+uint64(h)*8] = first + uint64(h*handlerLen)*isa.WordSize
+				pr.Data.Store(tbl+uint64(h)*8, first+uint64(h*handlerLen)*isa.WordSize)
 			}
 			return
 		}
@@ -342,7 +342,7 @@ func Vis(s Scale) *program.Program {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	for i := uint64(0); i < rows; i++ {
-		pr.Data[rowTab+i*8] = img + perm[i]*rowBytes
+		pr.Data.Store(rowTab+i*8, img+perm[i]*rowBytes)
 	}
 	seedEvery(pr, img, size, 64)
 	return pr

@@ -120,13 +120,12 @@ type buildKey struct {
 	scale Scale
 }
 
-// cached wraps a builder with the master-program cache. The master's lazy
-// caches are forced before it is published, so concurrent harness workers
-// cloning it only ever read. The clone handed out is a ClonePristine — code
-// deep-copied (the simulator patches it), the data map and paged memory
-// image shared (the simulator reads them only, building its run memory as a
-// copy-on-write view of the image). Cloning the data map per run used to be
-// one of the largest single costs in the experiment harness.
+// cached wraps a builder with the master-program cache. The master is
+// prebuilt (instructions predecoded, data image frozen) before it is
+// published, so concurrent harness workers cloning it only ever read. The
+// clone handed out is a ClonePristine — code deep-copied (the simulator
+// patches it), the paged data image shared (the simulator reads it only,
+// building its run memory as a copy-on-write view of the image).
 func cached(name string, build func(Scale) *program.Program) func(Scale) *program.Program {
 	return func(s Scale) *program.Program {
 		k := buildKey{name, s}

@@ -21,6 +21,11 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+# The examples build their programs and data by hand through the public
+# program API; run each one so a change to that API cannot leave them broken.
+for ex in examples/*/; do
+	go run "./$ex" > /dev/null
+done
 # perfbench is a separate module built against this one's API, which the
 # root build skips; vet compiles it without writing a binary into the tree,
 # and its self-tests (metric math, digest oracle perturbation, every-workload
