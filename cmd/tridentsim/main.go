@@ -400,17 +400,9 @@ func runExact(sys *core.System, f ckptFile, o runOptions) (core.Results, error) 
 		if f.path == "" || res.Aborted != "" || sys.Thread().Halted() || sys.OrigInstrs() >= o.instrs {
 			return res, nil
 		}
-		// SaveState needs a quiescent machine (no optimization mid-apply);
-		// a handful of reference-loop steps always gets there, and they are
-		// bit-identical to the steps an uninterrupted run would take.
-		if !sys.Quiesce(10_000_000) {
-			fmt.Fprintf(os.Stderr, "warning: machine did not quiesce at %d instructions; checkpoint skipped\n", sys.OrigInstrs())
-			continue
-		}
 		blob, err := sys.SaveState()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "warning: checkpoint at %d instructions: %v\n", sys.OrigInstrs(), err)
-			continue
+			return res, fmt.Errorf("checkpoint at %d instructions: %w", sys.OrigInstrs(), err)
 		}
 		f.write(blob)
 	}

@@ -278,6 +278,23 @@ func TestSampledRestoreIdentity(t *testing.T) {
 	}
 }
 
+// TestCheckpointLandsOnBudget: checkpointing does not move the run. On art
+// with value specialization, back-out and phase clearing, an optimization is
+// pending at the 300k checkpoint; the checkpointing run still stops at the
+// 400k budget and prints the uninterrupted run's report.
+func TestCheckpointLandsOnBudget(t *testing.T) {
+	base := []string{"-bench", "art", "-scale", "small", "-valspec", "-backout", "-phase", "-instrs", "400000"}
+	refOut, refErr, refCode := tridentsim(t, base...)
+	if refCode != 0 || !strings.Contains(refOut, "orig-instrs=400000 ") {
+		t.Fatalf("uninterrupted run (code %d) did not stop at the budget:\n%s%s", refCode, refOut, refErr)
+	}
+	out, errb, code := tridentsim(t, append(base, "-checkpoint-every", "300000", "-checkpoint-dir", t.TempDir())...)
+	if code != 0 || out != refOut {
+		t.Errorf("checkpointing run (code %d) differs from uninterrupted\n-- uninterrupted --\n%s-- checkpointing --\n%s%s",
+			code, refOut, out, errb)
+	}
+}
+
 // TestEngineReportIdentity: the three execution tiers are architecturally
 // invisible at the binary boundary — the rendered report of a JIT-everything
 // run, a batch-only run, and a reference-loop run must be byte-identical.
@@ -304,8 +321,9 @@ func TestEngineReportIdentity(t *testing.T) {
 
 // killResumeCase runs one configuration through the full contract:
 // reference run, SIGKILLed checkpointing run, restored run, byte compare.
-// The resume flags apply to the restored run only.
-func killResumeCase(t *testing.T, extra, resume []string) {
+// The resume flags apply to the restored run only, the ckpt flags to the
+// checkpointing run only (after its default -checkpoint-every 100000).
+func killResumeCase(t *testing.T, extra, resume, ckptFlags []string) {
 	base := append([]string{"-bench", "mcf", "-scale", "small", "-instrs", "4000000"}, extra...)
 
 	refOut, refErr, refCode := tridentsim(t, base...)
@@ -314,9 +332,15 @@ func killResumeCase(t *testing.T, extra, resume []string) {
 	}
 
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "mcf.ckpt")
+	bench := ""
+	for i := 0; i+1 < len(base); i++ {
+		if base[i] == "-bench" {
+			bench = base[i+1]
+		}
+	}
+	ckpt := filepath.Join(dir, bench+".ckpt")
 	args := append([]string{"-test.run=TestHelperProcess", "--"},
-		append(append([]string{}, base...), "-checkpoint-every", "100000", "-checkpoint-dir", dir)...)
+		append(append(append([]string{}, base...), "-checkpoint-every", "100000", "-checkpoint-dir", dir), ckptFlags...)...)
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "TRIDENTSIM_HELPER=1")
 	if err := cmd.Start(); err != nil {
@@ -353,8 +377,9 @@ func TestKillResumeDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess matrix")
 	}
-	// Each case: flags for every run, then flags for the resume only.
-	cases := map[string][2][]string{
+	// Each case: flags for every run, then flags for the resume only, then
+	// flags for the checkpointing run only.
+	cases := map[string][3][]string{
 		"fastpath":     {},
 		"slowpath":     {{"-slowpath"}},
 		"sentinel":     {{"-sentinel-every", "300000", "-sentinel-window", "100000"}},
@@ -368,17 +393,21 @@ func TestKillResumeDeterminism(t *testing.T) {
 		"resume-slowpath":  {nil, {"-slowpath"}},
 		"resume-nojit":     {nil, {"-jit=false"}},
 		"resume-jit-eager": {nil, {"-jit-threshold", "0"}},
+		// The one checkpoint, at 300k, is cut while an optimization is
+		// pending (the helper is busy until long after it).
+		"pending-optimization": {{"-bench", "art", "-valspec", "-backout", "-phase", "-instrs", "400000"},
+			nil, {"-checkpoint-every", "300000"}},
 	}
 	for _, preset := range []string{
 		"latency-phase", "eviction-storm", "helper-preemption", "workload-shift", "monkey",
 	} {
-		cases["chaos-"+preset] = [2][]string{{"-chaos", preset, "-chaos-seed", "42"}}
+		cases["chaos-"+preset] = [3][]string{{"-chaos", preset, "-chaos-seed", "42"}}
 	}
 	for name, c := range cases {
 		name, c := name, c
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			killResumeCase(t, c[0], c[1])
+			killResumeCase(t, c[0], c[1], c[2])
 		})
 	}
 }

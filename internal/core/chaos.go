@@ -81,8 +81,8 @@ func (s *System) applyChaosEdge(ed chaos.Edge) {
 			s.helper.Preempt(until)
 			// Any optimization mid-flight loses its context: its effects
 			// cannot become visible before the preemption ends.
-			if s.apply != nil && s.applyAt < until {
-				s.applyAt = until
+			if s.pending != nil && s.pending.at < until {
+				s.pending.at = until
 			}
 		}
 	}

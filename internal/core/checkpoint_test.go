@@ -24,13 +24,16 @@ import (
 // match exactly.
 
 // checkpointedRun executes bm in windows, serializing and restoring into a
-// freshly constructed System at every boundary. Returns the final results
-// and the final system.
+// freshly constructed System at every boundary. Each blob must be cut at
+// exactly the window boundary asked for, pending optimization or not.
+// Returns the final results, the final system, and how many blobs were cut
+// while an optimization was pending.
 func checkpointedRun(t *testing.T, cfg Config, bm workloads.Benchmark,
-	limit, window uint64) (Results, *System) {
+	limit, window uint64) (Results, *System, int) {
 	t.Helper()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	var res Results
+	pendingCuts := 0
 	for {
 		next := sys.OrigInstrs() + window
 		if next > limit {
@@ -38,10 +41,13 @@ func checkpointedRun(t *testing.T, cfg Config, bm workloads.Benchmark,
 		}
 		res = sys.Run(next)
 		if res.Aborted != "" || sys.Thread().Halted() || sys.OrigInstrs() >= limit {
-			return res, sys
+			return res, sys, pendingCuts
 		}
-		if !sys.Quiesce(1_000_000) {
-			t.Fatalf("machine did not quiesce at %d instructions", sys.OrigInstrs())
+		if sys.OrigInstrs() != next {
+			t.Fatalf("checkpoint asked for at %d instructions was cut at %d", next, sys.OrigInstrs())
+		}
+		if sys.pending != nil {
+			pendingCuts++
 		}
 		blob, err := sys.SaveState()
 		if err != nil {
@@ -100,33 +106,40 @@ func compareSystems(t *testing.T, label string, resA, resB Results, a, b *System
 
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	telem := func(c Config) Config { c.Telemetry = &telemetry.Options{}; return c }
+	valspec := telem(func() Config {
+		c := DefaultConfig()
+		c.ValueSpecialize = true
+		c.Backout = true
+		c.BackoutMinEntries = 64
+		c.BackoutRatio = 0.9
+		c.PhaseClearMature = true
+		c.PhaseWindow = 20_000
+		c.PhaseDelta = 0.1
+		return c
+	}())
 	matrix := []struct {
-		name string
-		cfg  Config
+		name, bench   string
+		cfg           Config
+		limit, window uint64
+		wantPending   bool // some cut must carry a pending optimization
 	}{
-		{"default", telem(DefaultConfig())},
-		{"slowpath", telem(func() Config { c := DefaultConfig(); c.DisableFastPath = true; return c }())},
-		{"baseline", telem(BaselineConfig(HW8x8))},
-		{"valspec-backout-phase", telem(func() Config {
-			c := DefaultConfig()
-			c.ValueSpecialize = true
-			c.Backout = true
-			c.BackoutMinEntries = 64
-			c.BackoutRatio = 0.9
-			c.PhaseClearMature = true
-			c.PhaseWindow = 20_000
-			c.PhaseDelta = 0.1
-			return c
-		}())},
+		{"default", "mcf", telem(DefaultConfig()), 150_000, 40_000, false},
+		{"slowpath", "mcf", telem(func() Config { c := DefaultConfig(); c.DisableFastPath = true; return c }()), 150_000, 40_000, false},
+		{"baseline", "mcf", telem(BaselineConfig(HW8x8)), 150_000, 40_000, false},
+		{"valspec-backout-phase", "mcf", valspec, 150_000, 40_000, false},
+		{"art-valspec-backout-phase", "art", valspec, 400_000, 100_000, true},
 	}
-	bm, _ := workloads.ByName("mcf")
 	for _, m := range matrix {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
+			bm, _ := workloads.ByName(m.bench)
 			ref := NewSystem(m.cfg, bm.Build(workloads.ScaleSmall))
-			resRef := ref.Run(150_000)
-			resCkpt, sys := checkpointedRun(t, m.cfg, bm, 150_000, 40_000)
+			resRef := ref.Run(m.limit)
+			resCkpt, sys, pendingCuts := checkpointedRun(t, m.cfg, bm, m.limit, m.window)
 			compareSystems(t, m.name, resRef, resCkpt, ref, sys)
+			if m.wantPending && pendingCuts == 0 {
+				t.Errorf("no checkpoint was cut while an optimization was pending")
+			}
 		})
 	}
 }
@@ -148,7 +161,7 @@ func TestCheckpointResumeDeterminismChaosPresets(t *testing.T) {
 			}
 			ref := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 			resRef := ref.Run(150_000)
-			resCkpt, sys := checkpointedRun(t, cfg, bm, 150_000, 35_000)
+			resCkpt, sys, _ := checkpointedRun(t, cfg, bm, 150_000, 35_000)
 			compareSystems(t, string(preset), resRef, resCkpt, ref, sys)
 		})
 	}
@@ -213,9 +226,6 @@ func TestCheckpointResumeAfterAbort(t *testing.T) {
 		if resAborted.Aborted != "" || sys.Thread().Halted() {
 			break
 		}
-		if !sys.Quiesce(1_000_000) {
-			t.Fatal("did not quiesce")
-		}
 		blob, err := sys.SaveState()
 		if err != nil {
 			t.Fatal(err)
@@ -253,9 +263,6 @@ func TestRestoreRejectsTruncation(t *testing.T) {
 	cfg.Telemetry = &telemetry.Options{}
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	sys.Run(60_000)
-	if !sys.Quiesce(1_000_000) {
-		t.Fatal("did not quiesce")
-	}
 	blob, err := sys.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -281,9 +288,6 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	bm, _ := workloads.ByName("swim")
 	sys := NewSystem(DefaultConfig(), bm.Build(workloads.ScaleSmall))
 	sys.Run(30_000)
-	if !sys.Quiesce(1_000_000) {
-		t.Fatal("did not quiesce")
-	}
 	blob, err := sys.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -325,9 +329,6 @@ func TestSaveStateSizeScalesWithWrites(t *testing.T) {
 	const limit = 1 << 20
 	for _, at := range []uint64{0, 1_500_000} {
 		sys.Run(at)
-		if !sys.Quiesce(1_000_000) {
-			t.Fatalf("did not quiesce at %d instructions", at)
-		}
 		blob, err := sys.SaveState()
 		if err != nil {
 			t.Fatal(err)
@@ -349,9 +350,6 @@ func TestRestoreSharesUntouchedPages(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	sys.Run(200_000)
-	if !sys.Quiesce(1_000_000) {
-		t.Fatal("did not quiesce")
-	}
 	dirty := memDiffPages(t, sys.mem, sys.image)
 	all := memDiffPages(t, sys.image, &program.Memory{})
 	if dirty == 0 || dirty >= all {
@@ -389,7 +387,7 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	e := checkpoint.NewSaver()
-	e.Mark("core.system")
+	e.Mark("core.system2")
 	sys.thread.Checkpoint(e)
 	sys.live.Checkpoint(e)
 	e.Mark("program.memory")
@@ -417,9 +415,6 @@ func TestRestoreStateAllocations(t *testing.T) {
 		build := func() *System { return NewSystem(cfg, bm.Build(workloads.ScaleFull)) }
 		sys := build()
 		sys.Run(1_500_000)
-		if !sys.Quiesce(1_000_000) {
-			t.Fatalf("%s: did not quiesce", name)
-		}
 		s0, err := sys.SaveState()
 		if err != nil {
 			t.Fatal(err)

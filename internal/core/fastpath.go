@@ -66,15 +66,15 @@ func (s *System) eventHorizon(now int64) int64 {
 		}
 	}
 	if s.cfg.Trident {
-		if s.apply != nil && s.applyAt < hz {
-			hz = s.applyAt
+		if s.pending != nil && s.pending.at < hz {
+			hz = s.pending.at
 		}
 		// The helper completing changes state in three ways: a pending
 		// apply fires (capped above), the interference tax toggles off, and
 		// a queued event can dispatch. The latter two anchor to BusyUntil.
 		bu := s.helper.BusyUntil()
 		busy := now < bu
-		if (busy || s.interfering || (s.queue.Len() > 0 && s.apply == nil)) && bu < hz {
+		if (busy || s.interfering || (s.queue.Len() > 0 && s.pending == nil)) && bu < hz {
 			hz = bu
 		}
 	}

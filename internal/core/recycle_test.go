@@ -105,9 +105,6 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 			t.Run(bench+"/"+c.name, func(t *testing.T) {
 				master := NewSystem(cfg, prog)
 				master.Run(startup)
-				if !master.Quiesce(1_000_000) {
-					t.Fatal("master did not quiesce")
-				}
 				s0, err := master.SaveState()
 				if err != nil {
 					t.Fatal(err)
@@ -158,9 +155,6 @@ func TestRestoreIntoUsedMachineBytes(t *testing.T) {
 		prog := bm.Build(workloads.ScaleFull)
 		sys := NewSystem(cfg, prog)
 		sys.Run(1_500_000)
-		if !sys.Quiesce(1_000_000) {
-			t.Fatalf("%s: did not quiesce", name)
-		}
 		s0, err := sys.SaveState()
 		if err != nil {
 			t.Fatal(err)

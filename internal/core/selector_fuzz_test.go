@@ -52,14 +52,11 @@ func FuzzSelectorDeterminism(f *testing.F) {
 		resB := sysB.Run(30_000)
 		resJ := sysJ.Run(30_000)
 
-		// Kill/resume leg: the batch config runs half, quiesces, serializes,
-		// and a freshly built machine restores and finishes.
+		// Kill/resume leg: the batch config runs half, serializes, and a
+		// freshly built machine restores and finishes.
 		sysK := NewSystem(batch, buildFuzzProgram(data))
 		resK := sysK.Run(15_000)
 		if resK.Aborted == "" && !sysK.Thread().Halted() {
-			if !sysK.Quiesce(1_000_000) {
-				t.Fatalf("machine did not quiesce at %d instructions", sysK.OrigInstrs())
-			}
 			blob, err := sysK.SaveState()
 			if err != nil {
 				t.Fatalf("SaveState: %v", err)

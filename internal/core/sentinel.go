@@ -21,9 +21,11 @@ import (
 // correctness is preserved at the cost of speed.
 //
 // Sampling policy: checks happen only at Run-loop boundaries where no
-// optimization is pending (SaveState's precondition), never while the
-// machine is already on the reference loop. A window left open when the
-// run's budget, a halt, or an abort intervenes is simply not verified.
+// optimization is pending, never while the machine is already on the
+// reference loop. A window left open when the run's budget, a halt, or an
+// abort intervenes is simply not verified. The no-pending gate is not
+// SaveState's (a pending optimization is data): it fixes where windows open
+// and close, which the telemetry stream and golden traces record.
 
 // sentinelTarget returns the original-instruction count at which the
 // sentinel next has work — opening a window (snapshot) or closing the open
@@ -41,11 +43,10 @@ func (s *System) sentinelTarget() (uint64, bool) {
 }
 
 // sentinelDue reports whether sentinelTick has work at this boundary. No
-// window opens or closes while an optimization is pending (SaveState's
-// precondition).
+// window opens or closes while an optimization is pending.
 func (s *System) sentinelDue() bool {
 	at, ok := s.sentinelTarget()
-	return ok && s.apply == nil && s.origInstrs >= at
+	return ok && s.pending == nil && s.origInstrs >= at
 }
 
 // sentinelTick opens or closes a sentinel window at a Run-loop boundary.

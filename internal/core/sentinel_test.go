@@ -105,7 +105,7 @@ func TestSentinelCheckpointRoundTrip(t *testing.T) {
 	ref := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	resRef := ref.Run(150_000)
 
-	resCkpt, sys := checkpointedRun(t, cfg, bm, 150_000, 40_000)
+	resCkpt, sys, _ := checkpointedRun(t, cfg, bm, 150_000, 40_000)
 	compareSystems(t, "sentinel", resRef, resCkpt, ref, sys)
 	if resCkpt.SentinelChecks == 0 {
 		t.Fatal("sentinel never checked across the checkpointed run")

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"errors"
-
 	"tridentsp/internal/checkpoint"
+	"tridentsp/internal/trace"
 )
 
 // Checkpoint/restore for the whole machine (DESIGN §12). SaveState and
@@ -16,36 +15,29 @@ import (
 // same codec SaveROI uses: the blob carries the written working set, and
 // the restored memory shares every untouched page with the image.
 //
-// The one piece of machine state that cannot be serialized is a pending
-// optimization (s.apply), a closure over live structures. Checkpointing
-// callers run Quiesce first; the snapshot then lands at a boundary the
-// uninterrupted run also passes through, which is what makes a restored run
-// bit-identical (engine-class telemetry excepted — fast-path session events
-// depend on where batches start, which a restore necessarily changes).
+// A pending optimization (s.pending) is data like the rest, so a checkpoint
+// asked for at instruction N is cut at N, and the restored run is
+// bit-identical to the uninterrupted one (engine-class telemetry excepted —
+// fast-path session events depend on where batches start).
 
 // OrigInstrs reports the committed original-instruction count so far —
 // Run's progress cursor, and the coordinate checkpoint windows are cut at.
 func (s *System) OrigInstrs() uint64 { return s.origInstrs }
 
-// Quiesce steps the machine until no optimization is pending (bounded by
-// maxSteps), so its state is serializable. Returns true when quiescent: the
-// pending apply fired (or the machine halted or aborted, which also ends
-// the run's need for the closure). The slow steps taken here are
-// bit-identical to the ones an uninterrupted run performs at the same
-// point, so quiescing does not perturb the run being checkpointed.
+// Quiesce steps the reference loop until no optimization is pending (bounded
+// by maxSteps), reporting whether none is (or the machine halted or
+// aborted). Sampled runs drain so at every window edge (DESIGN §15): a patch
+// lands only under detailed execution, never in the functional gap after.
 func (s *System) Quiesce(maxSteps int) bool {
-	for i := 0; i < maxSteps && s.apply != nil && !s.thread.Halted() && s.aborted == ""; i++ {
+	for i := 0; i < maxSteps && s.pending != nil && !s.thread.Halted() && s.aborted == ""; i++ {
 		s.step()
 	}
-	return s.apply == nil || s.thread.Halted() || s.aborted != ""
+	return s.pending == nil || s.thread.Halted() || s.aborted != ""
 }
 
-// SaveState serializes the machine's full mutable state. It fails when an
-// optimization is in flight — call Quiesce first.
+// SaveState serializes the machine's full mutable state. The error is
+// always nil: every field, a pending optimization included, serializes.
 func (s *System) SaveState() ([]byte, error) {
-	if s.apply != nil && !s.thread.Halted() {
-		return nil, errors.New("core: optimization in flight; Quiesce before SaveState")
-	}
 	c := checkpoint.NewSaver()
 	s.checkpoint(c)
 	return c.Bytes(), nil
@@ -86,11 +78,35 @@ func (s *System) resetEngineCounters() {
 	}
 }
 
+// walkPending walks the pending optimization, if any. A kind this machine
+// cannot land (unknown, or a prefetch change with no optimizer) is corrupt.
+func (s *System) walkPending(c *checkpoint.Codec) {
+	have := s.pending != nil
+	if c.Bool(&have); !have {
+		s.pending = nil
+		return
+	}
+	if c.Loading() {
+		s.pending = new(pendingOpt)
+	}
+	p := s.pending
+	if checkpoint.Enum(c, &p.kind); p.kind >= numPendingKinds || p.kind == pendPrefetch && s.opt == nil {
+		c.Failf("pending optimization of kind %d on this machine", p.kind)
+	}
+	c.I64(&p.at)
+	c.U64(&p.head)
+	c.Int(&p.oldID)
+	c.U64(&p.loadPC)
+	if p.kind != pendPrefetch {
+		trace.Checkpoint(c, &p.tr)
+	}
+}
+
 // checkpoint walks the whole machine: every subsystem in a fixed order,
 // then the execution loop's own state. Optional subsystems travel behind a
 // presence flag that loading checks against this machine's configuration.
 func (s *System) checkpoint(c *checkpoint.Codec) {
-	c.Mark("core.system")
+	c.Mark("core.system2")
 	s.thread.Checkpoint(c)
 	s.live.Checkpoint(c)
 	s.mem.CheckpointDiff(c, s.image)
@@ -131,7 +147,7 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	for i := range s.patched {
 		c.Bool(&s.patched[i])
 	}
-	c.I64(&s.applyAt)
+	s.walkPending(c)
 	c.Bool(&s.interfering)
 	c.Int(&sbPl)
 	c.U64(&s.sbEntry)
@@ -139,7 +155,6 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	if c.Loading() {
 		s.curPl = s.cache.PlacementByIndex(curPl)
 		s.sbPl = s.cache.PlacementByIndex(sbPl)
-		s.apply = nil
 	}
 	checkpoint.Map(c, &s.activity, func(c *checkpoint.Codec, id *int, p **traceActivity) {
 		if *p == nil {

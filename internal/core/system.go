@@ -60,8 +60,7 @@ type System struct {
 	lastNow        int64
 	patched        []bool
 	patchedBase    uint64
-	apply          func(now int64) error
-	applyAt        int64
+	pending        *pendingOpt // nil: none
 	interfering    bool
 
 	// Telemetry (nil without cfg.Telemetry; every Emit through a nil
@@ -134,6 +133,27 @@ const (
 	tierJIT          // compiled closure chains (ExecCompiled)
 	numTiers
 )
+
+// pendingKind is what a pending optimization does when it lands.
+type pendingKind uint8
+
+const (
+	pendForm       pendingKind = iota // place a newly formed trace at head
+	pendSpecialize                    // replace version oldID at head with a value-specialized one
+	pendPrefetch                      // land the prefetch optimizer's insert or repair for head
+	numPendingKinds
+)
+
+// pendingOpt is the optimization the helper thread is computing, as data: it
+// lands (System.land) at cycle at, the helper's completion cycle.
+type pendingOpt struct {
+	kind   pendingKind
+	at     int64
+	tr     *trace.Trace // form, specialize: the version to place
+	head   uint64
+	oldID  int    // specialize: the version it replaces
+	loadPC uint64 // specialize: the load specialized on
+}
 
 // tierStat is one tier's residency counters.
 type tierStat struct {
@@ -217,7 +237,7 @@ func NewSystem(cfg Config, prog *program.Program) *System {
 		}
 		if cfg.SW != SWOff {
 			s.opt = prefetch.New(cfg.prefetchConfig(), s.table, s.cache,
-				s.watch, linkerFunc(s.linkTrace), cfg.Cost)
+				s.watch, cfg.Cost)
 		}
 		if s.tel != nil {
 			s.table.SetTracer(s.tel)
@@ -238,11 +258,6 @@ func NewSystem(cfg Config, prog *program.Program) *System {
 	s.initSBHooks()
 	return s
 }
-
-// linkerFunc adapts a function to prefetch.Linker.
-type linkerFunc func(startPC, addr uint64) error
-
-func (f linkerFunc) LinkTrace(startPC, addr uint64) error { return f(startPC, addr) }
 
 // Fetch implements cpu.CodeSpace, composing the code cache over the live
 // (patched) program image.
@@ -712,19 +727,16 @@ func (s *System) enqueueHot(hot trident.HotTrace, now int64) bool {
 	return s.queue.Push(trident.Event{Kind: trident.EventHotTrace, Raised: now, Hot: hot})
 }
 
-// pump applies a completed optimization and dispatches the next queued
-// event to the helper thread.
+// pump lands a completed optimization and dispatches the next queued event
+// to the helper thread.
 func (s *System) pump(now int64) {
-	if s.apply != nil && now >= s.applyAt {
-		if err := s.apply(now); err != nil {
+	if p := s.pending; p != nil && now >= p.at {
+		s.pending = nil
+		if err := s.land(p, now); err != nil {
 			s.stats.applyErrors++
-			if DebugLog != nil {
-				DebugLog("apply error: " + err.Error())
-			}
 		}
-		s.apply = nil
 	}
-	if s.apply != nil || s.helper.Busy(now) {
+	if s.pending != nil || s.helper.Busy(now) {
 		return
 	}
 	ev, ok := s.queue.Pop()
@@ -741,7 +753,62 @@ func (s *System) pump(now int64) {
 	}
 }
 
-// processHotTrace forms, optimizes, places, and links a new hot trace.
+// land makes the optimization p visible at cycle at.
+func (s *System) land(p *pendingOpt, at int64) error {
+	switch p.kind {
+	case pendForm, pendSpecialize:
+		pl, err := s.placeVersion(p.head, p.tr, p.oldID)
+		if err != nil {
+			return err
+		}
+		if s.opt != nil {
+			s.opt.RegisterTrace(p.head, p.tr, pl.TraceID)
+		}
+		if p.kind == pendSpecialize {
+			s.stats.tracesSpecialized++
+			s.tel.Emit(telemetry.KindTraceSpecialize, at, p.head, p.loadPC,
+				int64(p.tr.Len()), int64(pl.TraceID))
+			return nil
+		}
+		s.prof.MarkFormed(p.head)
+		s.stats.tracesFormed++
+		s.tel.Emit(telemetry.KindTraceForm, at, p.head, pl.Start,
+			int64(p.tr.Len()), int64(pl.TraceID))
+	case pendPrefetch:
+		if we, ok := s.watch.ByStart(p.head); ok {
+			we.OptFlag = false
+		}
+		return s.opt.Land(s.placeVersion)
+	}
+	return nil
+}
+
+// placeVersion places tr as the live version of the trace at head and links
+// head to it. A version oldID it replaces (0: none) is retired and drained
+// through the re-patched head, and its watch entry gives way to the new
+// one, seeded with the old timing so the prefetch distance bound holds.
+func (s *System) placeVersion(head uint64, tr *trace.Trace, oldID int) (*trident.Placement, error) {
+	pl, err := s.cache.Place(tr)
+	if err != nil {
+		return nil, err
+	}
+	ne := &trident.WatchEntry{StartPC: head, TraceID: pl.TraceID, Length: tr.Len()}
+	if oldID != 0 {
+		s.cache.Retire(oldID)
+		if err := s.cache.RetargetLoops(oldID, head); err != nil {
+			return nil, err
+		}
+		if oe, ok := s.watch.ByID(oldID); ok {
+			ne.MinExecTime, ne.TotalExecTime, ne.Traversals = oe.MinExecTime, oe.TotalExecTime, oe.Traversals
+		}
+		s.watch.Remove(oldID)
+	}
+	s.watch.Add(ne)
+	return pl, s.linkTrace(head, pl.Start)
+}
+
+// processHotTrace forms and optimizes a new hot trace; it is placed and
+// linked when the helper finishes.
 func (s *System) processHotTrace(ev trident.Event, now int64) {
 	if _, exists := s.watch.ByStart(ev.Hot.StartPC); exists {
 		// A queued duplicate: the head already has a trace.
@@ -756,31 +823,8 @@ func (s *System) processHotTrace(ev trident.Event, now int64) {
 	}
 	trace.Optimize(tr)
 	cost := s.cfg.Cost.FormBase + s.cfg.Cost.FormPerInst*int64(tr.Len())
-	done := s.helper.Begin(now, cost)
-	s.applyAt = done
-	s.apply = func(at int64) error {
-		pl, err := s.cache.Place(tr)
-		if err != nil {
-			return err
-		}
-		s.watch.Add(&trident.WatchEntry{
-			StartPC: tr.StartPC,
-			TraceID: pl.TraceID,
-			Length:  tr.Len(),
-		})
-		if s.opt != nil {
-			s.opt.RegisterTrace(tr.StartPC, tr, pl.TraceID)
-		}
-		s.prof.MarkFormed(tr.StartPC)
-		s.stats.tracesFormed++
-		s.tel.Emit(telemetry.KindTraceForm, at, tr.StartPC, pl.Start,
-			int64(tr.Len()), int64(pl.TraceID))
-		return s.linkTrace(tr.StartPC, pl.Start)
-	}
+	s.pending = &pendingOpt{kind: pendForm, at: s.helper.Begin(now, cost), tr: tr, head: tr.StartPC}
 }
-
-// DebugLog, when non-nil, receives one line per optimization event.
-var DebugLog func(string)
 
 // processInvariant value-specializes a trace around a quasi-invariant load
 // (the prior Trident work's optimization). Specialization regenerates the
@@ -826,64 +870,16 @@ func (s *System) processInvariant(ev trident.Event, now int64) {
 	trace.Optimize(clone)
 
 	cost := s.cfg.Cost.FormBase + s.cfg.Cost.FormPerInst*int64(clone.Len())
-	done := s.helper.Begin(now, cost)
-	oldID := we.TraceID
-	loadPC := ev.LoadPC
-	s.applyAt = done
-	s.apply = func(at int64) error {
-		npl, err := s.cache.Place(clone)
-		if err != nil {
-			return err
-		}
-		s.cache.Retire(oldID)
-		if err := s.cache.RetargetLoops(oldID, head); err != nil {
-			return err
-		}
-		ne := &trident.WatchEntry{StartPC: head, TraceID: npl.TraceID, Length: clone.Len()}
-		if oe, ok := s.watch.ByID(oldID); ok {
-			ne.MinExecTime = oe.MinExecTime
-			ne.TotalExecTime = oe.TotalExecTime
-			ne.Traversals = oe.Traversals
-		}
-		s.watch.Remove(oldID)
-		s.watch.Add(ne)
-		if s.opt != nil {
-			s.opt.RegisterTrace(head, clone, npl.TraceID)
-		}
-		s.stats.tracesSpecialized++
-		s.tel.Emit(telemetry.KindTraceSpecialize, at, head, loadPC,
-			int64(clone.Len()), int64(npl.TraceID))
-		return s.linkTrace(head, npl.Start)
-	}
+	s.pending = &pendingOpt{kind: pendSpecialize, at: s.helper.Begin(now, cost), tr: clone,
+		head: head, oldID: we.TraceID, loadPC: ev.LoadPC}
 }
 
 // processDelinquent runs the prefetch optimizer for one event.
 func (s *System) processDelinquent(ev trident.Event, now int64) {
-	res := s.opt.ProcessEventAt(ev.Hot.StartPC, ev.LoadPC, now)
-	if DebugLog != nil {
-		minExec := int64(-1)
-		if we, ok := s.watch.ByStart(ev.Hot.StartPC); ok {
-			minExec = we.MinExecTime
-		}
-		DebugLog(fmt.Sprintf("delinquent head=%#x load=%#x -> %v cost=%d dist=%d minExec=%d",
-			ev.Hot.StartPC, ev.LoadPC, res.Kind, res.Cost,
-			s.opt.Distance(ev.Hot.StartPC, ev.LoadPC), minExec))
-	}
+	res := s.opt.ProcessEvent(ev.Hot.StartPC, ev.LoadPC, now)
 	cost := res.Cost
 	if cost <= 0 {
 		cost = s.cfg.Cost.RepairCost
 	}
-	done := s.helper.Begin(now, cost)
-	startPC := ev.Hot.StartPC
-	inner := res.Apply
-	s.applyAt = done
-	s.apply = func(int64) error {
-		if we, ok := s.watch.ByStart(startPC); ok {
-			we.OptFlag = false
-		}
-		if inner != nil {
-			return inner()
-		}
-		return nil
-	}
+	s.pending = &pendingOpt{kind: pendPrefetch, at: s.helper.Begin(now, cost), head: ev.Hot.StartPC}
 }

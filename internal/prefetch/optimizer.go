@@ -80,13 +80,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Linker patches the original binary to route a trace head into the code
-// cache; the simulation core implements it (and makes it a no-op in the
-// §5.1 overhead experiment).
-type Linker interface {
-	LinkTrace(startPC, traceAddr uint64) error
-}
-
 // prefetchLoc is one placed prefetch instruction belonging to a group.
 type prefetchLoc struct {
 	pc  uint64 // code-cache address
@@ -162,28 +155,34 @@ func (k ResultKind) String() string {
 	return "none"
 }
 
-// Result is the outcome of processing one delinquent-load event. Apply
-// performs the optimization's visible effect; the core invokes it at the
-// helper thread's completion cycle.
+// Result is the outcome of processing one delinquent-load event. An insert
+// or repair leaves its visible effect pending; the core lands it (Land) at
+// the helper thread's completion cycle.
 type Result struct {
-	Kind  ResultKind
-	Cost  int64
-	Apply func() error
+	Kind ResultKind
+	Cost int64
 }
 
-// Debug, when non-nil, receives diagnostic lines from the optimizer.
-var Debug func(string)
+// pendingOp is an insert or repair whose patch has not landed yet. It lands
+// on ts, the state it was computed from, even if a back-out forgot it since.
+type pendingOp struct {
+	ts     *traceState  // nil: nothing pending
+	tr     *trace.Trace // insert: the new version; nil: a repair
+	locs   [][]locRef   // insert: stride-prefetch locations in tr, per group
+	derefs int          // insert: dereference chains in tr
+	group  int          // repair: index into ts.groups
+}
 
 // Optimizer is the dynamic prefetch optimizer.
 type Optimizer struct {
-	cfg    Config
-	table  *dlt.Table
-	cache  *trident.CodeCache
-	watch  *trident.WatchTable
-	linker Linker
-	cost   trident.CostModel
+	cfg   Config
+	table *dlt.Table
+	cache *trident.CodeCache
+	watch *trident.WatchTable
+	cost  trident.CostModel
 
-	traces map[uint64]*traceState // by original startPC
+	traces  map[uint64]*traceState // by original startPC
+	pending pendingOp
 
 	tracer   *telemetry.Tracer
 	distHist *telemetry.Histogram
@@ -193,13 +192,12 @@ type Optimizer struct {
 
 // New builds an optimizer over the shared Trident structures.
 func New(cfg Config, table *dlt.Table, cache *trident.CodeCache,
-	watch *trident.WatchTable, linker Linker, cost trident.CostModel) *Optimizer {
+	watch *trident.WatchTable, cost trident.CostModel) *Optimizer {
 	return &Optimizer{
 		cfg:    cfg,
 		table:  table,
 		cache:  cache,
 		watch:  watch,
-		linker: linker,
 		cost:   cost,
 		traces: make(map[uint64]*traceState),
 	}
@@ -291,15 +289,9 @@ func (o *Optimizer) TraceID(startPC uint64) (int, bool) {
 }
 
 // ProcessEvent handles one delinquent-load event for the trace that starts
-// at startPC. loadPC is the original PC of the triggering load. Telemetry
-// events carry cycle 0; the core uses ProcessEventAt.
-func (o *Optimizer) ProcessEvent(startPC, loadPC uint64) Result {
-	return o.ProcessEventAt(startPC, loadPC, 0)
-}
-
-// ProcessEventAt is ProcessEvent with the event-processing cycle, stamped
-// onto emitted telemetry.
-func (o *Optimizer) ProcessEventAt(startPC, loadPC uint64, now int64) Result {
+// at startPC, processed at cycle now (stamped onto emitted telemetry).
+// loadPC is the original PC of the triggering load.
+func (o *Optimizer) ProcessEvent(startPC, loadPC uint64, now int64) Result {
 	ts, ok := o.traces[startPC]
 	if !ok {
 		return Result{Kind: ResultNone}
@@ -317,15 +309,20 @@ func (o *Optimizer) ProcessEventAt(startPC, loadPC uint64, now int64) Result {
 		// event means the chain is not hiding the latency; give up
 		// (§3.5.2 "it cannot be repaired due to lack of stride
 		// patterns").
-		g.mature = true
-		for _, m := range g.Members {
-			o.table.SetMature(m.OrigPC)
-		}
-		o.Stats.Matured++
-		o.tracer.Emit(telemetry.KindPrefetchMature, now, loadPC, startPC, g.matureDist(), 0)
-		return Result{Kind: ResultMatured, Cost: o.cost.RepairCost}
+		return o.giveUp(ts, g, loadPC, now)
 	}
 	return o.insert(ts, loadPC, now)
+}
+
+// giveUp matures every member of g, so the group stops raising events.
+func (o *Optimizer) giveUp(ts *traceState, g *groupState, loadPC uint64, now int64) Result {
+	g.mature = true
+	for _, m := range g.Members {
+		o.table.SetMature(m.OrigPC)
+	}
+	o.Stats.Matured++
+	o.tracer.Emit(telemetry.KindPrefetchMature, now, loadPC, ts.startPC, g.matureDist(), 0)
+	return Result{Kind: ResultMatured, Cost: o.cost.RepairCost}
 }
 
 // matureDist is the distance a mature event reports: the group's final
@@ -344,9 +341,6 @@ func (g *groupState) matureDist() int64 {
 func (o *Optimizer) insert(ts *traceState, triggerPC uint64, now int64) Result {
 	o.refreshPotential(ts) // DLT stride knowledge may have grown
 	groups := classifyTrace(ts.base, o.table, o.cfg.Mode != ModeBasic)
-	if Debug != nil {
-		Debug(fmt.Sprintf("insert trigger=%#x groups=%d traceLen=%d", triggerPC, len(groups), ts.base.Len()))
-	}
 
 	// Merge newly found groups into existing state; keep distances of
 	// groups that already exist.
@@ -365,9 +359,6 @@ func (o *Optimizer) insert(ts *traceState, triggerPC uint64, now int64) Result {
 		gs := o.newGroupState(ts, g)
 		if gs == nil {
 			// Unprefetchable: mature every member (§3.5.2).
-			if Debug != nil {
-				Debug(fmt.Sprintf("mature group base=%v strideOK=%v members=%+v", g.BaseReg, g.StrideOK, g.Members))
-			}
 			for _, m := range g.Members {
 				o.table.SetMature(m.OrigPC)
 				o.Stats.Matured++
@@ -402,58 +393,7 @@ func (o *Optimizer) insert(ts *traceState, triggerPC uint64, now int64) Result {
 	cost := o.cost.InsertBase + o.cost.InsertPerLoad*int64(newLoads) +
 		o.cost.FormPerInst*int64(newTr.Len())
 
-	apply := func() error {
-		pl, err := o.cache.Place(newTr)
-		if err != nil {
-			return err
-		}
-		o.cache.Retire(ts.curID)
-		// Drain the superseded trace: its loop-back branches now route
-		// through the re-patched original head into the new version.
-		if err := o.cache.RetargetLoops(ts.curID, ts.startPC); err != nil {
-			return err
-		}
-		// Locations were computed trace-relative; finalize them.
-		for gi, g := range ts.groups {
-			g.prefetches = g.prefetches[:0]
-			for _, l := range locs[gi] {
-				g.prefetches = append(g.prefetches, prefetchLoc{
-					pc:  pl.Start + uint64(l.idx)*isa.WordSize,
-					off: l.off,
-				})
-			}
-		}
-		o.Stats.PrefetchesPlaced = 0
-		for _, g := range ts.groups {
-			o.Stats.PrefetchesPlaced += uint64(len(g.prefetches))
-		}
-		o.Stats.DerefChainsPlaced += uint64(derefs)
-
-		// Re-link the head and refresh the watch table.
-		if err := o.linker.LinkTrace(ts.startPC, pl.Start); err != nil {
-			return err
-		}
-		oldID := ts.curID
-		ts.curID = pl.TraceID
-		ne := &trident.WatchEntry{
-			StartPC: ts.startPC,
-			TraceID: pl.TraceID,
-			Length:  newTr.Len(),
-		}
-		// Seed the new entry with the old trace's timing so the distance
-		// bound stays meaningful across re-optimizations (the new body
-		// differs only by non-blocking prefetch code).
-		if oe, ok := o.watch.ByID(oldID); ok {
-			ne.MinExecTime = oe.MinExecTime
-			ne.TotalExecTime = oe.TotalExecTime
-			ne.Traversals = oe.Traversals
-		}
-		o.watch.Remove(oldID)
-		o.watch.Add(ne)
-		o.clearTraceCounters(ts)
-		return nil
-	}
-
+	o.pending = pendingOp{ts: ts, tr: newTr, locs: locs, derefs: derefs}
 	o.Stats.Insertions++
 	trigDist := int64(0)
 	if g, ok := ts.byLoad[triggerPC]; ok && g.patchStride != 0 {
@@ -462,7 +402,7 @@ func (o *Optimizer) insert(ts *traceState, triggerPC uint64, now int64) Result {
 	}
 	o.tracer.Emit(telemetry.KindPrefetchInsert, now, triggerPC, ts.startPC,
 		trigDist, int64(newLoads))
-	return Result{Kind: ResultInserted, Cost: cost, Apply: apply}
+	return Result{Kind: ResultInserted, Cost: cost}
 }
 
 // newGroupState initializes prefetching state for a fresh group, or nil if
@@ -573,20 +513,9 @@ func (o *Optimizer) clearTraceCounters(ts *traceState) {
 
 // repair adjusts an existing group's prefetch distance in place (§3.5.2).
 func (o *Optimizer) repair(ts *traceState, g *groupState, loadPC uint64, now int64) Result {
-	if g.mature {
-		o.table.SetMature(loadPC)
-		o.tracer.Emit(telemetry.KindPrefetchMature, now, loadPC, ts.startPC, g.matureDist(), 0)
-		return Result{Kind: ResultMatured, Cost: o.cost.RepairCost}
-	}
 	if o.cfg.Mode != ModeSelfRepair || g.patchStride == 0 {
 		// No repairable stride prefetch: give up on this load.
-		g.mature = true
-		for _, m := range g.Members {
-			o.table.SetMature(m.OrigPC)
-		}
-		o.Stats.Matured++
-		o.tracer.Emit(telemetry.KindPrefetchMature, now, loadPC, ts.startPC, g.matureDist(), 0)
-		return Result{Kind: ResultMatured, Cost: o.cost.RepairCost}
+		return o.giveUp(ts, g, loadPC, now)
 	}
 	// The repair budget is twice the maximal distance (§3.5.2); the
 	// maximal distance is re-calculated on every repair, so the budget
@@ -594,13 +523,7 @@ func (o *Optimizer) repair(ts *traceState, g *groupState, loadPC uint64, now int
 	// the bootstrap the paper relies on for quick stabilization.
 	g.maxDist = o.maxDistance(ts)
 	if g.repairsUsed >= 2*g.maxDist {
-		g.mature = true
-		for _, m := range g.Members {
-			o.table.SetMature(m.OrigPC)
-		}
-		o.Stats.Matured++
-		o.tracer.Emit(telemetry.KindPrefetchMature, now, loadPC, ts.startPC, g.matureDist(), 0)
-		return Result{Kind: ResultMatured, Cost: o.cost.RepairCost}
+		return o.giveUp(ts, g, loadPC, now)
 	}
 
 	// Trend test on the load's average access latency (§3.5.2).
@@ -631,8 +554,26 @@ func (o *Optimizer) repair(ts *traceState, g *groupState, loadPC uint64, now int
 	}
 	oldDist := g.distance
 	g.distance = newDist
+	o.pending = pendingOp{ts: ts, group: groupIndex(ts.groups, g)}
+	o.Stats.Repairs++
+	o.distHist.Observe(newDist)
+	o.tracer.Emit(telemetry.KindPrefetchRepair, now, loadPC, ts.startPC, newDist, oldDist)
+	return Result{Kind: ResultRepaired, Cost: o.cost.RepairCost}
+}
 
-	apply := func() error {
+// Land lands the pending insert or repair, if any: a repair patches the
+// group's prefetch immediates; an insert hands its new version to place
+// (the core's placement path, which replaces version oldID of the trace at
+// head and relinks it) and resolves the group locations.
+func (o *Optimizer) Land(place func(head uint64, tr *trace.Trace, oldID int) (*trident.Placement, error)) error {
+	p := o.pending
+	o.pending = pendingOp{}
+	ts := p.ts
+	if ts == nil {
+		return nil
+	}
+	if p.tr == nil {
+		g := ts.groups[p.group]
 		for _, l := range g.prefetches {
 			if err := o.cache.PatchImm(l.pc, l.off+g.patchStride*g.distance); err != nil {
 				return fmt.Errorf("prefetch: repair patch: %w", err)
@@ -641,10 +582,25 @@ func (o *Optimizer) repair(ts *traceState, g *groupState, loadPC uint64, now int
 		o.clearGroupCounters(g)
 		return nil
 	}
-	o.Stats.Repairs++
-	o.distHist.Observe(newDist)
-	o.tracer.Emit(telemetry.KindPrefetchRepair, now, loadPC, ts.startPC, newDist, oldDist)
-	return Result{Kind: ResultRepaired, Cost: o.cost.RepairCost, Apply: apply}
+	pl, err := place(ts.startPC, p.tr, ts.curID)
+	if err != nil {
+		return err
+	}
+	ts.curID = pl.TraceID
+	o.Stats.PrefetchesPlaced = 0
+	for gi, g := range ts.groups {
+		g.prefetches = g.prefetches[:0]
+		for _, l := range p.locs[gi] {
+			g.prefetches = append(g.prefetches, prefetchLoc{
+				pc:  pl.Start + uint64(l.idx)*isa.WordSize,
+				off: l.off,
+			})
+		}
+		o.Stats.PrefetchesPlaced += uint64(len(g.prefetches))
+	}
+	o.Stats.DerefChainsPlaced += uint64(p.derefs)
+	o.clearTraceCounters(ts)
+	return nil
 }
 
 // clearGroupCounters unfreezes every member of a group.

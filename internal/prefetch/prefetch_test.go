@@ -10,26 +10,13 @@ import (
 	"tridentsp/internal/trident"
 )
 
-// testLinker records link requests.
-type testLinker struct {
-	links map[uint64]uint64
-}
-
-func (l *testLinker) LinkTrace(start, addr uint64) error {
-	if l.links == nil {
-		l.links = map[uint64]uint64{}
-	}
-	l.links[start] = addr
-	return nil
-}
-
 // rig bundles the optimizer with its substrate for tests.
 type rig struct {
 	t      *testing.T
 	table  *dlt.Table
 	cache  *trident.CodeCache
 	watch  *trident.WatchTable
-	linker *testLinker
+	links  map[uint64]uint64 // head -> linked code-cache address
 	opt    *Optimizer
 	base   *trace.Trace
 	baseID int
@@ -54,15 +41,47 @@ func newRig(t *testing.T, mode Mode, p *program.Program, startPC uint64, bitmap 
 	we.RecordTraversal(50) // min/avg traversal time for distance math
 	we.RecordTraversal(70)
 	watch.Add(we)
-	linker := &testLinker{}
 	cfg := DefaultConfig()
 	cfg.Mode = mode
-	opt := New(cfg, table, cache, watch, linker, trident.DefaultCostModel())
+	opt := New(cfg, table, cache, watch, trident.DefaultCostModel())
 	opt.RegisterTrace(startPC, tr, pl.TraceID)
 	return &rig{
 		t: t, table: table, cache: cache, watch: watch,
-		linker: linker, opt: opt, base: tr, baseID: pl.TraceID,
+		links: map[uint64]uint64{}, opt: opt, base: tr, baseID: pl.TraceID,
 	}
+}
+
+// process handles one delinquent-load event and lands its insert or repair,
+// as the core does at the helper thread's completion cycle.
+func (r *rig) process(startPC, loadPC uint64) Result {
+	r.t.Helper()
+	res := r.opt.ProcessEvent(startPC, loadPC, 0)
+	if err := r.opt.Land(r.place); err != nil {
+		r.t.Fatal(err)
+	}
+	return res
+}
+
+// place stands in for the core's placement path: it places tr in place of
+// version oldID, moves the watch entry (timing included) to the new version,
+// and records the head's link.
+func (r *rig) place(head uint64, tr *trace.Trace, oldID int) (*trident.Placement, error) {
+	pl, err := r.cache.Place(tr)
+	if err != nil {
+		return nil, err
+	}
+	r.cache.Retire(oldID)
+	if err := r.cache.RetargetLoops(oldID, head); err != nil {
+		return nil, err
+	}
+	ne := &trident.WatchEntry{StartPC: head, TraceID: pl.TraceID, Length: tr.Len()}
+	if oe, ok := r.watch.ByID(oldID); ok {
+		ne.MinExecTime, ne.TotalExecTime, ne.Traversals = oe.MinExecTime, oe.TotalExecTime, oe.Traversals
+	}
+	r.watch.Remove(oldID)
+	r.watch.Add(ne)
+	r.links[head] = pl.Start
+	return pl, nil
 }
 
 // makeDelinquent drives pc through a full DLT window of expensive strided
@@ -307,18 +326,12 @@ func TestInsertStridePrefetch(t *testing.T) {
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
 
-	res := r.opt.ProcessEvent(start, loadPC)
+	res := r.process(start, loadPC)
 	if res.Kind != ResultInserted {
 		t.Fatalf("result = %v", res.Kind)
 	}
-	if res.Apply == nil {
-		t.Fatal("no apply closure")
-	}
-	if err := res.Apply(); err != nil {
-		t.Fatal(err)
-	}
 	// The head must be re-linked to a new trace.
-	addr, ok := r.linker.links[start]
+	addr, ok := r.links[start]
 	if !ok {
 		t.Fatal("trace not linked")
 	}
@@ -367,18 +380,15 @@ func TestInsertEstimatedDistanceBasicMode(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeBasic, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	res := r.opt.ProcessEvent(start, loadPC)
+	res := r.process(start, loadPC)
 	if res.Kind != ResultInserted {
 		t.Fatalf("result = %v", res.Kind)
-	}
-	if err := res.Apply(); err != nil {
-		t.Fatal(err)
 	}
 	// Equation 2: avg miss latency 300 over avg traversal 60 -> distance 5.
 	if d := r.opt.Distance(start, loadPC); d != 5 {
 		t.Fatalf("estimated distance = %d, want 5", d)
 	}
-	pl, _ := r.cache.PlacementAt(r.linker.links[start])
+	pl, _ := r.cache.PlacementAt(r.links[start])
 	for i := range pl.Trace.Insts {
 		if pl.Trace.Insts[i].Inst.Op == isa.PREFETCH {
 			if got := pl.Trace.Insts[i].Inst.Imm; got != 64*5 {
@@ -395,14 +405,11 @@ func TestInsertDerefForPointerLoad(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		r.table.Update(loadPC, uint64(0x1000+i*i*577), true, 300)
 	}
-	res := r.opt.ProcessEvent(start, loadPC)
+	res := r.process(start, loadPC)
 	if res.Kind != ResultInserted {
 		t.Fatalf("result = %v", res.Kind)
 	}
-	if err := res.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	pl, _ := r.cache.PlacementAt(r.linker.links[start])
+	pl, _ := r.cache.PlacementAt(r.links[start])
 	// Expect ldnf scratch, 0(r1) then prefetch 0(scratch) right after the
 	// load.
 	var seq []isa.Op
@@ -437,14 +444,11 @@ func TestSameObjectSinglePrefetchCoversGroup(t *testing.T) {
 	for _, pc := range loadPCs {
 		r.makeDelinquent(pc, 256)
 	}
-	res := r.opt.ProcessEvent(start, loadPCs[0])
+	res := r.process(start, loadPCs[0])
 	if res.Kind != ResultInserted {
 		t.Fatalf("result = %v", res.Kind)
 	}
-	if err := res.Apply(); err != nil {
-		t.Fatal(err)
-	}
-	pl, _ := r.cache.PlacementAt(r.linker.links[start])
+	pl, _ := r.cache.PlacementAt(r.links[start])
 	var imms []int64
 	for i := range pl.Trace.Insts {
 		if pl.Trace.Insts[i].Inst.Op == isa.PREFETCH {
@@ -469,23 +473,15 @@ func TestSelfRepairIncreasesDistanceWhileLatencyImproves(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	res := r.opt.ProcessEvent(start, loadPC)
-	if err := res.Apply(); err != nil {
-		t.Fatal(err)
-	}
+	res := r.process(start, loadPC)
 
 	// Repair events with decreasing miss latency: distance keeps growing.
 	lat := int64(300)
 	for rep := 0; rep < 3; rep++ {
 		r.fillEventWindow(loadPC, lat)
-		res = r.opt.ProcessEvent(start, loadPC)
+		res = r.process(start, loadPC)
 		if res.Kind != ResultRepaired {
 			t.Fatalf("repair %d: %v", rep, res.Kind)
-		}
-		if res.Apply != nil {
-			if err := res.Apply(); err != nil {
-				t.Fatal(err)
-			}
 		}
 		lat -= 60
 	}
@@ -493,7 +489,7 @@ func TestSelfRepairIncreasesDistanceWhileLatencyImproves(t *testing.T) {
 		t.Fatalf("distance after 3 improving repairs = %d, want 4", d)
 	}
 	// The placed prefetch instruction's imm must track the distance.
-	pl, _ := r.cache.PlacementAt(r.linker.links[start])
+	pl, _ := r.cache.PlacementAt(r.links[start])
 	for pc := pl.Start; pc < pl.End; pc += isa.WordSize {
 		if in, _ := r.cache.Fetch(pc); in.Op == isa.PREFETCH {
 			if in.Imm != 64*4 {
@@ -522,22 +518,16 @@ func TestSelfRepairBacksOffWhenLatencyWorsens(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	r.opt.ProcessEvent(start, loadPC).Apply()
+	r.process(start, loadPC)
 
 	// First repair: improve (up to 2). Second: worsen -> back to 1.
 	r.fillEventWindow(loadPC, 200)
-	res := r.opt.ProcessEvent(start, loadPC)
-	if res.Apply != nil {
-		res.Apply()
-	}
+	r.process(start, loadPC)
 	if d := r.opt.Distance(start, loadPC); d != 2 {
 		t.Fatalf("distance = %d, want 2", d)
 	}
 	r.fillEventWindow(loadPC, 340)
-	res = r.opt.ProcessEvent(start, loadPC)
-	if res.Apply != nil {
-		res.Apply()
-	}
+	r.process(start, loadPC)
 	if d := r.opt.Distance(start, loadPC); d != 1 {
 		t.Fatalf("distance after worsening = %d, want 1", d)
 	}
@@ -547,15 +537,12 @@ func TestSelfRepairMaturesAfterBudget(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	r.opt.ProcessEvent(start, loadPC).Apply()
+	r.process(start, loadPC)
 
 	matured := false
 	for i := 0; i < 100; i++ {
 		r.fillEventWindow(loadPC, 300)
-		res := r.opt.ProcessEvent(start, loadPC)
-		if res.Apply != nil {
-			res.Apply()
-		}
+		res := r.process(start, loadPC)
 		if res.Kind == ResultMatured {
 			matured = true
 			break
@@ -578,16 +565,13 @@ func TestDistanceNeverExceedsMax(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	r.opt.ProcessEvent(start, loadPC).Apply()
+	r.process(start, loadPC)
 
 	// maxDist = MemLatency(350) / minExec(50) = 7.
 	lat := int64(340)
 	for i := 0; i < 40; i++ {
 		r.fillEventWindow(loadPC, lat)
-		res := r.opt.ProcessEvent(start, loadPC)
-		if res.Apply != nil {
-			res.Apply()
-		}
+		res := r.process(start, loadPC)
 		if res.Kind == ResultMatured {
 			break
 		}
@@ -620,7 +604,7 @@ func TestUnprefetchableLoadMatures(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		r.table.Update(loadPC, uint64(0x1000+i*i*701), true, 300)
 	}
-	res := r.opt.ProcessEvent(0x1000, loadPC)
+	res := r.opt.ProcessEvent(0x1000, loadPC, 0)
 	if res.Kind != ResultMatured {
 		t.Fatalf("result = %v, want matured", res.Kind)
 	}
@@ -632,7 +616,7 @@ func TestUnprefetchableLoadMatures(t *testing.T) {
 func TestProcessEventUnknownTrace(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
-	res := r.opt.ProcessEvent(0xdead000, loadPC)
+	res := r.opt.ProcessEvent(0xdead000, loadPC, 0)
 	if res.Kind != ResultNone {
 		t.Fatalf("unknown trace result = %v", res.Kind)
 	}
@@ -644,11 +628,10 @@ func TestWholeObjectModeUsesEstimatedDistance(t *testing.T) {
 	for _, pc := range loadPCs {
 		r.makeDelinquent(pc, 256)
 	}
-	res := r.opt.ProcessEvent(start, loadPCs[0])
+	res := r.process(start, loadPCs[0])
 	if res.Kind != ResultInserted {
 		t.Fatalf("result = %v", res.Kind)
 	}
-	res.Apply()
 	if d := r.opt.Distance(start, loadPCs[0]); d != 5 {
 		t.Fatalf("whole-object distance = %d, want 5 (eq. 2)", d)
 	}
@@ -664,9 +647,9 @@ func TestRepairInNonRepairModeMatures(t *testing.T) {
 	p, start, loadPC := strideLoopProgram(t)
 	r := newRig(t, ModeBasic, p, start, []bool{true})
 	r.makeDelinquent(loadPC, 64)
-	r.opt.ProcessEvent(start, loadPC).Apply()
+	r.process(start, loadPC)
 	r.fillEventWindow(loadPC, 300)
-	res := r.opt.ProcessEvent(start, loadPC)
+	res := r.opt.ProcessEvent(start, loadPC, 0)
 	if res.Kind != ResultMatured {
 		t.Fatalf("basic-mode second event = %v, want matured", res.Kind)
 	}
@@ -687,10 +670,9 @@ func TestScratchRegisterConflictSkipsDeref(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		r.table.Update(0x1000, uint64(0x1000+i*i*577), true, 300)
 	}
-	res := r.opt.ProcessEvent(0x1000, 0x1000)
+	res := r.process(0x1000, 0x1000)
 	if res.Kind == ResultInserted {
-		res.Apply()
-		pl, _ := r.cache.PlacementAt(r.linker.links[0x1000])
+		pl, _ := r.cache.PlacementAt(r.links[0x1000])
 		for i := range pl.Trace.Insts {
 			if pl.Trace.Insts[i].Inst.Op == isa.LDNF {
 				t.Fatal("deref chain clobbers a live register")

@@ -10,12 +10,12 @@ import (
 
 // Checkpoint serialization (DESIGN §12) for the optimizer's per-trace
 // memory: the version bases, distance-controller state, placed prefetch
-// locations, and counters. Maps are written in sorted key order so
-// identical optimizers serialize to identical bytes; byLoad is stored as
-// group indices into the groups slice and relinked on load. The distance
-// histogram pointer is registry-owned and survives restore untouched (the
-// registry restores values through get-or-create, keeping cached pointers
-// valid).
+// locations, counters, and the pending insert or repair. Maps are written
+// in sorted key order so identical optimizers serialize to identical bytes;
+// byLoad is stored as group indices into the groups slice and relinked on
+// load. The distance histogram pointer is registry-owned and survives
+// restore untouched (the registry restores values through get-or-create,
+// keeping cached pointers valid).
 
 // Checkpoint walks the optimizer.
 func (o *Optimizer) Checkpoint(c *checkpoint.Codec) {
@@ -24,40 +24,79 @@ func (o *Optimizer) Checkpoint(c *checkpoint.Codec) {
 		if *p == nil {
 			*p = new(traceState)
 		}
-		ts := *p
-		c.U64(&ts.startPC)
-		*pc = ts.startPC
-		trace.Checkpoint(c, &ts.base)
-		c.Int(&ts.curID)
-		checkpoint.Slice(c, &ts.groups, func(c *checkpoint.Codec, g **groupState) {
-			if *g == nil {
-				*g = new(groupState)
-			}
-			walkGroupState(c, *g)
-		})
-		checkpoint.Map(c, &ts.byLoad, func(c *checkpoint.Codec, lpc *uint64, g **groupState) {
-			c.U64(lpc)
-			gi := groupIndex(ts.groups, *g)
-			c.Int(&gi)
-			*g = nil
-			if gi >= 0 && gi < len(ts.groups) {
-				*g = ts.groups[gi]
-			}
-		})
-		if c.Loading() {
-			// A load whose group index resolves to no group is dropped.
-			maps.DeleteFunc(ts.byLoad, func(_ uint64, g *groupState) bool { return g == nil })
-		}
-		checkpoint.Map(c, &ts.potential, func(c *checkpoint.Codec, ppc *uint64, v *bool) {
-			c.U64(ppc)
-			*v = true
-		})
+		walkTraceState(c, *p)
+		*pc = (*p).startPC
 	})
 	c.U64(&o.Stats.Insertions)
 	c.U64(&o.Stats.Repairs)
 	c.U64(&o.Stats.Matured)
 	c.U64(&o.Stats.PrefetchesPlaced)
 	c.U64(&o.Stats.DerefChainsPlaced)
+	o.walkPending(c)
+}
+
+// walkPending walks the pending insert or repair. Its trace state travels
+// whole (a back-out may have forgotten it); a tracked one is relinked.
+func (o *Optimizer) walkPending(c *checkpoint.Codec) {
+	p := &o.pending
+	have, insert := p.ts != nil, p.tr != nil
+	if c.Bool(&have); !have {
+		*p = pendingOp{}
+		return
+	}
+	if c.Loading() {
+		p.ts = new(traceState)
+	}
+	walkTraceState(c, p.ts)
+	if ts := o.traces[p.ts.startPC]; ts != nil {
+		p.ts = ts
+	}
+	if c.Bool(&insert); insert {
+		trace.Checkpoint(c, &p.tr)
+	} else {
+		p.tr = nil
+	}
+	checkpoint.Slice(c, &p.locs, func(c *checkpoint.Codec, g *[]locRef) {
+		checkpoint.Slice(c, g, func(c *checkpoint.Codec, l *locRef) {
+			c.Int(&l.idx)
+			c.I64(&l.off)
+		})
+	})
+	c.Int(&p.derefs)
+	c.Int(&p.group)
+	if n := len(p.ts.groups); insert && len(p.locs) != n || !insert && (p.group < 0 || p.group >= n) {
+		c.Failf("pending prefetch change (insert %v, group %d) misfits trace %#x's %d groups", insert, p.group, p.ts.startPC, n)
+	}
+}
+
+// walkTraceState walks one trace's optimizer memory.
+func walkTraceState(c *checkpoint.Codec, ts *traceState) {
+	c.U64(&ts.startPC)
+	trace.Checkpoint(c, &ts.base)
+	c.Int(&ts.curID)
+	checkpoint.Slice(c, &ts.groups, func(c *checkpoint.Codec, g **groupState) {
+		if *g == nil {
+			*g = new(groupState)
+		}
+		walkGroupState(c, *g)
+	})
+	checkpoint.Map(c, &ts.byLoad, func(c *checkpoint.Codec, lpc *uint64, g **groupState) {
+		c.U64(lpc)
+		gi := groupIndex(ts.groups, *g)
+		c.Int(&gi)
+		*g = nil
+		if gi >= 0 && gi < len(ts.groups) {
+			*g = ts.groups[gi]
+		}
+	})
+	if c.Loading() {
+		// A load whose group index resolves to no group is dropped.
+		maps.DeleteFunc(ts.byLoad, func(_ uint64, g *groupState) bool { return g == nil })
+	}
+	checkpoint.Map(c, &ts.potential, func(c *checkpoint.Codec, ppc *uint64, v *bool) {
+		c.U64(ppc)
+		*v = true
+	})
 }
 
 func groupIndex(groups []*groupState, g *groupState) int {

@@ -112,9 +112,9 @@ func (c Config) Validate() error {
 // bit-identically.
 const numSignals = 3
 
-// quiesceBound caps the extra detailed steps run to drain a pending
-// optimization at a window edge; patches land at the next safe point, so
-// this is never approached in practice.
+// quiesceBound caps the reference-loop steps runWindow takes to drain a
+// pending optimization at a window edge: up to the helper thread's
+// completion cycle, which a busy helper can put a million steps away.
 const quiesceBound = 10_000_000
 
 // sigFloor is the per-signal absolute scale below which relative comparison
@@ -127,11 +127,11 @@ var sigFloor = [numSignals]float64{
 
 // runWindow executes one detailed window of up to n instructions on sys's
 // full engine and returns the interval record plus the machine's Results at
-// the window's end. The machine is quiesced before the edge: the apply hook
-// only runs under detailed execution, so a patch left pending here would
-// sit frozen across the following functional gap (an exact run lands it
-// promptly), and the machine would be unserializable between windows. Every
-// window edge quiesces — on the master and on every chain — so straight,
+// the window's end. The machine drains any pending optimization at the
+// edge: a patch lands only under detailed execution, so one left pending
+// would sit frozen across the following functional gap, where an exact run
+// lands it at its completion cycle. Every window edge drains, on the master
+// and on every chain, on the reference loop as it always has, so straight,
 // resumed, and parallel runs replay identical schedules.
 func runWindow(sys *core.System, n uint64) (Interval, core.Results) {
 	start := sys.Progress()

@@ -56,6 +56,12 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 200000 \
 	-checkpoint-every 100000 -checkpoint-dir "$enginedir" > /dev/null
 go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -slowpath \
 	-restore "$enginedir/mcf.ckpt" | diff "$enginedir/ref.out" -
+# A checkpoint asked for at N is cut at N: on art with specialization,
+# back-out and phase clearing an optimization is pending at 300k, and the
+# checkpointing run still prints the uninterrupted run's report.
+go run ./cmd/tridentsim -bench art -scale small -valspec -backout -phase -instrs 400000 > "$enginedir/art.out"
+go run ./cmd/tridentsim -bench art -scale small -valspec -backout -phase -instrs 400000 \
+	-checkpoint-every 300000 -checkpoint-dir "$enginedir" | diff "$enginedir/art.out" -
 rm -rf "$enginedir"
 # Golden conformance, twice in one process: -count=2 re-runs every workload
 # against the checked-in event streams, and every experiment table (plus
