@@ -16,9 +16,9 @@ import (
 // the restored memory shares every untouched page with the image.
 //
 // A pending optimization (s.pending) is data like the rest, so a checkpoint
-// asked for at instruction N is cut at N, and the restored run is
-// bit-identical to the uninterrupted one (engine-class telemetry excepted —
-// fast-path session events depend on where batches start).
+// is cut wherever Run(N) stops, and the restored run is bit-identical to
+// the uninterrupted one (engine-class telemetry excepted — fast-path
+// session events depend on where batches start).
 
 // OrigInstrs reports the committed original-instruction count so far —
 // Run's progress cursor, and the coordinate checkpoint windows are cut at.

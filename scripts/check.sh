@@ -56,7 +56,7 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 200000 \
 	-checkpoint-every 100000 -checkpoint-dir "$enginedir" > /dev/null
 go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -slowpath \
 	-restore "$enginedir/mcf.ckpt" | diff "$enginedir/ref.out" -
-# A checkpoint asked for at N is cut at N: on art with specialization,
+# Checkpointing does not move the run: on art with specialization,
 # back-out and phase clearing an optimization is pending at 300k, and the
 # checkpointing run still prints the uninterrupted run's report.
 go run ./cmd/tridentsim -bench art -scale small -valspec -backout -phase -instrs 400000 > "$enginedir/art.out"
