@@ -76,9 +76,7 @@ func main() {
 		sw      = flag.String("sw", "self-repair", "software prefetching: "+core.SWNames())
 		trident = flag.Bool("trident", true, "enable the Trident framework")
 		link    = flag.Bool("link", true, "link optimized traces (false = §5.1 overhead mode)")
-		backout = flag.Bool("backout", false, "enable under-performing trace back-out")
 		valspec = flag.Bool("valspec", false, "enable dynamic value specialization")
-		phase   = flag.Bool("phase", false, "enable phase-triggered mature clearing")
 		instrs  = flag.Uint64("instrs", 2_000_000, "instruction budget")
 		scale   = flag.String("scale", "full", "working-set scale: "+workloads.ScaleNames())
 		verbose = flag.Bool("v", false, "print the full outcome breakdown")
@@ -157,9 +155,7 @@ func main() {
 	}
 	cfg.Trident = *trident
 	cfg.LinkTraces = *link
-	cfg.Backout = *backout
 	cfg.ValueSpecialize = *valspec
-	cfg.PhaseClearMature = *phase
 	if cfg.SW == core.SWOff {
 		// Plain baseline unless Trident was explicitly requested.
 		cfg.Trident = *trident && flagWasSet("trident")
@@ -533,8 +529,7 @@ func renderRun(res core.Results, verbose bool) string {
 		fmt.Fprintf(&sb, "  branch accuracy: %.3f\n", res.BranchAccuracy)
 		fmt.Fprintf(&sb, "  events: raised=%d dropped=%d; code cache %d bytes, %d live traces\n",
 			res.EventsRaised, res.EventsDropped, res.CodeCacheBytes, res.LiveTraces)
-		fmt.Fprintf(&sb, "  extensions: backed-out=%d specialized=%d phase-clears=%d\n",
-			res.TracesBackedOut, res.TracesSpecialized, res.PhaseClears)
+		fmt.Fprintf(&sb, "  extensions: specialized=%d\n", res.TracesSpecialized)
 	}
 	return sb.String()
 }

@@ -279,11 +279,11 @@ func TestSampledRestoreIdentity(t *testing.T) {
 }
 
 // TestCheckpointLandsOnBudget: checkpointing does not move the run. On art
-// with value specialization, back-out and phase clearing, an optimization is
-// pending at the 300k checkpoint; the checkpointing run still stops at the
-// 400k budget and prints the uninterrupted run's report.
+// with value specialization an optimization is pending at the 300k
+// checkpoint; the checkpointing run still stops at the 400k budget and
+// prints the uninterrupted run's report.
 func TestCheckpointLandsOnBudget(t *testing.T) {
-	base := []string{"-bench", "art", "-scale", "small", "-valspec", "-backout", "-phase", "-instrs", "400000"}
+	base := []string{"-bench", "art", "-scale", "small", "-valspec", "-instrs", "400000"}
 	refOut, refErr, refCode := tridentsim(t, base...)
 	if refCode != 0 || !strings.Contains(refOut, "orig-instrs=400000 ") {
 		t.Fatalf("uninterrupted run (code %d) did not stop at the budget:\n%s%s", refCode, refOut, refErr)
@@ -395,7 +395,7 @@ func TestKillResumeDeterminism(t *testing.T) {
 		"resume-jit-eager": {nil, {"-jit-threshold", "0"}},
 		// The one checkpoint, at 300k, is cut while an optimization is
 		// pending (the helper is busy until long after it).
-		"pending-optimization": {{"-bench", "art", "-valspec", "-backout", "-phase", "-instrs", "400000"},
+		"pending-optimization": {{"-bench", "art", "-valspec", "-instrs", "400000"},
 			nil, {"-checkpoint-every", "300000"}},
 	}
 	for _, preset := range []string{

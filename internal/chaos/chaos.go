@@ -5,9 +5,8 @@
 // latency phase shifts and spikes, DLT and watch-table eviction storms,
 // capacity squeezes, code-cache pressure that unlinks live traces, helper
 // thread preemption, and abrupt working-set shifts — on a reproducible
-// schedule, so the repair loop, trace back-out, and mature-clearing paths
-// can be stressed and their recovery measured (exp.Resilience) and checked
-// (Monitor).
+// schedule, so the repair loop and trace re-formation can be stressed and
+// their recovery measured (exp.Resilience) and checked (Monitor).
 //
 // A Schedule is an immutable description: a preset expanded by a seeded
 // deterministic generator into timed events. Each simulated System starts

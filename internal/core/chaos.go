@@ -147,10 +147,6 @@ func (s *System) attachWatchdog() {
 	s.monitor = m
 }
 
-// Monitor exposes the invariant watchdog (nil when chaos monitoring is
-// off); experiments and tests read its violations.
-func (s *System) Monitor() *chaos.Monitor { return s.monitor }
-
 // newShadow builds the unoptimized twin machine for the continuous
 // transparency check: same program image, same core, no Trident, no
 // prefetching, no faults. Timing differs wildly — only architectural state

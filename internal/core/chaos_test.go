@@ -9,14 +9,11 @@ import (
 	"tridentsp/internal/program"
 )
 
-// chaosConfig is the full-featured machine under fault injection: every
-// recovery path armed (back-out, phase clearing), watchdog probing, and the
-// lockstep transparency shadow.
+// chaosConfig is the full-featured machine under fault injection, with
+// watchdog probing and the lockstep transparency shadow.
 func chaosConfig(sched *chaos.Schedule) Config {
 	cfg := DefaultConfig()
 	cfg.HW = HWNone
-	cfg.Backout = true
-	cfg.PhaseClearMature = true
 	cfg.Chaos = sched
 	cfg.ChaosMonitorEvery = 20_000
 	cfg.ChaosShadow = true
@@ -30,8 +27,6 @@ func chaosConfig(sched *chaos.Schedule) Config {
 func TestDeterministicResults(t *testing.T) {
 	t.Run("baseline", func(t *testing.T) {
 		cfg := DefaultConfig()
-		cfg.Backout = true
-		cfg.PhaseClearMature = true
 		run := func() Results {
 			return NewSystem(cfg, strideWorkload(65536, 64, 4)).Run(400_000)
 		}
@@ -67,21 +62,30 @@ func TestDeterministicResults(t *testing.T) {
 // zero invariant violations, the shadow run must stay architecturally
 // identical, and the machine must keep optimizing (traces live, repair
 // activity present) — i.e. it degrades and recovers rather than breaking.
+// The workload-shift preset runs on flipPhaseWorkload, whose own branch flip
+// and miss-rate shift land between the preset's injected phase changes.
 func TestChaosPresetsKeepInvariants(t *testing.T) {
-	workloads := []struct {
+	type workload struct {
 		name string
 		prog func() *program.Program
-	}{
+	}
+	workloads := []workload{
 		{"stride", func() *program.Program { return strideWorkload(65536, 64, 4) }},
 		{"chase", func() *program.Program { return pointerWorkload(16384, 64) }},
-		{"phase", func() *program.Program { return phaseWorkload() }},
+		{"phase", phaseWorkload},
 	}
-	presets := []chaos.Preset{
-		chaos.PresetLatencyPhase, chaos.PresetEvictionStorm, chaos.PresetHelperPreemption,
+	runs := []struct {
+		preset    chaos.Preset
+		workloads []workload
+	}{
+		{chaos.PresetLatencyPhase, workloads},
+		{chaos.PresetEvictionStorm, workloads},
+		{chaos.PresetHelperPreemption, workloads},
+		{chaos.PresetWorkloadShift, []workload{{"flip-phase", flipPhaseWorkload}}},
 	}
-	for _, preset := range presets {
-		for _, wl := range workloads {
-			preset, wl := preset, wl
+	for _, r := range runs {
+		for _, wl := range r.workloads {
+			preset, wl := r.preset, wl
 			t.Run(string(preset)+"/"+wl.name, func(t *testing.T) {
 				sched, err := chaos.NewSchedule(preset, 7, 1_500_000)
 				if err != nil {
@@ -230,10 +234,10 @@ func TestHealthyRunsDoNotAbort(t *testing.T) {
 	}
 }
 
-// flipPhaseWorkload combines the two recovery triggers in one program: a
-// resident phase whose data-dependent branch flips direction mid-run (the
-// back-out trigger from flipWorkload) followed by a streaming phase over a
-// large array (the miss-rate phase shift from phaseWorkload).
+// flipPhaseWorkload alternates two phases: a cache-resident one whose
+// data-dependent branch flips direction after 10,000 iterations (so the
+// trace formed before the flip side-exits afterwards), then a streaming one
+// over a large array (the miss-rate shift of phaseWorkload).
 func flipPhaseWorkload() *program.Program {
 	b := program.NewBuilder("flip-phase", 0x1000, 0x1000000)
 	flag := b.AllocWords(1) // 1 during warmup, 0 afterwards
@@ -241,6 +245,7 @@ func flipPhaseWorkload() *program.Program {
 	big := b.Alloc(16 << 20)
 
 	b.Ldi(6, 1<<40)
+	b.Ldi(8, 10_000) // flip countdown
 	b.Ldi(9, flag)
 	b.Label("outer")
 	// Phase A: cache-resident, with the flip branch.
@@ -283,58 +288,6 @@ func flipPhaseWorkload() *program.Program {
 	return p
 }
 
-// TestBackoutAndPhaseClearInteract forces both recovery mechanisms in one
-// run: the flip branch makes the first formed trace unrepresentative
-// (back-out), then the resident→streaming transition trips the phase
-// detector (mature clear). Neither may starve the other, and trace
-// formation must outpace the back-outs — the machine keeps re-forming.
-func TestBackoutAndPhaseClearInteract(t *testing.T) {
-	run := func(sched *chaos.Schedule) Results {
-		cfg := DefaultConfig()
-		cfg.HW = HWNone
-		cfg.Backout = true
-		cfg.PhaseClearMature = true
-		cfg.PhaseWindow = 150_000
-		if sched != nil {
-			cfg.Chaos = sched
-			cfg.ChaosMonitorEvery = 25_000
-			cfg.ChaosShadow = true
-		}
-		sys := NewSystem(cfg, flipPhaseWorkload())
-		sys.Thread().SetReg(8, 10_000) // flip countdown
-		return sys.Run(2_500_000)
-	}
-
-	res := run(nil)
-	if res.TracesBackedOut == 0 {
-		t.Fatal("flip branch never triggered a back-out")
-	}
-	if res.PhaseClears == 0 {
-		t.Fatal("resident/streaming shift never triggered a phase clear")
-	}
-	if res.TracesFormed <= res.TracesBackedOut {
-		t.Fatalf("formed %d, backed out %d: no recovery", res.TracesFormed, res.TracesBackedOut)
-	}
-
-	t.Run("under-chaos", func(t *testing.T) {
-		sched, err := chaos.NewSchedule(chaos.PresetWorkloadShift, 5, 6_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := run(sched)
-		if res.Aborted != "" {
-			t.Fatalf("aborted: %s", res.Aborted)
-		}
-		if res.InvariantViolations != 0 {
-			t.Fatalf("%d violations, first: %s", res.InvariantViolations, res.FirstViolation)
-		}
-		if res.TracesBackedOut == 0 || res.PhaseClears == 0 {
-			t.Fatalf("recovery paths idle under chaos: backouts=%d clears=%d",
-				res.TracesBackedOut, res.PhaseClears)
-		}
-	})
-}
-
 // TestConfigValidate covers the descriptive-rejection satellite: each
 // misconfiguration must produce an error (and NewSystem must panic with
 // it), while the stock configurations pass.
@@ -362,11 +315,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero event queue", func(c *Config) { c.EventQueueCap = 0 }},
 		{"max distance below 1", func(c *Config) { c.MaxDistanceCap = 0 }},
 		{"scratch reg out of file", func(c *Config) { c.ScratchReg = 200 }},
-		{"backout ratio above 1", func(c *Config) { c.Backout = true; c.BackoutRatio = 1.5 }},
-		{"backout ratio negative", func(c *Config) { c.Backout = true; c.BackoutRatio = -0.1 }},
-		{"backout zero entries", func(c *Config) { c.Backout = true; c.BackoutMinEntries = 0 }},
-		{"phase zero window", func(c *Config) { c.PhaseClearMature = true; c.PhaseWindow = 0 }},
-		{"phase zero delta", func(c *Config) { c.PhaseClearMature = true; c.PhaseDelta = 0 }},
 		{"negative livelock window", func(c *Config) { c.LivelockWindow = -1 }},
 		{"negative monitor period", func(c *Config) { c.ChaosMonitorEvery = -5 }},
 		{"bad chaos schedule", func(c *Config) {

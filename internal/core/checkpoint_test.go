@@ -106,28 +106,26 @@ func compareSystems(t *testing.T, label string, resA, resB Results, a, b *System
 
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	telem := func(c Config) Config { c.Telemetry = &telemetry.Options{}; return c }
-	valspec := telem(func() Config {
-		c := DefaultConfig()
-		c.ValueSpecialize = true
-		c.Backout = true
-		c.BackoutMinEntries = 64
-		c.BackoutRatio = 0.9
-		c.PhaseClearMature = true
-		c.PhaseWindow = 20_000
-		c.PhaseDelta = 0.1
-		return c
-	}())
+	valspec := telem(func() Config { c := DefaultConfig(); c.ValueSpecialize = true; return c }())
+	// The eviction storm's code-cache evictions unlink live traces mid-run.
+	storm, err := chaos.NewSchedule(chaos.PresetEvictionStorm, 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evict := valspec
+	evict.Chaos = storm
 	matrix := []struct {
 		name, bench   string
 		cfg           Config
 		limit, window uint64
 		wantPending   bool // some cut must carry a pending optimization
+		wantUnlink    bool // some live trace must be unlinked
 	}{
-		{"default", "mcf", telem(DefaultConfig()), 150_000, 40_000, false},
-		{"slowpath", "mcf", telem(func() Config { c := DefaultConfig(); c.DisableFastPath = true; return c }()), 150_000, 40_000, false},
-		{"baseline", "mcf", telem(BaselineConfig(HW8x8)), 150_000, 40_000, false},
-		{"valspec-backout-phase", "mcf", valspec, 150_000, 40_000, false},
-		{"art-valspec-backout-phase", "art", valspec, 400_000, 100_000, true},
+		{"default", "mcf", telem(DefaultConfig()), 150_000, 40_000, false, false},
+		{"slowpath", "mcf", telem(func() Config { c := DefaultConfig(); c.DisableFastPath = true; return c }()), 150_000, 40_000, false, false},
+		{"baseline", "mcf", telem(BaselineConfig(HW8x8)), 150_000, 40_000, false, false},
+		{"valspec-evict", "mcf", evict, 150_000, 40_000, false, true},
+		{"art-valspec", "art", valspec, 400_000, 100_000, true, false},
 	}
 	for _, m := range matrix {
 		m := m
@@ -140,8 +138,17 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			if m.wantPending && pendingCuts == 0 {
 				t.Errorf("no checkpoint was cut while an optimization was pending")
 			}
+			if m.wantUnlink && backOuts(sys) == 0 {
+				t.Errorf("no live trace was unlinked")
+			}
 		})
 	}
+}
+
+// backOuts counts the trace-back-out events (live traces unlinked) a
+// telemetry-enabled machine has emitted.
+func backOuts(sys *System) uint64 {
+	return sys.Telemetry().Metrics().Counter("events_" + telemetry.KindTraceBackOut.String()).V
 }
 
 func TestCheckpointResumeDeterminismChaosPresets(t *testing.T) {
@@ -387,7 +394,7 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	e := checkpoint.NewSaver()
-	e.Mark("core.system2")
+	e.Mark("core.system3")
 	sys.thread.Checkpoint(e)
 	sys.live.Checkpoint(e)
 	e.Mark("program.memory")

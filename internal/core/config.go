@@ -151,17 +151,6 @@ type Config struct {
 	// instead of distance 1 (the paper's "no gain" variant, §3.5.1).
 	InitFromEstimate bool
 
-	// Backout unlinks loop traces whose executions rarely complete a
-	// traversal (the captured path was unrepresentative); Trident's watch
-	// table exists partly "to identify and back out of hot traces that
-	// are under-performing" (§3.1).
-	Backout bool
-	// BackoutMinEntries is how many trace entries to observe first.
-	BackoutMinEntries uint64
-	// BackoutRatio is the minimum completed-traversals/entries ratio a
-	// loop trace must sustain.
-	BackoutRatio float64
-
 	// ValueSpecialize enables dynamic value specialization of hot traces
 	// (the prior Trident work's optimization, PACT 2005, which this
 	// paper's framework inherits): quasi-invariant loads found by a value
@@ -172,15 +161,6 @@ type Config struct {
 	VPT trident.VPTConfig
 	// GuardReg is the second scratch register specialization guards use.
 	GuardReg uint8
-
-	// PhaseClearMature periodically clears the DLT's mature flags when
-	// the miss rate shifts — the paper's suggested future work for
-	// adapting to working-set and phase changes (§3.5.2).
-	PhaseClearMature bool
-	// PhaseWindow is the instruction window for phase detection.
-	PhaseWindow uint64
-	// PhaseDelta is the relative miss-rate change that signals a phase.
-	PhaseDelta float64
 
 	// Chaos optionally attaches a deterministic fault-injection schedule
 	// (see internal/chaos). Schedules are immutable and shareable: every
@@ -316,11 +296,6 @@ func DefaultConfig() Config {
 		VPT:      trident.DefaultVPTConfig(),
 		GuardReg: 29,
 
-		BackoutMinEntries: 512,
-		BackoutRatio:      0.25,
-		PhaseWindow:       500_000,
-		PhaseDelta:        0.5,
-
 		ChaosMonitorEvery: 25_000,
 		LivelockWindow:    1_000_000,
 
@@ -409,24 +384,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: MaxDistanceCap must be at least 1 with software prefetching, got %d", c.MaxDistanceCap)
 		}
 	}
-	if c.Backout {
-		if c.BackoutMinEntries == 0 {
-			return fmt.Errorf("core: BackoutMinEntries must be positive with Backout enabled")
-		}
-		if c.BackoutRatio < 0 || c.BackoutRatio > 1 {
-			return fmt.Errorf("core: BackoutRatio must be in [0,1], got %g", c.BackoutRatio)
-		}
-	}
 	if c.ValueSpecialize && c.GuardReg >= uint8(isa.NumRegs) {
 		return fmt.Errorf("core: GuardReg %d outside register file (0..%d)", c.GuardReg, isa.NumRegs-1)
-	}
-	if c.PhaseClearMature {
-		if c.PhaseWindow == 0 {
-			return fmt.Errorf("core: PhaseWindow must be positive with PhaseClearMature")
-		}
-		if c.PhaseDelta <= 0 {
-			return fmt.Errorf("core: PhaseDelta must be positive with PhaseClearMature, got %g", c.PhaseDelta)
-		}
 	}
 	if c.LivelockWindow < 0 {
 		return fmt.Errorf("core: LivelockWindow must be non-negative, got %d", c.LivelockWindow)

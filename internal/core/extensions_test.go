@@ -7,114 +7,6 @@ import (
 	"tridentsp/internal/program"
 )
 
-// flipWorkload builds a loop whose data-dependent branch takes one
-// direction during trace formation and the opposite direction afterwards,
-// so the formed trace side-exits on almost every entry — the case the
-// back-out policy exists for.
-func flipWorkload() *program.Program {
-	b := program.NewBuilder("flip", 0x1000, 0x1000000)
-	flag := b.AllocWords(1) // 1 during warmup, 0 afterwards
-	arr := b.Alloc(1 << 20)
-
-	b.Ldi(6, 1<<40)
-	b.Ldi(9, flag)
-	b.Label("outer")
-	b.Ldi(1, arr)
-	b.Ldi(4, 4096)
-	b.Label("top")
-	b.Ld(2, 9, 0) // the flip flag
-	b.CondBr(isa.BEQ, 2, "cold")
-	// Warmup path: captured into the trace.
-	b.OpI(isa.ADDI, 5, 5, 1)
-	b.OpI(isa.ADDI, 5, 5, 1)
-	b.Br("join")
-	b.Label("cold")
-	// Post-flip path: the trace's side exit.
-	b.OpI(isa.ADDI, 7, 7, 1)
-	b.OpI(isa.ADDI, 7, 7, 1)
-	b.Label("join")
-	b.Ld(3, 1, 0)
-	b.OpI(isa.ADDI, 1, 1, 64)
-	// Flip the flag off after ~6000 iterations.
-	b.OpI(isa.SUBI, 8, 8, 1)
-	b.CondBr(isa.BNE, 8, "noflip")
-	b.St(isa.ZeroReg, 9, 0)
-	b.Label("noflip")
-	b.OpI(isa.SUBI, 4, 4, 1)
-	b.CondBr(isa.BNE, 4, "top")
-	b.OpI(isa.SUBI, 6, 6, 1)
-	b.CondBr(isa.BNE, 6, "outer")
-	b.Halt()
-	p := b.MustBuild()
-	p.Data.Store(flag, 1)
-	return p
-}
-
-func TestBackoutUnlinksUnrepresentativeTrace(t *testing.T) {
-	p := flipWorkload()
-	cfg := DefaultConfig()
-	cfg.HW = HWNone
-	cfg.Backout = true
-	sys := NewSystem(cfg, p)
-	sys.Thread().SetReg(8, 6000) // flip countdown
-	res := sys.Run(2_000_000)
-	if res.TracesFormed == 0 {
-		t.Fatal("no trace formed")
-	}
-	if res.TracesBackedOut == 0 {
-		t.Fatal("unrepresentative trace never backed out")
-	}
-	// After back-out the profiler re-arms, so the post-flip path can form
-	// a fresh trace; either way the head must not point at a dead trace
-	// lineage forever: re-formation count exceeds back-outs.
-	if res.TracesFormed <= res.TracesBackedOut {
-		t.Fatalf("formed %d, backed out %d: no recovery", res.TracesFormed, res.TracesBackedOut)
-	}
-}
-
-func TestBackoutDisabledByDefault(t *testing.T) {
-	p := flipWorkload()
-	cfg := DefaultConfig()
-	cfg.HW = HWNone
-	sys := NewSystem(cfg, p)
-	sys.Thread().SetReg(8, 6000)
-	res := sys.Run(1_000_000)
-	if res.TracesBackedOut != 0 {
-		t.Fatal("back-out ran while disabled")
-	}
-}
-
-func TestBackoutPreservesArchitecturalState(t *testing.T) {
-	// The flip workload must compute identical results with and without
-	// back-out.
-	run := func(backout bool) (uint64, uint64) {
-		p := flipWorkload()
-		cfg := DefaultConfig()
-		cfg.HW = HWNone
-		cfg.Backout = backout
-		sys := NewSystem(cfg, p)
-		sys.Thread().SetReg(8, 3000)
-		sys.Thread().SetReg(6, 0) // will be overwritten by program's Ldi
-		sys.Run(1_200_000)
-		return sys.Thread().Reg(5), sys.Thread().Reg(7)
-	}
-	w5, w7 := run(false)
-	g5, g7 := run(true)
-	// Runs stop at an instruction budget, so allow the tiny skew from
-	// stopping at different loop positions; the counters must be within
-	// one iteration's worth (2) of each other.
-	if diff(w5, g5) > 8 || diff(w7, g7) > 8 {
-		t.Fatalf("state diverged: r5 %d vs %d, r7 %d vs %d", w5, g5, w7, g7)
-	}
-}
-
-func diff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
 // phaseWorkload runs a low-miss phase, then switches to a high-miss phase
 // over a second array.
 func phaseWorkload() *program.Program {
@@ -147,29 +39,6 @@ func phaseWorkload() *program.Program {
 	b.CondBr(isa.BNE, 6, "outer")
 	b.Halt()
 	return b.MustBuild()
-}
-
-func TestPhaseDetectionClearsMature(t *testing.T) {
-	p := phaseWorkload()
-	cfg := DefaultConfig()
-	cfg.HW = HWNone
-	cfg.PhaseClearMature = true
-	cfg.PhaseWindow = 150_000
-	sys := NewSystem(cfg, p)
-	res := sys.Run(2_500_000)
-	if res.PhaseClears == 0 {
-		t.Fatal("phase change never detected across resident/streaming phases")
-	}
-}
-
-func TestPhaseDetectionOffByDefault(t *testing.T) {
-	p := phaseWorkload()
-	cfg := DefaultConfig()
-	cfg.HW = HWNone
-	res := NewSystem(cfg, p).Run(1_000_000)
-	if res.PhaseClears != 0 {
-		t.Fatal("phase detection ran while disabled")
-	}
 }
 
 func TestInitFromEstimateConvergesLikeDefault(t *testing.T) {

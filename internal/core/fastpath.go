@@ -193,16 +193,9 @@ loop:
 		}
 
 		// Weight budget: stop exactly where the slow loop would — at the
-		// instruction that reaches the run limit, or (when phase detection
-		// is armed) the one that crosses the phase window. An armed
-		// sentinel's next window boundary caps it too (see sentinelTarget).
+		// instruction that reaches the run limit. An armed sentinel's next
+		// window boundary caps it too (see sentinelTarget).
 		budget := limit - s.origInstrs
-		if s.cfg.Trident && s.cfg.PhaseClearMature {
-			elapsed := s.origInstrs - s.phaseMarkInstrs
-			if pb := s.cfg.PhaseWindow - elapsed; elapsed < s.cfg.PhaseWindow && pb < budget {
-				budget = pb
-			}
-		}
 		if at, ok := s.sentinelTarget(); ok && at > s.origInstrs && at-s.origInstrs < budget {
 			budget = at - s.origInstrs
 		}

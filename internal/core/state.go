@@ -106,7 +106,7 @@ func (s *System) walkPending(c *checkpoint.Codec) {
 // then the execution loop's own state. Optional subsystems travel behind a
 // presence flag that loading checks against this machine's configuration.
 func (s *System) checkpoint(c *checkpoint.Codec) {
-	c.Mark("core.system2")
+	c.Mark("core.system3")
 	s.thread.Checkpoint(c)
 	s.live.Checkpoint(c)
 	s.mem.CheckpointDiff(c, s.image)
@@ -156,18 +156,6 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 		s.curPl = s.cache.PlacementByIndex(curPl)
 		s.sbPl = s.cache.PlacementByIndex(sbPl)
 	}
-	checkpoint.Map(c, &s.activity, func(c *checkpoint.Codec, id *int, p **traceActivity) {
-		if *p == nil {
-			*p = new(traceActivity)
-		}
-		a := *p
-		c.Int(id)
-		c.U64(&a.entries)
-		c.U64(&a.traversals)
-		c.Bool(&a.hasLoop)
-		c.Bool(&a.hasLoopSet)
-	})
-
 	if c.Present(s.chaosRun != nil, "a chaos schedule") {
 		s.chaosRun.Checkpoint(c)
 	}
@@ -181,16 +169,12 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	checkpoint.Slice(c, &s.assocLimits, (*checkpoint.Codec).Int)
 
 	c.Str(&s.aborted)
-	c.U64(&s.phaseMarkInstrs)
-	c.U64(&s.phaseMarkMisses)
-	c.F64(&s.phaseRate)
-	c.Bool(&s.phaseRateValid)
 	c.U64(&s.origInstrs)
 	c.U64(&s.ffwdInstrs)
 
 	st := &s.stats
-	for _, v := range []*uint64{&st.tracesFormed, &st.tracesBackedOut, &st.tracesSpecialized,
-		&st.phaseClears, &st.missesTotal, &st.missesInTrace, &st.missesCovered,
+	for _, v := range []*uint64{&st.tracesFormed, &st.tracesSpecialized,
+		&st.missesTotal, &st.missesInTrace, &st.missesCovered,
 		&st.loadsInTrace, &st.loadsTotal, &st.applyErrors, &st.traceTraversal,
 		&st.sentinelChecks, &st.sentinelTrips} {
 		c.U64(v)

@@ -79,9 +79,6 @@ type System struct {
 	sbEntry       uint64
 	sbHeadPending bool
 
-	// Trace back-out bookkeeping (per live trace ID).
-	activity map[int]*traceActivity
-
 	// Fault injection (nil without cfg.Chaos).
 	chaosRun    *chaos.Run
 	monitor     *chaos.Monitor
@@ -104,12 +101,6 @@ type System struct {
 	faultAt        uint64
 	faultReg       uint8
 	faultMask      uint64
-
-	// Phase detection state.
-	phaseMarkInstrs uint64
-	phaseMarkMisses uint64
-	phaseRate       float64
-	phaseRateValid  bool
 
 	// Accounting. origInstrs counts original instructions retired by detailed
 	// execution; ffwdInstrs counts those advanced functionally by FastForward
@@ -167,9 +158,7 @@ var tierNames = [numTiers]string{"slow", "batch", "jit"}
 // runStats accumulates core-level statistics during Run.
 type runStats struct {
 	tracesFormed      uint64
-	tracesBackedOut   uint64
 	tracesSpecialized uint64
-	phaseClears       uint64
 	missesTotal       uint64
 	missesInTrace     uint64
 	missesCovered     uint64
@@ -179,14 +168,6 @@ type runStats struct {
 	traceTraversal    uint64
 	sentinelChecks    uint64
 	sentinelTrips     uint64
-}
-
-// traceActivity tracks a loop trace's usefulness for the back-out policy.
-type traceActivity struct {
-	entries    uint64
-	traversals uint64
-	hasLoop    bool
-	hasLoopSet bool
 }
 
 // NewSystem builds a machine for the program. The configuration must pass
@@ -206,7 +187,6 @@ func NewSystem(cfg Config, prog *program.Program) *System {
 		bp:          branchpred.New(branchpred.DefaultConfig()),
 		patched:     make([]bool, len(prog.Code)),
 		patchedBase: prog.Base,
-		activity:    make(map[int]*traceActivity),
 	}
 	// Trace formation re-walks the same hot words on every event; decode
 	// the pristine image once instead of per fetch.
@@ -304,14 +284,8 @@ func (s *System) setPatched(pc uint64, v bool) {
 // Thread exposes the main hardware context (register setup for workloads).
 func (s *System) Thread() *cpu.Thread { return s.thread }
 
-// Hierarchy exposes the memory system (examples and tests inspect stats).
-func (s *System) Hierarchy() *memsys.Hierarchy { return s.hier }
-
 // Optimizer exposes the prefetch optimizer (nil when SW is off).
 func (s *System) Optimizer() *prefetch.Optimizer { return s.opt }
-
-// DLT exposes the delinquent load table (nil without Trident).
-func (s *System) DLT() *dlt.Table { return s.table }
 
 // HWPref exposes the arsenal prefetch selector (nil unless Config.HW
 // selects an arsenal backend); the determinism and re-convergence suites
@@ -415,7 +389,7 @@ func (s *System) step() {
 
 	// Watch-table traversal timing.
 	if s.cfg.Trident {
-		s.trackTraversal(pl, pc, now)
+		s.trackTraversal(pl, pc)
 	}
 
 	// Load monitoring. Coverage statistics count "would-be misses": true
@@ -451,17 +425,12 @@ func (s *System) step() {
 
 // endCommit is the post-commit boundary work both execution loops share,
 // run once the instructions retired by tier (weight instrs, ending at cycle
-// now) are accounted for: the phase check, the helper-thread pump and its
-// interference toggle, tier residency, and the watchdog probe. step() calls
-// it after every instruction; fastForward after every batch, at exactly the
-// boundary the one-step loop would have reached.
+// now) are accounted for: the helper-thread pump and its interference
+// toggle, tier residency, and the watchdog probe. step() calls it after
+// every instruction; fastForward after every batch, at exactly the boundary
+// the one-step loop would have reached.
 func (s *System) endCommit(tier int, instrs uint64, now int64) {
 	if s.cfg.Trident {
-		// Phase detection: a shifted miss rate re-arms matured loads.
-		if s.cfg.PhaseClearMature &&
-			s.origInstrs-s.phaseMarkInstrs >= s.cfg.PhaseWindow {
-			s.checkPhase(now)
-		}
 		// Helper thread: apply finished optimizations, start new ones.
 		s.pump(now)
 		busy := s.helper.Busy(now)
@@ -485,36 +454,9 @@ func (s *System) endCommit(tier int, instrs uint64, now int64) {
 	}
 }
 
-// checkPhase compares the last window's miss rate against the previous
-// window's; a large relative change clears the DLT's mature flags (§3.5.2's
-// future-work suggestion). now stamps the telemetry event.
-func (s *System) checkPhase(now int64) {
-	dInstrs := s.origInstrs - s.phaseMarkInstrs
-	dMisses := s.stats.missesTotal - s.phaseMarkMisses
-	s.phaseMarkInstrs = s.origInstrs
-	s.phaseMarkMisses = s.stats.missesTotal
-	rate := float64(dMisses) / float64(dInstrs)
-	defer func() { s.phaseRate, s.phaseRateValid = rate, true }()
-	if !s.phaseRateValid {
-		return
-	}
-	ref := s.phaseRate
-	if ref < 1e-6 {
-		ref = 1e-6
-	}
-	if rate > ref*(1+s.cfg.PhaseDelta) || rate < ref*(1-s.cfg.PhaseDelta) {
-		n := s.table.ClearAllMature()
-		if s.opt != nil {
-			s.opt.ClearMaturity()
-		}
-		s.stats.phaseClears++
-		s.tel.Emit(telemetry.KindPhaseClear, now, 0, 0, int64(n), 0)
-	}
-}
-
 // trackTraversal updates the watch table's per-traversal timing: a
 // traversal completes when the trace loops back to its own start.
-func (s *System) trackTraversal(pl *trident.Placement, pc uint64, now int64) {
+func (s *System) trackTraversal(pl *trident.Placement, pc uint64) {
 	switch {
 	case pl == nil:
 		s.inTraversal = false
@@ -537,9 +479,6 @@ func (s *System) trackTraversal(pl *trident.Placement, pc uint64, now int64) {
 				})
 			}
 		}
-		if s.cfg.Backout {
-			s.noteEntry(pl, now)
-		}
 	case pc == pl.Start && s.inTraversal:
 		// Loop-back: one full traversal.
 		s.recordTraversal(pl, s.lastNow)
@@ -555,48 +494,14 @@ func (s *System) recordTraversal(pl *trident.Placement, at int64) {
 	}
 	s.stats.traceTraversal++
 	s.traversalStart = at
-	if s.cfg.Backout {
-		if a := s.activity[pl.TraceID]; a != nil {
-			a.traversals++
-		}
-	}
-}
-
-// noteEntry counts a trace entry and backs the trace out if it keeps
-// exiting without completing a traversal — the captured path was not the
-// hot path after all, so the head is unpatched and the profiler re-armed
-// to capture a better bitmap.
-func (s *System) noteEntry(pl *trident.Placement, now int64) {
-	a := s.activity[pl.TraceID]
-	if a == nil {
-		a = &traceActivity{}
-		s.activity[pl.TraceID] = a
-	}
-	if !a.hasLoopSet {
-		a.hasLoopSet = true
-		for i := range pl.Trace.Insts {
-			if pl.Trace.Insts[i].Kind == trace.LoopBranch {
-				a.hasLoop = true
-				break
-			}
-		}
-	}
-	a.entries++
-	if !a.hasLoop || !pl.Live || a.entries < s.cfg.BackoutMinEntries {
-		return
-	}
-	if float64(a.traversals) >= s.cfg.BackoutRatio*float64(a.entries) {
-		return
-	}
-	s.backOut(pl, now)
 }
 
 // unlinkTrace detaches a placed trace from execution: the original head
 // instruction is restored from the pristine image, the placement retired
 // and drained (loop-back branches retargeted through the original head, so
 // execution already inside it exits safely), the watch entry dropped, and
-// the profiler re-armed for this head. Shared by the back-out policy and
-// injected code-cache evictions; now stamps the telemetry event.
+// the profiler re-armed for this head. Injected code-cache evictions are its
+// only caller; now stamps the telemetry event.
 func (s *System) unlinkTrace(pl *trident.Placement, now int64) {
 	head := pl.Trace.StartPC
 	s.tel.Emit(telemetry.KindTraceBackOut, now, head, 0, int64(pl.TraceID), 0)
@@ -615,19 +520,10 @@ func (s *System) unlinkTrace(pl *trident.Placement, now int64) {
 		s.opt.ForgetTrace(head)
 	}
 	if s.vpt != nil {
-		// A specialized trace whose guard started failing drains here;
-		// re-arm the profiler's value entries so a new stable value can
+		// Re-arm the profiler's value entries so a new stable value can
 		// be discovered.
 		s.vpt.Despecialize()
 	}
-	delete(s.activity, pl.TraceID)
-}
-
-// backOut unlinks an under-performing trace (the captured path was not the
-// hot path after all).
-func (s *System) backOut(pl *trident.Placement, now int64) {
-	s.unlinkTrace(pl, now)
-	s.stats.tracesBackedOut++
 }
 
 // monitorLoad feeds the DLT for a load committed at cycle now inside

@@ -71,9 +71,7 @@ func (s *System) snapshotMetrics() {
 	}
 
 	u("traces_formed", s.stats.tracesFormed)
-	u("traces_backed_out", s.stats.tracesBackedOut)
 	u("traces_specialized", s.stats.tracesSpecialized)
-	u("phase_clears", s.stats.phaseClears)
 	u("apply_errors", s.stats.applyErrors)
 	u("trace_traversals", s.stats.traceTraversal)
 	u("misses_total", s.stats.missesTotal)

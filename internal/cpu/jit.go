@@ -347,26 +347,16 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 			// Extend the ALU run as far as it goes.
 			j := i
 			var w uint64
-			nops := 0
 			for j < n && blockMember(b.Insts[j].Op) == memberPlain {
 				op := compileALU(b.Insts[j])
 				if op == nil {
 					return nil
 				}
 				cb.ops[j] = op
-				if b.Insts[j].Op == isa.NOP || b.Insts[j].Rd == isa.ZeroReg {
-					nops++
-				}
 				w += cb.weights[j]
 				j++
 			}
-			run := cb.ops[i:j]
-			sg := jitSeg{kind: segALU, idx: i, n: j - i, w: w, pc: pc}
-			if nops == 0 {
-				sg.fused = fuseRunDense(run)
-			} else {
-				sg.fused = fuseSparse(run, b.Insts[i:j])
-			}
+			sg := jitSeg{kind: segALU, idx: i, n: j - i, w: w, pc: pc, fused: fuseRun(cb.ops[i:j])}
 			cb.segs = append(cb.segs, sg)
 			i = j
 
@@ -409,8 +399,9 @@ func compileBlock(b Block, entry uint64) *CompiledBlock {
 	return cb
 }
 
-// fuseRunDense fuses a nop-free run into a single call.
-func fuseRunDense(fs []func(*Thread)) func(*Thread) {
+// fuseRun fuses an ALU run into a single call. A NOP in the run is jitNop
+// and runs in place.
+func fuseRun(fs []func(*Thread)) func(*Thread) {
 	switch len(fs) {
 	case 0:
 		return jitNop
@@ -434,18 +425,6 @@ func fuseRunDense(fs []func(*Thread)) func(*Thread) {
 			}
 		}
 	}
-}
-
-// fuseSparse fuses a run that contains nops, eliding them from the body.
-func fuseSparse(fs []func(*Thread), ins []isa.Inst) func(*Thread) {
-	body := make([]func(*Thread), 0, len(fs))
-	for k, f := range fs {
-		if ins[k].Op == isa.NOP || ins[k].Rd == isa.ZeroReg {
-			continue
-		}
-		body = append(body, f)
-	}
-	return fuseRunDense(body)
 }
 
 // ExecCompiled retires instructions from cb under exactly ExecSuperBlock's

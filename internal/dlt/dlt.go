@@ -307,23 +307,6 @@ func (t *Table) SetMature(pc uint64) {
 	}
 }
 
-// ClearAllMature clears every mature flag — the paper's suggested response
-// to a working-set or phase change (§3.5.2): loads written off under the
-// old behaviour get a fresh chance.
-func (t *Table) ClearAllMature() int {
-	n := 0
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].valid && set[i].Mature {
-				set[i].Mature = false
-				set[i].Access, set[i].Miss, set[i].MissLatency = 0, 0, 0
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // IsDelinquent applies the delinquency criteria to pc's current (possibly
 // partial) window, as the optimizer does when it scans the other loads of a
 // trace ("if a load has not yet completed execution of a full monitoring

@@ -77,7 +77,7 @@ func TestAblationsQuick(t *testing.T) {
 		Instrs:     250_000,
 		Benchmarks: []string{"mcf"},
 	})
-	if len(tbl.Columns) != 6 {
+	if len(tbl.Columns) != 4 {
 		t.Fatalf("ablation columns = %d", len(tbl.Columns))
 	}
 	row := tbl.Rows[0]

@@ -42,7 +42,6 @@ func Resilience(o Options) Table {
 	p := newPool(o)
 	suite := o.suite()
 	cfg := core.DefaultConfig()
-	cfg.Backout = true
 	o.applyEngine(&cfg)
 	// Phase 1: fault-free base runs. The chaos rows need the base IPC while
 	// they execute, and a pool task must not wait on another task's future

@@ -164,7 +164,8 @@ type Result struct {
 }
 
 // pendingOp is an insert or repair whose patch has not landed yet. It lands
-// on ts, the state it was computed from, even if a back-out forgot it since.
+// on ts, the state it was computed from, even if a chaos code-cache eviction
+// (the only forgetter) dropped it since.
 type pendingOp struct {
 	ts     *traceState  // nil: nothing pending
 	tr     *trace.Trace // insert: the new version; nil: a repair
@@ -260,23 +261,10 @@ func (o *Optimizer) BaseTrace(startPC uint64) (*trace.Trace, bool) {
 	return ts.base.Clone(), true
 }
 
-// ForgetTrace drops the optimizer's state for a backed-out trace head.
+// ForgetTrace drops the optimizer's state for a trace head whose trace a
+// chaos code-cache eviction unlinked.
 func (o *Optimizer) ForgetTrace(startPC uint64) {
 	delete(o.traces, startPC)
-}
-
-// ClearMaturity re-arms matured groups after a phase change so that new
-// delinquent events reach the repair path again.
-func (o *Optimizer) ClearMaturity() {
-	for _, ts := range o.traces {
-		for _, g := range ts.groups {
-			if g.mature {
-				g.mature = false
-				g.repairsUsed = 0
-				g.hasLast = false
-			}
-		}
-	}
 }
 
 // TraceID returns the current linked trace ID for a registered head.

@@ -36,7 +36,8 @@ func (o *Optimizer) Checkpoint(c *checkpoint.Codec) {
 }
 
 // walkPending walks the pending insert or repair. Its trace state travels
-// whole (a back-out may have forgotten it); a tracked one is relinked.
+// whole (a chaos code-cache eviction, the only forgetter, may have dropped
+// it); a tracked one is relinked.
 func (o *Optimizer) walkPending(c *checkpoint.Codec) {
 	p := &o.pending
 	have, insert := p.ts != nil, p.tr != nil

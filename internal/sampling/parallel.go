@@ -173,20 +173,9 @@ func specWidth(jobs int) int {
 	return 2 * jobs
 }
 
-// Config returns the effective (defaulted) schedule.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Intervals returns the detailed-interval records committed so far, in slot
 // order.
 func (s *Scheduler) Intervals() []Interval { return s.intervals }
-
-// PhaseExtras counts intervals that ran detailed because the previous one
-// flagged a phase change.
-func (s *Scheduler) PhaseExtras() int { return s.phaseExtras }
-
-// SpecWaste counts speculative windows that were executed but discarded
-// because the replayed serial schedule never reached their slot.
-func (s *Scheduler) SpecWaste() int { return s.specWaste }
 
 // Err reports a scheduler-level failure (a snapshot that passed integrity
 // checks but failed structurally, or a worker seed failure). The run stops

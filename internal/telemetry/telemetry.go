@@ -43,7 +43,7 @@ const (
 	// KindTraceSpecialize: a trace was value-specialized. PC = head,
 	// Aux = specialized load PC, Arg = trace length, Arg2 = new trace ID.
 	KindTraceSpecialize
-	// KindTraceBackOut: an under-performing or evicted trace was unlinked.
+	// KindTraceBackOut: an evicted trace was unlinked.
 	// PC = head, Arg = trace ID.
 	KindTraceBackOut
 	// KindPrefetchInsert: the optimizer regenerated a trace with prefetch
@@ -62,9 +62,6 @@ const (
 	// KindEventDropped: the bounded event queue rejected a raised event.
 	// PC = the event's load or head PC, Arg = the trident event kind.
 	KindEventDropped
-	// KindPhaseClear: phase detection cleared the mature flags.
-	// Arg = DLT entries re-armed.
-	KindPhaseClear
 	// KindChaosEdge: one fault-injection edge applied. Cycle = the edge's
 	// scheduled cycle, Aux = the chaos event kind, Arg = its argument,
 	// Arg2 = 1 on enter, 0 on exit.
@@ -124,7 +121,7 @@ var kindNames = [NumKinds]string{
 	"dlt-delinquent", "dlt-evict",
 	"trace-form", "trace-specialize", "trace-back-out",
 	"prefetch-insert", "prefetch-repair", "prefetch-mature",
-	"helper-run", "event-dropped", "phase-clear",
+	"helper-run", "event-dropped",
 	"chaos-edge", "watchdog-probe", "hwpref-switch",
 	"fast-enter", "fast-exit",
 	"sentinel-check", "sentinel-divergence",

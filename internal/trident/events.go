@@ -181,6 +181,3 @@ func (h *Helper) Preempt(until int64) {
 	h.busyUntil = until
 	h.Preemptions++
 }
-
-// Cost exposes the model for the optimizer's per-action pricing.
-func (h *Helper) Cost() CostModel { return h.cost }

@@ -119,8 +119,8 @@ func (v *VPT) Value(pc uint64) (uint64, bool) {
 	return e.LastValue, e.Confidence >= v.cfg.Threshold
 }
 
-// Despecialize re-arms every specialized entry (used when a specialized
-// trace is backed out after its guard started failing).
+// Despecialize re-arms every specialized entry (used when a trace is
+// unlinked, so a new stable value can be discovered).
 func (v *VPT) Despecialize() {
 	for _, set := range v.sets {
 		for i := range set {
