@@ -9,7 +9,7 @@
 //	experiments -instrs 5000000 # change the per-run instruction budget
 //	experiments -bench mcf,swim # restrict the benchmark suite
 //	experiments -j 8            # cap concurrent simulator runs (0 = NumCPU)
-//	experiments -retries 2 -task-timeout 10m -fail-policy degrade
+//	experiments -task-timeout 10m       # bound each run's wall-clock time
 //	experiments -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //	experiments -fig sampleval          # sampled-vs-exact validation figure
 //	experiments -sample -fig fig5       # any figure under interval sampling
@@ -17,11 +17,10 @@
 // Tables are byte-identical at any -j: runs execute concurrently but
 // results are assembled in a fixed order.
 //
-// A run that panics or exceeds -task-timeout is retried -retries times
-// with deterministic backoff; if it still fails, its cells render as "—"
-// and the failure is listed under the table. -fail-policy decides the exit
-// code of such a degraded invocation: "strict" (default) exits 1 so CI
-// notices, "degrade" exits 0 and lets the holes speak for themselves.
+// Each run executes once; every result is a pure function of its inputs,
+// so a retry would only replay a failure. A run that panics or exceeds
+// -task-timeout renders its cells as "—", the failure is listed under the
+// table, and the command exits 1.
 package main
 
 import (
@@ -50,9 +49,7 @@ func realMain() int {
 		instrs     = flag.Uint64("instrs", 0, "per-run instruction budget")
 		bench      = flag.String("bench", "", "comma-separated benchmark subset")
 		jobs       = flag.Int("j", 0, "max concurrent simulator runs (0 = all CPUs)")
-		retries    = flag.Int("retries", 0, "extra attempts for a panicked or timed-out run")
-		taskTO     = flag.Duration("task-timeout", 0, "per-attempt wall-clock deadline (0 = none)")
-		failPolicy = flag.String("fail-policy", "strict", "strict: exit 1 if any run failed every attempt; degrade: exit 0 with holed tables")
+		taskTO     = flag.Duration("task-timeout", 0, "per-run wall-clock deadline (0 = none)")
 		sample     = flag.Bool("sample", false, "run every figure under the interval-sampling scheduler (DESIGN §14, §15); cells come from extrapolated results")
 		sampleJobs = flag.Int("sample-jobs", 1, "concurrent detailed-window chains inside each sampled run; tables are byte-identical at any value (with -j unset, the pool narrows to NumCPU/sample-jobs)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -61,11 +58,6 @@ func realMain() int {
 	engine := core.DefaultConfig().Engine
 	engine.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-
-	if *failPolicy != "strict" && *failPolicy != "degrade" {
-		fmt.Fprintf(os.Stderr, "invalid -fail-policy %q: use strict or degrade\n", *failPolicy)
-		return 2
-	}
 
 	if *list {
 		printList()
@@ -94,7 +86,6 @@ func realMain() int {
 	opts.Sampled = *sample
 	opts.SampleJobs = *sampleJobs
 	opts.Engine = &engine
-	opts.Retries = *retries
 	opts.TaskTimeout = *taskTO
 
 	if *cpuprofile != "" {
@@ -144,10 +135,8 @@ func realMain() int {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d run(s) failed every attempt; tables are degraded (holes marked —)\n", failed)
-		if *failPolicy == "strict" {
-			return 1
-		}
+		fmt.Fprintf(os.Stderr, "%d run(s) failed; tables are degraded (holes marked —)\n", failed)
+		return 1
 	}
 	return 0
 }

@@ -1,5 +1,5 @@
 // Command tracestats summarizes a telemetry event stream written by
-// tridentsim -trace-out. It renders the three views the flat JSONL makes
+// tridentsim -trace-out. It renders the views the flat JSONL makes
 // tedious to read by hand:
 //
 //   - per-load repair timelines — every insert → ±1 repair → mature
@@ -16,7 +16,7 @@
 //     reconstructed from the selector's switch events.
 //
 // With -metrics, a registry snapshot written by tridentsim -metrics-out adds
-// a fourth view: per-tier residency (reference loop / batch engine / JIT
+// one more view: per-tier residency (reference loop / batch engine / JIT
 // closure chains) and the JIT compile/invalidate counters.
 //
 // Usage:
@@ -31,8 +31,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,18 +41,43 @@ import (
 	"tridentsp/internal/telemetry"
 )
 
+// sections are the event-stream views in print order. Each one's flag
+// prints it alone; with no flag set, every section prints.
+var sections = []struct {
+	flag, usage string
+	render      func([]telemetry.Event) string
+}{
+	{"repairs", "print only the per-load repair timelines", repairTimelines},
+	{"residency", "print only the fast-path residency summary", fastPathResidency},
+	{"triggers", "print only the slow-path trigger histogram", triggerHistogram},
+	{"sampling", "print only the sampled-run interval timeline", samplingTimeline},
+	{"prefetch", "print only the prefetch-policy backend breakdown", prefetchPolicy},
+}
+
+// report renders the sections whose flag is set, or every section when no
+// flag is (picked is indexed like sections).
+func report(events []telemetry.Event, picked []bool) string {
+	all := !slices.Contains(picked, true)
+	var sb strings.Builder
+	for i, sec := range sections {
+		if all || picked[i] {
+			sb.WriteString(sec.render(events))
+		}
+	}
+	return sb.String()
+}
+
 func main() {
-	var (
-		repairs   = flag.Bool("repairs", false, "print only the per-load repair timelines")
-		residency = flag.Bool("residency", false, "print only the fast-path residency summary")
-		triggers  = flag.Bool("triggers", false, "print only the slow-path trigger histogram")
-		sampled   = flag.Bool("sampling", false, "print only the sampled-run interval timeline")
-		prefetch  = flag.Bool("prefetch", false, "print only the prefetch-policy backend breakdown")
-		metrics   = flag.String("metrics", "", "metrics registry JSON (tridentsim -metrics-out); adds the tier-residency section")
-	)
+	picked := make([]bool, len(sections))
+	names := make([]string, len(sections))
+	for i, sec := range sections {
+		flag.BoolVar(&picked[i], sec.flag, false, sec.usage)
+		names[i] = "-" + sec.flag
+	}
+	metrics := flag.String("metrics", "", "metrics registry JSON (tridentsim -metrics-out); adds the tier-residency section")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tracestats [-repairs|-residency|-triggers|-sampling|-prefetch] [-metrics METRICS.json] TRACE.jsonl\n")
+			"usage: tracestats [%s] [-metrics METRICS.json] TRACE.jsonl\n", strings.Join(names, "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -71,22 +96,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracestats: %v\n", err)
 		os.Exit(1)
 	}
-	all := !*repairs && !*residency && !*triggers && !*sampled && !*prefetch
-	if all || *repairs {
-		fmt.Print(repairTimelines(events))
-	}
-	if all || *residency {
-		fmt.Print(fastPathResidency(events))
-	}
-	if all || *triggers {
-		fmt.Print(triggerHistogram(events))
-	}
-	if all || *sampled {
-		fmt.Print(samplingTimeline(events))
-	}
-	if all || *prefetch {
-		fmt.Print(prefetchPolicy(events))
-	}
+	fmt.Print(report(events, picked))
 	if *metrics != "" {
 		blob, err := os.ReadFile(*metrics)
 		if err != nil {
@@ -424,13 +434,4 @@ func prefetchPolicy(events []telemetry.Event) string {
 	fmt.Fprintf(&sb, "  decisions: %d  winner changes: %d  (loads counted through the last switch at %d)\n",
 		len(decs), switches, prevLoads)
 	return sb.String()
-}
-
-// summarize renders every section; split from main for tests.
-func summarize(w io.Writer, events []telemetry.Event) {
-	io.WriteString(w, repairTimelines(events))
-	io.WriteString(w, fastPathResidency(events))
-	io.WriteString(w, triggerHistogram(events))
-	io.WriteString(w, samplingTimeline(events))
-	io.WriteString(w, prefetchPolicy(events))
 }

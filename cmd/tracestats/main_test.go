@@ -53,15 +53,30 @@ func TestTriggerHistogram(t *testing.T) {
 	}
 }
 
+// TestEmptyStreamSections drives report, the function main prints: with no
+// flag set every section of the table renders its empty marker, and each
+// flag alone selects only its own section.
 func TestEmptyStreamSections(t *testing.T) {
-	var sb strings.Builder
-	summarize(&sb, nil)
-	out := sb.String()
-	for _, want := range []string{"(no prefetch events)", "(no fast-path events",
+	empty := []string{"(no prefetch events)", "(no fast-path events",
 		"(no fast-path exits recorded)", "(no sampling events",
-		"(no policy-switch events"} {
+		"(no policy-switch events"}
+	if len(empty) != len(sections) {
+		t.Fatalf("%d empty markers for %d sections", len(empty), len(sections))
+	}
+	out := report(nil, make([]bool, len(sections)))
+	for _, want := range empty {
 		if !strings.Contains(out, want) {
 			t.Errorf("empty-stream output missing %q:\n%s", want, out)
+		}
+	}
+	for i, sec := range sections {
+		picked := make([]bool, len(sections))
+		picked[i] = true
+		out := report(nil, picked)
+		for j, want := range empty {
+			if got := strings.Contains(out, want); got != (i == j) {
+				t.Errorf("-%s: section %d present = %v:\n%s", sec.flag, j, got, out)
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // This file implements the first level of the simulator's fast path: the
 // event horizon. The framework is event-driven — chaos edges, watchdog
-// probes, phase-window boundaries, helper-thread completions, and in-flight
+// probes, pending optimizations, helper-thread completions, and in-flight
 // fill arrivals all fire at known future cycles — yet the reference loop
 // re-checks every one of them after every committed instruction. fastForward
 // instead computes the nearest cycle at which anything non-CPU can happen
@@ -40,8 +40,8 @@ import (
 // post-commit cycle. ExecSuperBlock stops after the first instruction whose
 // commit crosses the horizon or the weight budget, or after a declined load.
 // Of step()'s due-checks only chaos edges precede the load and branch
-// monitoring; the pump, phase check, interference toggle and watchdog run
-// after it, in endCommit. So hooked instructions pre-stop when they might
+// monitoring; the pump, interference toggle and watchdog run after it, in
+// endCommit. So hooked instructions pre-stop when they might
 // cross the horizon, and a hooked declined load, whose stall is unknown
 // before it commits, pre-stops whenever a chaos schedule is attached
 // (SBHooks.StopBeforeMiss). The batch-end processing below then observes the
@@ -257,8 +257,9 @@ loop:
 			s.inTraversal = false
 		}
 		// Load accounting, deferred from the batch: the slow path counts
-		// these per load, but nothing between the loads and this boundary
-		// reads them (the phase check in endCommit is the first reader).
+		// these per load, but nothing inside the machine reads them. Their
+		// readers, results() (Results.MissesTotal, the misses_total gauge)
+		// and a checkpoint, run only after Run returns.
 		s.stats.loadsTotal += uint64(ex.Loads)
 		s.stats.missesTotal += uint64(ex.WouldMiss)
 		tier := tierBatch

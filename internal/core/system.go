@@ -300,22 +300,6 @@ func (s *System) HWPref() *hwpref.Selector { return s.hwp }
 // later call with a higher limit continues the same machine.
 func (s *System) Run(limit uint64) Results {
 	s.syncShadowInit()
-	if s.cfg.LivelockWindow == 0 {
-		// No livelock detection: skip the per-step progress bookkeeping
-		// entirely.
-		for s.origInstrs < limit && !s.thread.Halted() && s.aborted == "" {
-			s.sentinelTick()
-			s.fastForward(limit)
-			if s.origInstrs >= limit || s.thread.Halted() {
-				break
-			}
-			if s.sentinelDue() {
-				continue // the session handed back for the sentinel's tick
-			}
-			s.step()
-		}
-		return s.results()
-	}
 	lastInstrs := s.origInstrs
 	lastProgress := s.thread.Now()
 	for s.origInstrs < limit && !s.thread.Halted() && s.aborted == "" {
@@ -332,13 +316,13 @@ func (s *System) Run(limit uint64) Results {
 			break
 		}
 		if s.sentinelDue() {
-			continue
+			continue // the session handed back for the sentinel's tick
 		}
 		s.step()
 		if s.origInstrs != lastInstrs {
 			lastInstrs = s.origInstrs
 			lastProgress = s.thread.Now()
-		} else if s.thread.Now()-lastProgress >= s.cfg.LivelockWindow {
+		} else if s.cfg.LivelockWindow > 0 && s.thread.Now()-lastProgress >= s.cfg.LivelockWindow {
 			s.aborted = fmt.Sprintf(
 				"livelock: no original-instruction progress for %d cycles (pc=%#x, cycle=%d)",
 				s.thread.Now()-lastProgress, s.thread.PC(), s.thread.Now())

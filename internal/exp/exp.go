@@ -53,12 +53,9 @@ type Options struct {
 	// with Jobs unset, the pool width defaults to NumCPU/SampleJobs so the
 	// nested parallelism does not oversubscribe the host.
 	SampleJobs int
-	// Retries is how many extra attempts a failed run (panic or timeout)
-	// gets before its cells are holed ("—") and the failure lands in the
-	// table's manifest.
-	Retries int
-	// TaskTimeout bounds one attempt's wall-clock time; 0 disables the
-	// deadline. A timed-out attempt is abandoned and retried.
+	// TaskTimeout bounds one run's wall-clock time; 0 disables the
+	// deadline. A timed-out run is abandoned, its cells are holed ("—"),
+	// and the failure lands in the table's manifest.
 	TaskTimeout time.Duration
 }
 
@@ -113,14 +110,13 @@ func (o Options) applyEngine(cfg *core.Config) {
 	}
 }
 
-// run executes one benchmark under one configuration. stop and m are the
-// pool's cooperation handles for sampled mode — the attempt deadline closes
-// stop so nested window chains wind down at the next boundary, and a retry
-// resumes the window schedule from m instead of restarting the run. Exact
-// runs ignore both (pure compute, no cancellation point).
-func run(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{}, m *memo) core.Results {
+// run executes one benchmark under one configuration. stop is the pool's
+// deadline handle for sampled mode: it closes when the run's deadline
+// expires, so nested window chains wind down at the next boundary. Exact
+// runs ignore it (pure compute, no cancellation point).
+func run(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{}) core.Results {
 	if o.Sampled {
-		return sampledRun(bm, cfg, o, stop, m).Sampled
+		return sampledRun(bm, cfg, o, stop).Sampled
 	}
 	o.applyEngine(&cfg)
 	p := bm.Build(o.Scale)
@@ -190,7 +186,7 @@ func (t Table) Render() string {
 		fmt.Fprintf(&sb, "note: %s\n", t.Note)
 	}
 	for _, f := range t.Failures {
-		fmt.Fprintf(&sb, "FAILED: %s: %s (%d attempts)\n", f.Label, f.Err, f.Attempts)
+		fmt.Fprintf(&sb, "FAILED: %s: %s\n", f.Label, f.Err)
 	}
 	return sb.String()
 }

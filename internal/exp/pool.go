@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"tridentsp/internal/core"
@@ -17,10 +16,10 @@ import (
 // goroutine in submission order, so the rendered output is byte-identical
 // to the serial path at any job count.
 //
-// The pool is also the suite's fault boundary. A run that panics or blows
-// its per-attempt deadline does not take the whole table generation down:
-// the worker recovers, retries the task a bounded number of times with a
-// deterministic seeded-jitter backoff, and if every attempt fails the task
+// The pool is also the suite's fault boundary. Every run is a pure function
+// of (benchmark, machine, options), so a task runs once: a retry would only
+// replay the same panic. A run that panics or blows its deadline does not
+// take the whole table generation down: the worker recovers, and the task
 // resolves to a zero value with the error on record. Figures render such
 // runs as explicit holes ("—") and attach a failure manifest, so a partial
 // table degrades visibly instead of crashing or silently lying.
@@ -33,47 +32,35 @@ import (
 // pool bounds concurrent simulator runs and records their failures.
 type pool struct {
 	sem     chan struct{}
-	retries int
 	timeout time.Duration
-	// pause is the backoff sleep, a seam so tests retry without real delay.
-	pause func(time.Duration)
 	// failures accumulates in wait order on the assembling goroutine —
 	// deterministic at any job count, like the rows themselves.
 	failures []Failure
 }
 
-// Failure is one permanently failed run in a table's manifest.
+// Failure is one failed run in a table's manifest.
 type Failure struct {
-	Label    string
-	Attempts int
-	Err      string
+	Label string
+	Err   string
 }
 
 // newPool creates a pool running at most o.Jobs tasks at once (<= 0 selects
-// runtime.NumCPU()), giving each task o.Retries extra attempts and bounding
-// each attempt to o.TaskTimeout (0 = no deadline).
+// runtime.NumCPU()), bounding each task to o.TaskTimeout (0 = no deadline).
 func newPool(o Options) *pool {
 	jobs := o.Jobs
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
-	return &pool{
-		sem:     make(chan struct{}, jobs),
-		retries: o.Retries,
-		timeout: o.TaskTimeout,
-		pause:   time.Sleep,
-	}
+	return &pool{sem: make(chan struct{}, jobs), timeout: o.TaskTimeout}
 }
 
 // manifest returns the failures recorded so far, in wait order.
 func (p *pool) manifest() []Failure { return p.failures }
 
-// outcome is a finished task: its value, the final error (nil on success),
-// and how many attempts it took.
+// outcome is a finished task: its value and its error (nil on success).
 type outcome[T any] struct {
-	v        T
-	err      error
-	attempts int
+	v   T
+	err error
 }
 
 // task is a pending result. wait blocks until the task finishes and may be
@@ -87,50 +74,15 @@ type task[T any] struct {
 	done  bool
 }
 
-// memo carries resumable progress across one task's retry attempts: sampled
-// runs store their scheduler snapshot at every commit point, and the next
-// attempt resumes the window schedule from it instead of restarting the
-// run. The mutex matters because a timed-out attempt is abandoned, not
-// killed — it may publish one last commit while the retry is already
-// reading; the snapshot it writes is still a valid commit point (resuming
-// from an older point only redoes work, never changes the result), so the
-// race is benign by construction.
-type memo struct {
-	mu   sync.Mutex
-	snap []byte
-}
-
-// store publishes a snapshot (nil-safe).
-func (m *memo) store(b []byte) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.snap = b
-	m.mu.Unlock()
-}
-
-// load returns the latest snapshot, nil when none was stored (nil-safe).
-func (m *memo) load() []byte {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap
-}
-
-// wait returns the task's value — the zero value when every attempt failed,
-// in which case the failure is recorded in the pool's manifest (once, on
-// the first wait).
+// wait returns the task's value — the zero value when the run failed, in
+// which case the failure is recorded in the pool's manifest (once, on the
+// first wait).
 func (t *task[T]) wait() T {
 	if !t.done {
 		t.out = <-t.ch
 		t.done = true
 		if t.out.err != nil {
-			t.p.failures = append(t.p.failures, Failure{
-				Label: t.label, Attempts: t.out.attempts, Err: t.out.err.Error(),
-			})
+			t.p.failures = append(t.p.failures, Failure{Label: t.label, Err: t.out.err.Error()})
 		}
 	}
 	return t.out.v
@@ -144,50 +96,32 @@ func (t *task[T]) ok() bool {
 
 // submit schedules fn and returns its future. Goroutines are spawned
 // eagerly and gate on the pool's slots, so submission never blocks. The
-// label names the run in the failure manifest and seeds its retry jitter.
+// label names the run in the failure manifest.
 func submit[T any](p *pool, label string, fn func() T) *task[T] {
-	return submitStop(p, label, func(<-chan struct{}, *memo) T { return fn() })
+	return submitStop(p, label, func(<-chan struct{}) T { return fn() })
 }
 
-// submitStop is submit for tasks that cooperate with the fault boundary:
-// fn's stop channel closes when the attempt's deadline expires (nested
-// window workers abort at the next safe point instead of burning CPU until
-// process exit), and with retries enabled, its memo carries the scheduler
-// snapshot across attempts so a retry resumes the window schedule rather
-// than the whole run.
-func submitStop[T any](p *pool, label string, fn func(stop <-chan struct{}, m *memo) T) *task[T] {
+// submitStop is submit for tasks that cooperate with the deadline: fn's
+// stop channel closes when it expires, so nested window workers abort at
+// the next safe point instead of burning CPU until process exit.
+func submitStop[T any](p *pool, label string, fn func(stop <-chan struct{}) T) *task[T] {
 	t := &task[T]{p: p, label: label, ch: make(chan outcome[T], 1)}
-	var m *memo
-	if p.retries > 0 {
-		m = &memo{}
-	}
 	go func() {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		var out outcome[T]
-		for n := 0; ; n++ {
-			out.attempts = n + 1
-			out.v, out.err = attempt(p, fn, m)
-			if out.err == nil || n >= p.retries {
-				break
-			}
-			// The slot is held through the backoff: a failing task should
-			// not free capacity it will reclaim moments later.
-			p.pause(backoff(label, n))
-		}
-		t.ch <- out
+		t.ch <- attempt(p, fn)
 	}()
 	return t
 }
 
-// attempt runs fn once behind the fault boundary: a panic becomes an error,
-// and with a deadline set, an overlong run is reported as a timeout and
+// attempt runs fn behind the fault boundary: a panic becomes an error, and
+// with a deadline set, an overlong run is reported as a timeout and
 // abandoned — its stop channel is closed so cooperating tasks (sampled
 // runs' window chains) wind down at their next boundary, while pure-compute
 // exact runs are simply left to finish and be discarded. A result that
 // arrives after the deadline is a timeout too, so whether a run met its
 // deadline never depends on how the Go scheduler ordered the two wake-ups.
-func attempt[T any](p *pool, fn func(stop <-chan struct{}, m *memo) T, m *memo) (T, error) {
+func attempt[T any](p *pool, fn func(stop <-chan struct{}) T) outcome[T] {
 	start := time.Now()
 	stop := make(chan struct{})
 	resc := make(chan outcome[T], 1)
@@ -199,49 +133,22 @@ func attempt[T any](p *pool, fn func(stop <-chan struct{}, m *memo) T, m *memo) 
 			}
 			resc <- o
 		}()
-		o.v = fn(stop, m)
+		o.v = fn(stop)
 	}()
 	if p.timeout <= 0 {
-		o := <-resc
-		return o.v, o.err
+		return <-resc
 	}
 	timer := time.NewTimer(p.timeout)
 	defer timer.Stop()
 	select {
 	case o := <-resc:
 		if time.Since(start) <= p.timeout {
-			return o.v, o.err
+			return o
 		}
 	case <-timer.C:
 	}
 	close(stop)
-	var zero T
-	return zero, fmt.Errorf("timed out after %v", p.timeout)
-}
-
-// backoff is the deterministic retry delay: an exponential base plus a
-// jitter drawn from a splitmix64 stream seeded by the task's label and the
-// attempt number. Retrying tasks spread out instead of thundering in
-// lockstep, yet every execution of the suite sleeps identically.
-func backoff(label string, attempt int) time.Duration {
-	base := 50 * time.Millisecond << uint(attempt)
-	if base > 2*time.Second {
-		base = 2 * time.Second
-	}
-	h := uint64(14695981039346656037) // FNV-1a over the label
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	j := splitmix64(h^uint64(attempt)) % uint64(base/2+1)
-	return base + time.Duration(j)
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return outcome[T]{err: fmt.Errorf("timed out after %v", p.timeout)}
 }
 
 // submitRun schedules one benchmark on one machine variant. The run's label
@@ -251,8 +158,8 @@ func (p *pool) submitRun(bm workloads.Benchmark, v variant, o Options) *task[cor
 	if v.name != "" {
 		label += " " + v.name
 	}
-	return submitStop(p, label, func(stop <-chan struct{}, m *memo) core.Results {
-		return run(bm, v.cfg, o, stop, m)
+	return submitStop(p, label, func(stop <-chan struct{}) core.Results {
+		return run(bm, v.cfg, o, stop)
 	})
 }
 

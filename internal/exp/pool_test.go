@@ -4,63 +4,40 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// quietPool builds a single-job pool whose backoff sleeps are recorded
-// instead of slept, so retry tests run instantly and can assert on the
-// delays the scheduler would have used. The recorder locks: a multi-job
-// pool's workers back off concurrently.
-func quietPool(o Options) (*pool, func() []time.Duration) {
-	p := newPool(o)
-	var mu sync.Mutex
-	var delays []time.Duration
-	p.pause = func(d time.Duration) {
-		mu.Lock()
-		delays = append(delays, d)
-		mu.Unlock()
-	}
-	return p, func() []time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]time.Duration(nil), delays...)
-	}
-}
-
-func TestPoolRecoversPanicAndRetries(t *testing.T) {
-	p, delays := quietPool(Options{Jobs: 1, Retries: 2})
+// TestPoolRecoversPanicOnce: a panicking task runs exactly once — a retry
+// would replay the same panic — and resolves to a zero value with one
+// manifest entry naming the panic.
+func TestPoolRecoversPanicOnce(t *testing.T) {
+	p := newPool(Options{Jobs: 1})
 	calls := 0
-	ft := submit(p, "flaky", func() int {
+	ft := submit(p, "broken", func() int {
 		calls++
-		if calls < 3 {
-			panic(fmt.Sprintf("injected failure %d", calls))
-		}
-		return 42
+		panic(fmt.Sprintf("injected failure %d", calls))
 	})
-	if v := ft.wait(); v != 42 {
-		t.Fatalf("wait = %d, want 42", v)
+	if v := ft.wait(); v != 0 {
+		t.Fatalf("wait = %d, want zero value", v)
 	}
-	if !ft.ok() {
-		t.Fatal("task reported failure after a successful retry")
+	if ft.ok() {
+		t.Fatal("panicked task reported ok")
 	}
-	if calls != 3 {
-		t.Fatalf("fn ran %d times, want 3", calls)
+	if calls != 1 {
+		t.Fatalf("fn ran %d times, want 1", calls)
 	}
-	if n := len(delays()); n != 2 {
-		t.Fatalf("backoff slept %d times, want 2", n)
-	}
-	if m := p.manifest(); len(m) != 0 {
-		t.Fatalf("manifest has %d entries for a recovered task: %+v", len(m), m)
+	m := p.manifest()
+	if len(m) != 1 || m[0].Label != "broken" || m[0].Err != "panic: injected failure 1" {
+		t.Fatalf("manifest = %+v, want one entry for the panic", m)
 	}
 }
 
 func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
-	p, _ := quietPool(Options{Jobs: 2, Retries: 1})
-	// Two permanently failing tasks and one healthy one, waited in a fixed
-	// order: the manifest must list the failures in that wait order with
-	// the right attempt counts, and failed waits must yield zero values.
+	p := newPool(Options{Jobs: 2})
+	// Two failing tasks and one healthy one, waited in a fixed order: the
+	// manifest must list the failures in that wait order, and failed waits
+	// must yield zero values.
 	bad1 := submit(p, "bad-one", func() int { panic("broken invariant") })
 	good := submit(p, "good", func() int { return 7 })
 	bad2 := submit(p, "bad-two", func() int { panic("segfault-ish") })
@@ -71,7 +48,7 @@ func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
 		t.Fatal("healthy task disturbed by failing neighbours")
 	}
 	if bad2.ok() {
-		t.Fatal("permanently failing task reported ok")
+		t.Fatal("failing task reported ok")
 	}
 	m := p.manifest()
 	if len(m) != 2 {
@@ -81,9 +58,6 @@ func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
 		t.Fatalf("manifest order = %s, %s; want wait order bad-one, bad-two", m[0].Label, m[1].Label)
 	}
 	for _, f := range m {
-		if f.Attempts != 2 {
-			t.Errorf("%s: attempts = %d, want 2 (1 + 1 retry)", f.Label, f.Attempts)
-		}
 		if !strings.Contains(f.Err, "panic:") {
 			t.Errorf("%s: error %q does not identify the panic", f.Label, f.Err)
 		}
@@ -96,7 +70,7 @@ func TestPoolExhaustedRetriesLandInManifest(t *testing.T) {
 }
 
 func TestPoolTimeoutAbandonsAttempt(t *testing.T) {
-	p, _ := quietPool(Options{Jobs: 1, TaskTimeout: 5 * time.Millisecond})
+	p := newPool(Options{Jobs: 1, TaskTimeout: 5 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
 	ft := submit(p, "stuck", func() int { <-release; return 1 })
@@ -106,27 +80,6 @@ func TestPoolTimeoutAbandonsAttempt(t *testing.T) {
 	m := p.manifest()
 	if len(m) != 1 || !strings.Contains(m[0].Err, "timed out") {
 		t.Fatalf("manifest = %+v, want one timeout entry", m)
-	}
-}
-
-// TestBackoffDeterministicJitter pins the retry schedule: identical inputs
-// sleep identically (suite runs are reproducible), different labels spread
-// out, and the base grows exponentially with the attempt.
-func TestBackoffDeterministicJitter(t *testing.T) {
-	if backoff("a", 0) != backoff("a", 0) {
-		t.Fatal("backoff is not deterministic")
-	}
-	if backoff("a", 0) == backoff("b", 0) {
-		t.Fatal("jitter does not separate labels")
-	}
-	for _, label := range []string{"a", "b", "swim HW8x8/none"} {
-		for n := 0; n < 4; n++ {
-			d := backoff(label, n)
-			base := 50 * time.Millisecond << uint(n)
-			if d < base || d > base+base/2 {
-				t.Errorf("backoff(%q, %d) = %v outside [%v, %v]", label, n, d, base, base+base/2)
-			}
-		}
 	}
 }
 
@@ -142,7 +95,7 @@ func TestRenderHolesAndManifest(t *testing.T) {
 			{Label: "broken", Cells: nanCells(2)},
 			{Label: "half", Cells: []float64{3, math.NaN()}},
 		},
-		Failures: []Failure{{Label: "broken HW8x8/none", Attempts: 3, Err: "panic: boom"}},
+		Failures: []Failure{{Label: "broken HW8x8/none", Err: "panic: boom"}},
 	}
 	meanRow(&tbl)
 	avg := tbl.Rows[len(tbl.Rows)-1]
@@ -153,7 +106,7 @@ func TestRenderHolesAndManifest(t *testing.T) {
 	if !strings.Contains(s, "—") {
 		t.Errorf("render has no hole marker:\n%s", s)
 	}
-	if !strings.Contains(s, "FAILED: broken HW8x8/none: panic: boom (3 attempts)") {
+	if !strings.Contains(s, "FAILED: broken HW8x8/none: panic: boom\n") {
 		t.Errorf("render missing failure manifest:\n%s", s)
 	}
 }

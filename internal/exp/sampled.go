@@ -3,7 +3,6 @@ package exp
 import (
 	"math"
 
-	"tridentsp/internal/checkpoint"
 	"tridentsp/internal/core"
 	"tridentsp/internal/sampling"
 	"tridentsp/internal/workloads"
@@ -57,35 +56,15 @@ func SampleConfig(instrs uint64) sampling.Config {
 // sampledRun executes one benchmark under the sampling scheduler, fanning
 // window chains across o.SampleJobs workers. A scheduler failure surfaces
 // as a panic so the pool's fault boundary records it like any other failed
-// run. The pool's stop channel reaches the scheduler, so a blown attempt
-// deadline winds the nested window workers down at the next boundary; with
-// a memo, every commit point snapshots the scheduler and a retry resumes
-// the window schedule where the failed attempt left off (the resumed
-// estimate is byte-identical to an unbroken run's — the scheduler's
-// resume-determinism contract).
-func sampledRun(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{}, m *memo) sampling.Estimate {
+// run. The pool's stop channel reaches the scheduler, so a blown deadline
+// winds the nested window workers down at the next boundary.
+func sampledRun(bm workloads.Benchmark, cfg core.Config, o Options, stop <-chan struct{}) sampling.Estimate {
 	o.applyEngine(&cfg)
 	build := func() *core.System { return core.NewSystem(cfg, bm.Build(o.Scale)) }
-	var sched *sampling.Scheduler
 	opts := sampling.Options{Jobs: o.SampleJobs, NewSystem: build, Stop: stop}
-	if m != nil {
-		opts.OnCommit = func(uint64) {
-			c := checkpoint.NewSaver()
-			if sched.Checkpoint(c); c.Err() == nil {
-				m.store(c.Bytes())
-			}
-		}
-	}
 	sched, err := sampling.NewScheduler(build(), SampleConfig(o.Instrs), nil, opts)
 	if err != nil {
 		panic(err)
-	}
-	if snap := m.load(); snap != nil {
-		c := checkpoint.NewLoader(snap)
-		sched.Checkpoint(c)
-		if err := c.Finish(); err != nil {
-			panic(err)
-		}
 	}
 	est := sched.Run(o.Instrs)
 	if err := sched.Err(); err != nil {
@@ -121,8 +100,8 @@ func SampleVal(o Options) Table {
 		cfg := core.DefaultConfig()
 		runs[i] = futs{
 			exact: p.submitRun(bm, variant{cfg: cfg}, o),
-			sampled: submitStop(p, bm.Name+" sampled", func(stop <-chan struct{}, m *memo) sampling.Estimate {
-				return sampledRun(bm, cfg, o, stop, m)
+			sampled: submitStop(p, bm.Name+" sampled", func(stop <-chan struct{}) sampling.Estimate {
+				return sampledRun(bm, cfg, o, stop)
 			}),
 		}
 	}
