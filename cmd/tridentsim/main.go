@@ -19,8 +19,8 @@
 // 0 = all CPUs) and the reports print in the order the names were given.
 //
 // With -chaos, a deterministic fault-injection schedule perturbs each run
-// (see internal/chaos for the presets), the invariant watchdog and the
-// architectural-transparency shadow run are attached, and the process exits
+// (see internal/chaos for the presets), the invariant watchdog and its
+// architectural-transparency check are attached, and the process exits
 // non-zero if any run aborts or violates an invariant.
 //
 // With -checkpoint-every, the (single) run executes in windows and writes a
@@ -45,9 +45,9 @@
 // decisions, and exported telemetry are byte-identical at every N (only the
 // speculation-waste diagnostic on stderr is jobs-dependent). Sampled runs
 // compose with -checkpoint-every/-restore (the checkpoint then carries the
-// scheduler's schedule state too) but not with -chaos (the shadow machine
-// cannot advance across a functional gap) or -sentinel (replay windows
-// cannot span one).
+// scheduler's schedule state too) but not with -chaos (the fault schedule
+// runs on the simulated clock, which stands still across a functional gap)
+// or -sentinel (replay windows cannot span one).
 package main
 
 import (
@@ -186,7 +186,6 @@ func main() {
 	if cfg.Chaos, err = chaosCfg.Schedule(); err != nil {
 		fail(1, "%v (presets: %s)", err, presetList())
 	}
-	cfg.ChaosShadow = cfg.Chaos != nil
 	if *traceOut != "" || *chromeOut != "" || *metricsOut != "" {
 		cfg.Telemetry = &telemetry.Options{RingCap: *traceRing}
 	}
@@ -202,7 +201,7 @@ func main() {
 	}
 	// Sampled-mode flag hygiene: the shaping flags require -sample, and the
 	// two run modes whose semantics need every instruction simulated in
-	// detail (chaos shadow, divergence sentinel) are rejected up front.
+	// detail (chaos faults, divergence sentinel) are rejected up front.
 	if !*sample {
 		for _, f := range []string{"sample-interval", "sample-detailed", "sample-warmup", "sample-startup", "sample-jobs", "roi-cache"} {
 			if flagWasSet(f) {
@@ -211,7 +210,7 @@ func main() {
 		}
 	} else {
 		if *preset != "" {
-			fail(2, "-sample is incompatible with -chaos: the architectural shadow machine cannot advance across a functional fast-forward gap")
+			fail(2, "-sample is incompatible with -chaos: the fault schedule runs on the simulated clock, which stands still across a functional fast-forward gap, so a sampled run would meet other faults than the run it estimates")
 		}
 		if cfg.SentinelEvery > 0 {
 			fail(2, "-sample is incompatible with -sentinel: divergence replay windows cannot span a functional fast-forward gap")

@@ -17,7 +17,7 @@
 //
 // None of the faults change program semantics: they perturb timing and
 // monitoring structures only, so architectural transparency (DESIGN §6)
-// must survive every preset — that is what the Monitor's shadow-run check
+// must survive every preset — that is what the Monitor's transparency check
 // verifies.
 package chaos
 

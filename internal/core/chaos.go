@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"tridentsp/internal/chaos"
+	"tridentsp/internal/cpu"
 	"tridentsp/internal/isa"
+	"tridentsp/internal/program"
 	"tridentsp/internal/telemetry"
 	"tridentsp/internal/trident"
 )
@@ -119,9 +121,10 @@ func (s *System) evictLiveTraces(n int, now int64) {
 }
 
 // attachWatchdog registers the DESIGN §6 invariant checks on a
-// chaos.Monitor. Checks run every ChaosMonitorEvery cycles; violations
-// accumulate and surface in Results.
-func (s *System) attachWatchdog() {
+// chaos.Monitor, and the transparency check against an architectural twin
+// built over prog's data image. Checks run every ChaosMonitorEvery cycles;
+// violations accumulate and surface in Results.
+func (s *System) attachWatchdog(prog *program.Program) {
 	m := chaos.NewMonitor(s.cfg.ChaosMonitorEvery)
 	m.Register("figure6-sum", func(int64) error {
 		var sum uint64
@@ -139,63 +142,62 @@ func (s *System) attachWatchdog() {
 	if s.opt != nil {
 		m.Register("controller", func(int64) error { return s.opt.CheckInvariants() })
 	}
-	if s.cfg.ChaosShadow {
-		s.shadow = s.newShadow()
-		m.Register("transparency", s.shadowCheck)
-	}
+	mem := program.NewMemory(prog)
+	s.twin = &archTwin{thread: cpu.New(s.cfg.CPU, nil, prog.Entry, mem, nil, nil), mem: mem}
+	m.Register("transparency", s.transparencyCheck)
 	m.SetTracer(s.tel)
 	s.monitor = m
 }
 
-// newShadow builds the unoptimized twin machine for the continuous
-// transparency check: same program image, same core, no Trident, no
-// prefetching, no faults. Timing differs wildly — only architectural state
-// is compared, and only at instruction-count sync points.
-func (s *System) newShadow() *System {
-	cfg := BaselineConfig(HWNone)
-	cfg.CPU = s.cfg.CPU
-	cfg.Mem = s.cfg.Mem
-	cfg.Chaos = nil
-	cfg.Telemetry = nil
-	cfg.LivelockWindow = 0
-	cfg.DisableFastPath = s.cfg.DisableFastPath
-	return NewSystem(cfg, s.pristine.ClonePristine())
+// archTwin is the unoptimized twin the transparency check compares against:
+// a thread over its own copy-on-write clone of the data image, advanced by
+// the functional executor over the pristine decoded image — the executor
+// sampled runs already trust for architectural state, held to Step by
+// cpu's lockstep oracle. It has no clock, caches, Trident or faults; it
+// travels in a checkpoint as a region-of-interest snapshot plus its
+// instruction count.
+type archTwin struct {
+	thread *cpu.Thread // functional only: no code space, hierarchy or predictor
+	mem    *program.Memory
+	instrs uint64 // original instructions retired
 }
 
-// syncShadowInit copies the main thread's starting registers into the
-// shadow. Runs once, on the first Run call before any step: workloads may
-// seed registers through Thread().SetReg after NewSystem.
-func (s *System) syncShadowInit() {
-	if s.shadow == nil || s.thread.Committed() != 0 {
+// syncTwinInit copies the main thread's starting registers into the twin.
+// Runs once, on the first Run call before any step: workloads may seed
+// registers through Thread().SetReg after NewSystem.
+func (s *System) syncTwinInit() {
+	if s.twin == nil || s.thread.Committed() != 0 {
 		return
 	}
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		s.shadow.thread.SetReg(r, s.thread.Reg(r))
+		s.twin.thread.SetReg(r, s.thread.Reg(r))
 	}
 }
 
-// shadowCheck is the watchdog's architectural-transparency probe: advance
-// the shadow to the main machine's original-instruction count and compare
-// register state. Comparison happens only at sync points where the main
-// thread's next PC is in original code — inside a trace the weight
+// transparencyCheck is the watchdog's architectural-transparency probe:
+// advance the twin to the main machine's original-instruction count and
+// compare register state. Comparison happens only at sync points where the
+// main thread's next PC is in original code — inside a trace the weight
 // accounting attributes the in-flight traversal approximately, so exact
 // lockstep is only defined at trace boundaries. The optimizer's scratch
 // register (and the specialization guard register, when in use) is
 // excluded: the paper's optimizer is allowed to clobber it.
-func (s *System) shadowCheck(int64) error {
+func (s *System) transparencyCheck(int64) error {
 	pc := s.thread.PC()
 	if s.cache.Contains(pc) {
 		return nil // mid-trace: probe again next tick
 	}
-	sh := s.shadow
-	sh.Run(s.origInstrs)
-	if sh.origInstrs != s.origInstrs {
-		return fmt.Errorf("shadow stopped at %d original instructions, main at %d",
-			sh.origInstrs, s.origInstrs)
+	tw := s.twin
+	if tw.instrs < s.origInstrs {
+		tw.instrs += tw.thread.ExecFunctional(s.pristine.Decoded(), s.pristine.Base, s.origInstrs-tw.instrs, nil)
 	}
-	if !s.thread.Halted() && !sh.thread.Halted() && sh.thread.PC() != pc {
-		return fmt.Errorf("control diverged after %d instructions: main pc %#x, shadow pc %#x",
-			s.origInstrs, pc, sh.thread.PC())
+	if tw.instrs != s.origInstrs {
+		return fmt.Errorf("twin stopped at %d original instructions, main at %d",
+			tw.instrs, s.origInstrs)
+	}
+	if !s.thread.Halted() && !tw.thread.Halted() && tw.thread.PC() != pc {
+		return fmt.Errorf("control diverged after %d instructions: main pc %#x, twin pc %#x",
+			s.origInstrs, pc, tw.thread.PC())
 	}
 	scratch := isaReg(s.cfg.ScratchReg)
 	guard := isaReg(s.cfg.GuardReg)
@@ -203,9 +205,9 @@ func (s *System) shadowCheck(int64) error {
 		if r == scratch || (s.cfg.ValueSpecialize && r == guard) {
 			continue
 		}
-		if s.thread.Reg(r) != sh.thread.Reg(r) {
-			return fmt.Errorf("r%d diverged after %d instructions: main %#x, shadow %#x",
-				r, s.origInstrs, s.thread.Reg(r), sh.thread.Reg(r))
+		if s.thread.Reg(r) != tw.thread.Reg(r) {
+			return fmt.Errorf("r%d diverged after %d instructions: main %#x, twin %#x",
+				r, s.origInstrs, s.thread.Reg(r), tw.thread.Reg(r))
 		}
 	}
 	return nil

@@ -7,16 +7,17 @@ import (
 	"tridentsp/internal/chaos"
 	"tridentsp/internal/isa"
 	"tridentsp/internal/program"
+	"tridentsp/internal/workloads"
 )
 
 // chaosConfig is the full-featured machine under fault injection, with
-// watchdog probing and the lockstep transparency shadow.
+// watchdog probing and the transparency check against the architectural
+// twin.
 func chaosConfig(sched *chaos.Schedule) Config {
 	cfg := DefaultConfig()
 	cfg.HW = HWNone
 	cfg.Chaos = sched
 	cfg.ChaosMonitorEvery = 20_000
-	cfg.ChaosShadow = true
 	return cfg
 }
 
@@ -137,6 +138,102 @@ func TestEvictionStormRepairContinues(t *testing.T) {
 	if res.Repairs+res.Insertions < 2 {
 		t.Fatalf("optimizer activity died after evictions: insertions=%d repairs=%d",
 			res.Insertions, res.Repairs)
+	}
+}
+
+// TestTransparencyCheckReportsDivergence: the watchdog's transparency probe
+// catches a corrupted architectural register. A one-shot fast-path fault
+// flips a high bit of r3, the stride kernel's running sum (live to the end,
+// but it never steers control), so a later probe must name r3 rather than a
+// control divergence. Trident is off: with the loop linked into a trace the
+// PC sits in the code cache at nearly every probe, where the check defers.
+func TestTransparencyCheckReportsDivergence(t *testing.T) {
+	sched, err := chaos.NewSchedule(chaos.PresetLatencyPhase, 5, 2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosConfig(sched)
+	cfg.Trident = false
+	sys := NewSystem(cfg, strideWorkload(65536, 64, 4))
+	sys.InjectFastPathFault(100_000, 3, 1<<50)
+	res := sys.Run(400_000)
+	if res.InvariantViolations == 0 {
+		t.Fatal("a flipped live register went unreported")
+	}
+	if !strings.Contains(res.FirstViolation, "transparency") || !strings.Contains(res.FirstViolation, "r3 diverged") {
+		t.Fatalf("first violation %q, want the transparency check naming r3", res.FirstViolation)
+	}
+}
+
+// TestUnlinkCancelsPendingChange: unlinking a trace while a prefetch insert
+// or a value specialization for it is pending cancels that change. The
+// helper stays busy until the change's completion cycle, and at that cycle
+// nothing lands: the head stays unlinked (landing would re-link it to a
+// version computed from the evicted trace), and a checkpoint cut after the
+// unlink carries no pending change.
+func TestUnlinkCancelsPendingChange(t *testing.T) {
+	specialize := DefaultConfig()
+	specialize.ValueSpecialize = true
+	for _, c := range []struct {
+		name, bench string
+		cfg         Config
+		kind        pendingKind
+	}{
+		{"prefetch-insert", "mcf", DefaultConfig(), pendPrefetch},
+		{"specialize", "art", specialize, pendSpecialize},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bm, _ := workloads.ByName(c.bench)
+			sys := NewSystem(c.cfg, bm.Build(workloads.ScaleSmall))
+			// Step to the first pending change of the wanted kind (for a
+			// prefetch change, an insert: it places a new version).
+			for i, inserts := 0, uint64(0); ; i++ {
+				if p := sys.pending; p != nil && p.kind == c.kind &&
+					(c.kind != pendPrefetch || sys.opt.Stats.Insertions > inserts) {
+					break
+				}
+				if i == 2_000_000 || sys.thread.Halted() {
+					t.Fatalf("no pending change of kind %d", c.kind)
+				}
+				if sys.opt != nil {
+					inserts = sys.opt.Stats.Insertions
+				}
+				sys.step()
+			}
+			p := sys.pending
+			we, ok := sys.watch.ByStart(p.head)
+			if !ok {
+				t.Fatalf("pending change for head %#x, which has no watch entry", p.head)
+			}
+			pl, ok := sys.cache.PlacementByID(we.TraceID)
+			if !ok || !pl.Live {
+				t.Fatalf("head %#x has no live placement", p.head)
+			}
+			now := sys.thread.Now()
+			sys.unlinkTrace(pl, now)
+			if sys.pending != nil {
+				t.Fatal("the pending change survived the unlink")
+			}
+			if !sys.helper.Busy(now) {
+				t.Fatal("the helper went idle before the cancelled change's completion cycle")
+			}
+			blob, _ := sys.SaveState()
+			fresh := NewSystem(c.cfg, bm.Build(workloads.ScaleSmall))
+			// The optimizer's own record must be gone too: one left for the
+			// forgotten head would be refused as corrupt here.
+			if err := fresh.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			if fresh.pending != nil {
+				t.Fatal("a checkpoint cut after the unlink carries a pending change")
+			}
+			for !sys.thread.Halted() && sys.thread.Now() <= p.at {
+				sys.step()
+			}
+			if sys.isPatched(p.head) {
+				t.Fatalf("head %#x was re-linked at the cancelled change's completion cycle", p.head)
+			}
+		})
 	}
 }
 

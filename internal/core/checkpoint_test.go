@@ -163,9 +163,6 @@ func TestCheckpointResumeDeterminismChaosPresets(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Chaos = sched
 			cfg.Telemetry = &telemetry.Options{}
-			if preset == chaos.PresetLatencyPhase {
-				cfg.ChaosShadow = true // shadow machines must checkpoint recursively
-			}
 			ref := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 			resRef := ref.Run(150_000)
 			resCkpt, sys, _ := checkpointedRun(t, cfg, bm, 150_000, 35_000)
@@ -394,7 +391,7 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	e := checkpoint.NewSaver()
-	e.Mark("core.system3")
+	e.Mark("core.system4")
 	sys.thread.Checkpoint(e)
 	sys.live.Checkpoint(e)
 	e.Mark("program.memory")
@@ -403,6 +400,20 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	err := NewSystem(cfg, bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
 	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"program.memory"`) {
 		t.Fatalf("dense-memory blob: err = %v, want ErrCorrupt naming \"program.memory\"", err)
+	}
+}
+
+// TestRestoreRejectsOlderMachineFormat: a machine checkpoint of the previous
+// format (section "core.system3", which still carried the nested shadow
+// machine and the load counters) is refused as corrupt, naming the section
+// this build expects.
+func TestRestoreRejectsOlderMachineFormat(t *testing.T) {
+	bm, _ := workloads.ByName("swim")
+	e := checkpoint.NewSaver()
+	e.Mark("core.system3")
+	err := NewSystem(DefaultConfig(), bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
+	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"core.system4"`) {
+		t.Fatalf("core.system3 blob: err = %v, want ErrCorrupt naming \"core.system4\"", err)
 	}
 }
 

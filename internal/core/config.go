@@ -171,14 +171,11 @@ type Config struct {
 	// cycles. When positive and Chaos is set, a chaos.Monitor checks the
 	// DESIGN §6 invariants (controller distance bounds, repair budget,
 	// DLT consistency, Figure-6 category sums) every so many cycles and
-	// records violations in Results.
+	// records violations in Results. It also runs the continuous
+	// transparency check: at every probe that lands in original code, the
+	// registers are compared with an architectural twin that the
+	// functional executor advances over the pristine image.
 	ChaosMonitorEvery int64
-	// ChaosShadow additionally runs an unoptimized shadow machine in
-	// lockstep and compares architectural register state at every
-	// watchdog probe that lands in original code — the continuous
-	// transparency check. Roughly doubles simulation cost; only honored
-	// when the watchdog is attached.
-	ChaosShadow bool
 
 	// LivelockWindow aborts a run when no original instruction commits
 	// for this many cycles (e.g. a self-loop left by a bad patch),

@@ -256,11 +256,10 @@ loop:
 			s.curPl = nil
 			s.inTraversal = false
 		}
-		// Load accounting, deferred from the batch: the slow path counts
-		// these per load, but nothing inside the machine reads them. Their
+		// Miss accounting, deferred from the batch: the slow path counts
+		// per load, but nothing inside the machine reads the count. Its
 		// readers, results() (Results.MissesTotal, the misses_total gauge)
 		// and a checkpoint, run only after Run returns.
-		s.stats.loadsTotal += uint64(ex.Loads)
 		s.stats.missesTotal += uint64(ex.WouldMiss)
 		tier := tierBatch
 		if cb != nil {

@@ -40,7 +40,7 @@ func TestFastPathDLTSampleSequence(t *testing.T) {
 	// Non-vacuity: the run must actually have exercised the machinery under
 	// test — monitored in-trace loads, L1 misses (each one ends its batch
 	// on the fast path), and at least one delinquent event.
-	if sysF.stats.loadsInTrace == 0 {
+	if tF.Len() == 0 { // only a monitored in-trace load allocates an entry
 		t.Fatal("no in-trace loads monitored; DLT comparison is vacuous")
 	}
 	if sysF.hier.Stats.ByOutcome[memsys.Miss] == 0 {

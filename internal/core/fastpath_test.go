@@ -147,7 +147,6 @@ func TestFastPathDifferentialChaosPresets(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Chaos = sched
 				cfg.ChaosMonitorEvery = 20_000
-				cfg.ChaosShadow = true
 				if storm {
 					cfg.Telemetry = &telemetry.Options{}
 				}

@@ -127,7 +127,7 @@ func mapTracePC(pl *trident.Placement, pc uint64) uint64 {
 // Memory is diff-encoded against the program's immutable data image, the
 // same codec SaveState uses: the blob carries only the written working set,
 // and any System built from the same workload reconstructs the rest by
-// sharing the image's pages copy-on-write. The format mark is "core.roi3";
+// sharing the image's pages copy-on-write. The format mark is "core.roi4";
 // the ROI cache's meta line carries the same version, so files of older
 // formats read as misses rather than reaching RestoreROI.
 func (s *System) SaveROI() []byte {
@@ -163,7 +163,7 @@ func (s *System) RestoreROI(blob []byte) error {
 // data memory as a diff against the image, and the progress stamp — and
 // returns the stamp (the machine's own progress when saving).
 func (s *System) roi(c *checkpoint.Codec) uint64 {
-	c.Mark("core.roi3")
+	c.Mark("core.roi4")
 	s.thread.CheckpointArch(c)
 	s.mem.CheckpointDiff(c, s.image)
 	at := s.Progress()

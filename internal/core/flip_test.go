@@ -37,7 +37,6 @@ func TestRestoreFlipSweep(t *testing.T) {
 	chaotic := DefaultConfig()
 	chaotic.Chaos = sched
 	chaotic.ChaosMonitorEvery = 20_000
-	chaotic.ChaosShadow = true
 
 	flips := []byte{0x80, 0xff, 0x01}
 	for _, c := range []struct {

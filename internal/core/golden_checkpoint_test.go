@@ -53,7 +53,6 @@ func goldenCheckpointConfigs(t *testing.T) []struct {
 	chaotic := DefaultConfig()
 	chaotic.Chaos = sched
 	chaotic.ChaosMonitorEvery = 20_000
-	chaotic.ChaosShadow = true
 
 	return []struct {
 		name string

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"tridentsp/internal/telemetry"
 )
 
 // FuzzSelectorDeterminism is the arsenal selector's determinism oracle: the
@@ -11,10 +13,10 @@ import (
 // epochs small enough that probe rounds, exploit windows, and winner
 // switches all fire inside the run) on four execution paths — slow path,
 // batch engine, JIT tier, and a kill/resume run checkpointed mid-stream —
-// and the selector's decision log must be identical on all of them, down to
-// the cycle each switch fired. This is the contract DESIGN §16 states:
-// switch points are a pure function of the committed load stream, never of
-// the engine that executed it.
+// and the selector's decisions, its hwpref-switch events, must be identical
+// on all of them, down to the cycle each switch fired. This is the contract
+// DESIGN §16 states: switch points are a pure function of the committed
+// load stream, never of the engine that executed it.
 func FuzzSelectorDeterminism(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x66, 0x99, 0xb3})                        // load/store/prefetch
@@ -35,6 +37,7 @@ func FuzzSelectorDeterminism(f *testing.F) {
 			cfg.HW = HWSelector
 			cfg.SelectorProbe = 300
 			cfg.SelectorExploit = 2
+			cfg.Telemetry = &telemetry.Options{}
 			return cfg
 		}
 		slow := mk()
@@ -82,7 +85,7 @@ func FuzzSelectorDeterminism(f *testing.F) {
 			if got, want := hwp.DecisionCount(), ref.DecisionCount(); got != want {
 				t.Fatalf("%s: decision count diverged: %d vs slow %d", cmp.name, got, want)
 			}
-			if got, want := hwp.Decisions(), ref.Decisions(); !reflect.DeepEqual(got, want) {
+			if got, want := switchEvents(cmp.sys), switchEvents(sysS); !reflect.DeepEqual(got, want) {
 				for i := range want {
 					if i < len(got) && got[i] != want[i] {
 						t.Fatalf("%s: decision %d diverged:\n%+v\nvs slow %+v",
@@ -99,4 +102,18 @@ func FuzzSelectorDeterminism(f *testing.F) {
 			}
 		}
 	})
+}
+
+// switchEvents returns the hwpref-switch events sys's tracer retained, with
+// the tracer-wide sequence numbers cleared: engine-class events share that
+// counter, so it differs between execution engines by design.
+func switchEvents(sys *System) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range sys.Telemetry().Events() {
+		if e.Kind == telemetry.KindHWPrefSwitch {
+			e.Seq = 0
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -73,9 +73,6 @@ func (s *System) resetEngineCounters() {
 	s.tiers = [numTiers]tierStat{}
 	s.live.ResetBlockStats()
 	s.cache.ResetBlockStats()
-	if s.shadow != nil {
-		s.shadow.resetEngineCounters()
-	}
 }
 
 // walkPending walks the pending optimization, if any. A kind this machine
@@ -106,7 +103,7 @@ func (s *System) walkPending(c *checkpoint.Codec) {
 // then the execution loop's own state. Optional subsystems travel behind a
 // presence flag that loading checks against this machine's configuration.
 func (s *System) checkpoint(c *checkpoint.Codec) {
-	c.Mark("core.system3")
+	c.Mark("core.system4")
 	s.thread.Checkpoint(c)
 	s.live.Checkpoint(c)
 	s.mem.CheckpointDiff(c, s.image)
@@ -160,10 +157,12 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 		s.chaosRun.Checkpoint(c)
 	}
 	if c.Present(s.monitor != nil, "a watchdog monitor") {
+		// The architectural twin travels as a region-of-interest snapshot
+		// (SaveROI's walk) plus its instruction count.
 		s.monitor.Checkpoint(c)
-	}
-	if c.Present(s.shadow != nil, "a shadow machine") {
-		s.shadow.checkpoint(c)
+		s.twin.thread.CheckpointArch(c)
+		s.twin.mem.CheckpointDiff(c, s.image)
+		c.U64(&s.twin.instrs)
 	}
 	checkpoint.Slice(c, &s.latFactors, (*checkpoint.Codec).I64)
 	checkpoint.Slice(c, &s.assocLimits, (*checkpoint.Codec).Int)
@@ -175,8 +174,7 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	st := &s.stats
 	for _, v := range []*uint64{&st.tracesFormed, &st.tracesSpecialized,
 		&st.missesTotal, &st.missesInTrace, &st.missesCovered,
-		&st.loadsInTrace, &st.loadsTotal, &st.applyErrors, &st.traceTraversal,
-		&st.sentinelChecks, &st.sentinelTrips} {
+		&st.applyErrors, &st.traceTraversal, &st.sentinelChecks, &st.sentinelTrips} {
 		c.U64(v)
 	}
 

@@ -82,9 +82,9 @@ type System struct {
 	// Fault injection (nil without cfg.Chaos).
 	chaosRun    *chaos.Run
 	monitor     *chaos.Monitor
-	shadow      *System // lockstep unoptimized twin for transparency checks
-	latFactors  []int64 // active latency multipliers (overlapping windows)
-	assocLimits []int   // active DLT associativity squeezes
+	twin        *archTwin // the transparency check's architectural twin
+	latFactors  []int64   // active latency multipliers (overlapping windows)
+	assocLimits []int     // active DLT associativity squeezes
 
 	// aborted is the Run-abort reason ("" while healthy).
 	aborted string
@@ -162,8 +162,6 @@ type runStats struct {
 	missesTotal       uint64
 	missesInTrace     uint64
 	missesCovered     uint64
-	loadsInTrace      uint64
-	loadsTotal        uint64
 	applyErrors       uint64
 	traceTraversal    uint64
 	sentinelChecks    uint64
@@ -231,7 +229,7 @@ func NewSystem(cfg Config, prog *program.Program) *System {
 	if cfg.Chaos != nil {
 		s.chaosRun = cfg.Chaos.Start()
 		if cfg.ChaosMonitorEvery > 0 {
-			s.attachWatchdog()
+			s.attachWatchdog(prog)
 		}
 	}
 	s.sentinelNextAt = cfg.SentinelEvery
@@ -288,8 +286,8 @@ func (s *System) Thread() *cpu.Thread { return s.thread }
 func (s *System) Optimizer() *prefetch.Optimizer { return s.opt }
 
 // HWPref exposes the arsenal prefetch selector (nil unless Config.HW
-// selects an arsenal backend); the determinism and re-convergence suites
-// compare its decision log.
+// selects an arsenal backend); the determinism suite compares its
+// counters and residency.
 func (s *System) HWPref() *hwpref.Selector { return s.hwp }
 
 // Run executes until origInstrs original instructions have committed (or
@@ -299,7 +297,7 @@ func (s *System) HWPref() *hwpref.Selector { return s.hwp }
 // run is aborted with the reason in Results.Aborted. Run is resumable: a
 // later call with a higher limit continues the same machine.
 func (s *System) Run(limit uint64) Results {
-	s.syncShadowInit()
+	s.syncTwinInit()
 	lastInstrs := s.origInstrs
 	lastProgress := s.thread.Now()
 	for s.origInstrs < limit && !s.thread.Halted() && s.aborted == "" {
@@ -381,7 +379,6 @@ func (s *System) step() {
 	// prefetch), so Figure 4's ratios stay meaningful once prefetching
 	// starts eliminating the very misses it covers.
 	if info.IsLoad {
-		s.stats.loadsTotal++
 		if info.LoadRes.WouldMiss() {
 			s.stats.missesTotal++
 		}
@@ -484,11 +481,17 @@ func (s *System) recordTraversal(pl *trident.Placement, at int64) {
 // instruction is restored from the pristine image, the placement retired
 // and drained (loop-back branches retargeted through the original head, so
 // execution already inside it exits safely), the watch entry dropped, and
-// the profiler re-armed for this head. Injected code-cache evictions are its
-// only caller; now stamps the telemetry event.
+// the profiler re-armed for this head. A specialization or prefetch change
+// pending for the head was computed from the unlinked trace, and landing it
+// would re-link the head: it is cancelled, though the helper stays busy
+// until its completion cycle. Injected code-cache evictions are the only
+// caller; now stamps the telemetry event.
 func (s *System) unlinkTrace(pl *trident.Placement, now int64) {
 	head := pl.Trace.StartPC
 	s.tel.Emit(telemetry.KindTraceBackOut, now, head, 0, int64(pl.TraceID), 0)
+	if p := s.pending; p != nil && p.head == head && p.kind != pendForm {
+		s.pending = nil
+	}
 	if w, ok := s.pristine.WordAt(head); ok && s.isPatched(head) {
 		if err := s.live.Patch(head, w); err == nil {
 			s.setPatched(head, false)
@@ -518,8 +521,8 @@ func (s *System) unlinkTrace(pl *trident.Placement, now int64) {
 // so — exactly as in the paper's §5.1 setup — the DLT stays silent and only
 // trace-formation events occupy the helper.
 //
-// loadsTotal/missesTotal are counted by the callers: step() per load, the
-// batch path aggregated through cpu.SBExec. A batched load passes the same
+// missesTotal is counted by the callers: step() per load, the batch path
+// aggregated through cpu.SBExec. A batched load passes the same
 // Result the slow path's StepInfo carries — a fast-probe hit or, as the
 // batch's last instruction, a full access — so its DLT sample is the one
 // computed here.
@@ -534,7 +537,6 @@ func (s *System) monitorLoad(pl *trident.Placement, pc, addr, value uint64, res 
 	}
 	origPC, headPC := ti.OrigPC, pl.Trace.StartPC
 
-	s.stats.loadsInTrace++
 	queued := false
 	if s.vpt != nil && s.vpt.Update(origPC, value) {
 		ev := trident.Event{Kind: trident.EventInvariantLoad, Raised: now, LoadPC: origPC}

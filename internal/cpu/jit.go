@@ -519,7 +519,6 @@ func (t *Thread) ExecCompiled(cb *CompiledBlock, weightBudget uint64, horizon in
 				t.regs[sg.rd] = v
 				t.taintSrc[sg.rd] = sg.pc
 			}
-			ex.Loads++
 			if res.WouldMiss() {
 				ex.WouldMiss++
 			}

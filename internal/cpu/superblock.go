@@ -57,11 +57,10 @@ type SBExec struct {
 	// N is the number of instructions retired; Weight their total weight.
 	N      int
 	Weight uint64
-	// Loads counts retired LD instructions; WouldMiss counts those that
-	// missed L1 or hit a first-use prefetched line (memsys.Result.WouldMiss).
-	// Only the batch's last instruction can be an L1 miss: a declined load
-	// ends the batch after it commits.
-	Loads     uint32
+	// WouldMiss counts retired LD instructions that missed L1 or hit a
+	// first-use prefetched line (memsys.Result.WouldMiss). Only the batch's
+	// last instruction can be an L1 miss: a declined load ends the batch
+	// after it commits.
 	WouldMiss uint32
 	// NeedSlow is true when the batch stopped *before* an instruction that
 	// requires the full Step dispatch; t.PC() addresses that instruction.
@@ -233,7 +232,6 @@ loop:
 			}
 			v := t.mem.Load(addr)
 			t.setReg(in.Rd, v)
-			ex.Loads++
 			if res.WouldMiss() {
 				ex.WouldMiss++
 			}

@@ -147,7 +147,7 @@ func checkColdLoadContract(t *testing.T, run batchAt) {
 	ref, _ := newTestThread(p)
 	// The cold load is the batch's last instruction although the block runs
 	// on through two more loads.
-	batch(th, ref, ps, nil, SBExec{N: 3, Weight: 3, Loads: 1, WouldMiss: 1}, 0x1018)
+	batch(th, ref, ps, nil, SBExec{N: 3, Weight: 3, WouldMiss: 1}, 0x1018)
 	if th.stallCycles == 0 {
 		t.Fatal("the miss charged no stall; test is vacuous")
 	}
@@ -156,9 +156,9 @@ func checkColdLoadContract(t *testing.T, run batchAt) {
 	// the batch ends after this load too.
 	th.AddStall(1000)
 	ref.AddStall(1000)
-	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1, Loads: 1}, 0x1020)
+	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1}, 0x1020)
 	// Now the probe is provably idle: the third load is a fast hit.
-	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1, Loads: 1}, 0x1028)
+	batch(th, ref, ps, nil, SBExec{N: 1, Weight: 1}, 0x1028)
 	if th.Reg(5) != th.Reg(3) || th.Reg(4) != th.Reg(3) {
 		t.Fatalf("load values diverged: r3=%#x r4=%#x r5=%#x", th.Reg(3), th.Reg(4), th.Reg(5))
 	}
@@ -175,7 +175,7 @@ func checkColdLoadContract(t *testing.T, run batchAt) {
 	}}
 	th, ps = newTestThread(p)
 	ref, _ = newTestThread(p)
-	batch(th, ref, ps, hooks, SBExec{N: 3, Weight: 3, Loads: 1, WouldMiss: 1}, 0x1018)
+	batch(th, ref, ps, hooks, SBExec{N: 3, Weight: 3, WouldMiss: 1}, 0x1018)
 	twin, _ := newTestThread(p)
 	steps(twin, 2)
 	info := twin.Step()

@@ -177,16 +177,10 @@ func (t *Table) Lookup(pc uint64) (*Entry, bool) {
 	return e, e != nil
 }
 
-// Update records one committed in-trace load. miss and missLatency describe
-// the access's cache behaviour. It returns true when this access completes
-// a window that classifies the load as delinquent — the hardware
-// delinquent-load event. Telemetry events carry cycle 0; the core uses
-// UpdateAt.
-func (t *Table) Update(pc, addr uint64, miss bool, missLatency int64) bool {
-	return t.UpdateAt(pc, addr, miss, missLatency, 0)
-}
-
-// UpdateAt is Update with the commit cycle, stamped onto emitted telemetry.
+// UpdateAt records one committed in-trace load at cycle now (stamped onto
+// emitted telemetry). miss and missLatency describe the access's cache
+// behaviour. It returns true when this access completes a window that
+// classifies the load as delinquent — the hardware delinquent-load event.
 func (t *Table) UpdateAt(pc, addr uint64, miss bool, missLatency, now int64) bool {
 	e := t.lookup(pc)
 	if e == nil {

@@ -30,7 +30,7 @@ func fillWindow(t *Table, pc uint64, misses int, lat int64) bool {
 		if miss {
 			l = lat
 		}
-		if t.Update(pc, uint64(i*64), miss, l) {
+		if t.UpdateAt(pc, uint64(i*64), miss, l, 0) {
 			fired = true
 		}
 	}
@@ -80,7 +80,7 @@ func TestCountersFreezeAfterEventUntilCleared(t *testing.T) {
 	e, _ := tb.Lookup(0x100)
 	frozenAccess := e.Access
 	// Further updates must not change the frozen counters.
-	tb.Update(0x100, 0x5000, true, 300)
+	tb.UpdateAt(0x100, 0x5000, true, 300, 0)
 	e, _ = tb.Lookup(0x100)
 	if e.Access != frozenAccess {
 		t.Fatal("counters changed while frozen")
@@ -118,8 +118,8 @@ func TestMatureClearedOnEviction(t *testing.T) {
 	fillWindow(tb, 0x100, 6, 300)
 	tb.SetMature(0x100)
 	// Evict 0x100 by touching two other PCs in the same (only) set.
-	tb.Update(0x200, 0, false, 0)
-	tb.Update(0x300, 0, false, 0)
+	tb.UpdateAt(0x200, 0, false, 0, 0)
+	tb.UpdateAt(0x300, 0, false, 0, 0)
 	if _, ok := tb.Lookup(0x100); ok {
 		t.Fatal("entry not evicted")
 	}
@@ -134,7 +134,7 @@ func TestStridePredictor(t *testing.T) {
 	addr := uint64(0x1000)
 	// Constant stride 64: confidence saturates after 16 matching strides.
 	for i := 0; i < 20; i++ {
-		tb.Update(0x100, addr, false, 0)
+		tb.UpdateAt(0x100, addr, false, 0, 0)
 		addr += 64
 	}
 	e, _ := tb.Lookup(0x100)
@@ -145,7 +145,7 @@ func TestStridePredictor(t *testing.T) {
 		t.Fatalf("stride = %d", e.Stride)
 	}
 	// One irregular access knocks confidence down by 7.
-	tb.Update(0x100, addr+9999, false, 0)
+	tb.UpdateAt(0x100, addr+9999, false, 0, 0)
 	e, _ = tb.Lookup(0x100)
 	if e.StridePredictable() {
 		t.Fatal("confidence survived a mismatch")
@@ -159,7 +159,7 @@ func TestStrideConfidenceNeverUnderflows(t *testing.T) {
 	tb := New(smallConfig())
 	addrs := []uint64{0, 100, 7, 9000, 13, 77, 0x8000}
 	for _, a := range addrs {
-		tb.Update(0x100, a, false, 0)
+		tb.UpdateAt(0x100, a, false, 0, 0)
 	}
 	e, _ := tb.Lookup(0x100)
 	if e.Confidence > StrideConfidenceMax {
@@ -172,7 +172,7 @@ func TestStrideConfidenceBoundsProperty(t *testing.T) {
 		tb := New(smallConfig())
 		addr := uint64(1 << 20)
 		for _, d := range deltas {
-			tb.Update(0x100, addr, false, 0)
+			tb.UpdateAt(0x100, addr, false, 0, 0)
 			addr += uint64(int64(d))
 		}
 		e, ok := tb.Lookup(0x100)
@@ -193,13 +193,13 @@ func TestIsDelinquentPartialWindow(t *testing.T) {
 		if miss {
 			l = 300
 		}
-		tb.Update(0x100, uint64(i*64), miss, l)
+		tb.UpdateAt(0x100, uint64(i*64), miss, l, 0)
 	}
 	if !tb.IsDelinquent(0x100) {
 		t.Fatal("proportional partial window not delinquent")
 	}
 	// A load with almost no history is not judged.
-	tb.Update(0x200, 0, true, 300)
+	tb.UpdateAt(0x200, 0, true, 300, 0)
 	if tb.IsDelinquent(0x200) {
 		t.Fatal("judged with < quarter window of history")
 	}
@@ -213,10 +213,10 @@ func TestLRUWithinSet(t *testing.T) {
 	cfg.Entries = 2
 	cfg.Assoc = 2
 	tb := New(cfg)
-	tb.Update(0x100, 0, false, 0)
-	tb.Update(0x200, 0, false, 0)
-	tb.Update(0x100, 64, false, 0) // refresh 0x100; LRU = 0x200
-	tb.Update(0x300, 0, false, 0)  // evicts 0x200
+	tb.UpdateAt(0x100, 0, false, 0, 0)
+	tb.UpdateAt(0x200, 0, false, 0, 0)
+	tb.UpdateAt(0x100, 64, false, 0, 0) // refresh 0x100; LRU = 0x200
+	tb.UpdateAt(0x300, 0, false, 0, 0)  // evicts 0x200
 	if _, ok := tb.Lookup(0x200); ok {
 		t.Fatal("LRU entry survived")
 	}
@@ -258,7 +258,7 @@ func TestOddSetCount(t *testing.T) {
 	cfg.Entries, cfg.Assoc = 6, 2 // 3 sets
 	tb := New(cfg)
 	for pc := uint64(0); pc < 6; pc++ {
-		tb.Update(pc<<3, 0, false, 0)
+		tb.UpdateAt(pc<<3, 0, false, 0, 0)
 	}
 	if tb.Len() != 6 || tb.Evictions != 0 {
 		t.Fatalf("6 PCs over 3 sets of 2: len %d, evictions %d", tb.Len(), tb.Evictions)

@@ -6,6 +6,7 @@ import (
 
 	"tridentsp/internal/chaos"
 	"tridentsp/internal/core"
+	"tridentsp/internal/telemetry"
 	"tridentsp/internal/workloads"
 )
 
@@ -87,6 +88,7 @@ func TestSelectorReconvergesAfterChaos(t *testing.T) {
 			cfg.SelectorProbe = 500
 			cfg.SelectorExploit = 2
 			cfg.Chaos = sched
+			cfg.Telemetry = &telemetry.Options{}
 			sys := core.NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 			res := sys.Run(400_000)
 			if res.Aborted != "" {
@@ -97,12 +99,13 @@ func TestSelectorReconvergesAfterChaos(t *testing.T) {
 					res.Cycles, stormEnd)
 			}
 
-			hwp := sys.HWPref()
+			// Each decision is a hwpref-switch event; Arg2 is 1 for an
+			// exploit winner.
 			var after, exploit int
-			for _, d := range hwp.Decisions() {
-				if d.Cycle > stormEnd {
+			for _, e := range sys.Telemetry().Events() {
+				if e.Kind == telemetry.KindHWPrefSwitch && e.Cycle > stormEnd {
 					after++
-					if d.Exploit {
+					if e.Arg2 == 1 {
 						exploit++
 					}
 				}
@@ -111,8 +114,8 @@ func TestSelectorReconvergesAfterChaos(t *testing.T) {
 				t.Fatalf("selector made %d decisions (%d exploit) after the last fault at cycle %d — not re-converging",
 					after, exploit, stormEnd)
 			}
-			if hwp.Rounds() < 2 {
-				t.Fatalf("only %d probe rounds in a %d-cycle run", hwp.Rounds(), res.Cycles)
+			if r := sys.HWPref().Rounds(); r < 2 {
+				t.Fatalf("only %d probe rounds in a %d-cycle run", r, res.Cycles)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tridentsp/internal/checkpoint"
+	"tridentsp/internal/telemetry"
 )
 
 // The backend conformance suite: every backend runs scripted access streams
@@ -316,6 +317,8 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 
 	port1 := &testPort{latency: 100}
 	s1 := New(cfg, scfg, port1, Arsenal(cfg)...)
+	tr1 := telemetry.New(telemetry.Options{})
+	s1.SetTracer(tr1)
 	now1 := int64(0)
 	drive(s1, stream[:73], &now1) // mid-probe: 73 is inside a probe window
 
@@ -323,6 +326,8 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 	s1.Checkpoint(e)
 	port2 := &testPort{latency: 100}
 	s2 := New(cfg, scfg, port2, Arsenal(cfg)...)
+	tr2 := telemetry.New(telemetry.Options{})
+	s2.SetTracer(tr2)
 	d := checkpoint.NewLoader(e.Bytes())
 	if s2.Checkpoint(d); d.Err() != nil {
 		t.Fatalf("LoadState: %v", d.Err())
@@ -331,7 +336,7 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 
-	mark := len(port1.fills)
+	mark, decMark := len(port1.fills), len(decisions(tr1))
 	now2 := now1
 	drive(s1, stream[73:], &now1)
 	drive(s2, stream[73:], &now2)
@@ -339,9 +344,11 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("post-restore fills diverged\noriginal: %v\nrestored: %v",
 			port1.fills[mark:], port2.fills)
 	}
-	if !reflect.DeepEqual(s1.Decisions(), s2.Decisions()) {
-		t.Fatalf("decision logs diverged\noriginal: %+v\nrestored: %+v",
-			s1.Decisions(), s2.Decisions())
+	if got, want := decisions(tr2), decisions(tr1)[decMark:]; len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-restore decisions diverged\noriginal: %+v\nrestored: %+v", want, got)
+	}
+	if s1.DecisionCount() != s2.DecisionCount() {
+		t.Fatalf("decision counts diverged: %d vs %d", s1.DecisionCount(), s2.DecisionCount())
 	}
 	if !reflect.DeepEqual(s1.Residency(), s2.Residency()) {
 		t.Fatalf("residency diverged: %v vs %v", s1.Residency(), s2.Residency())

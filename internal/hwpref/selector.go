@@ -36,21 +36,6 @@ func DefaultSelectorConfig() SelectorConfig {
 	return SelectorConfig{ProbeLoads: 2000, ExploitFactor: 16}
 }
 
-// Decision is one policy activation, the unit the determinism suites
-// compare: identical streams of committed loads must yield identical
-// decision logs on every execution path.
-type Decision struct {
-	Loads   uint64 // committed loads observed when the decision fired
-	Cycle   int64  // simulation clock at the decision
-	Backend int    // activated backend (index into Names order)
-	Exploit bool   // exploit-epoch winner (false: probe activation)
-	Score   int64  // winner's score (0 for probe activations)
-}
-
-// maxDecisions bounds the retained log; both sides of a determinism
-// comparison truncate identically, and DecisionCount keeps the true total.
-const maxDecisions = 1 << 16
-
 // Selector owns the arsenal and implements memsys.Prefetcher. All backends
 // train on every committed load so each probe starts warm, but only the
 // active backend's proposals reach the fill port. With a single backend the
@@ -78,7 +63,6 @@ type Selector struct {
 	boost     uint64   // exploit-length multiplier (1..maxBoost)
 	residency []uint64 // loads observed while each backend was active
 
-	decisions     []Decision
 	decisionCount uint64
 
 	tel     *telemetry.Tracer
@@ -230,17 +214,15 @@ func (s *Selector) beginProbe(i int, now int64) {
 	s.activate(i, now, false, 0)
 }
 
-// activate switches the fill-issuing backend and records the decision. The
-// shared buffer carries over — its lines are already fetched and stay
-// useful whichever policy issues next — so a switch costs nothing beyond
-// the probe itself.
+// activate switches the fill-issuing backend and emits the decision as a
+// hwpref-switch event: the backend index, the loads observed, the winner's
+// score (0 for a probe) and whether it is an exploit activation — the
+// stream the determinism suites compare across execution paths. The shared
+// buffer carries over — its lines are already fetched and stay useful
+// whichever policy issues next — so a switch costs nothing beyond the probe
+// itself.
 func (s *Selector) activate(i int, now int64, exploit bool, score int64) {
 	s.active = i
-	if len(s.decisions) < maxDecisions {
-		s.decisions = append(s.decisions, Decision{
-			Loads: s.loads, Cycle: now, Backend: i, Exploit: exploit, Score: score,
-		})
-	}
 	s.decisionCount++
 	mode := int64(0)
 	if exploit {
@@ -280,14 +262,6 @@ func (s *Selector) TotalStats() EngineStats {
 func (s *Selector) Residency() []uint64 {
 	out := make([]uint64, len(s.residency))
 	copy(out, s.residency)
-	return out
-}
-
-// Decisions returns the retained decision log (at most maxDecisions; see
-// DecisionCount for the true total).
-func (s *Selector) Decisions() []Decision {
-	out := make([]Decision, len(s.decisions))
-	copy(out, s.decisions)
 	return out
 }
 

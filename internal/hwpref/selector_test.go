@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tridentsp/internal/checkpoint"
+	"tridentsp/internal/telemetry"
 )
 
 // Selector epoch-machinery tests. The probe score is the negated cycle cost
@@ -24,9 +25,11 @@ func (b *stubBackend) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bo
 func (b *stubBackend) OnSupply(dst []uint64, lineAddr uint64) []uint64 { return dst }
 func (b *stubBackend) checkpoint(c *checkpoint.Codec)                  { c.Mark("hwpref.stub") }
 
-// clockRig drives committed loads at a scripted cycles-per-load rate.
+// clockRig drives committed loads at a scripted cycles-per-load rate. Its
+// tracer records the selector's decisions as hwpref-switch events.
 type clockRig struct {
 	s   *Selector
+	tr  *telemetry.Tracer
 	now int64
 }
 
@@ -35,7 +38,31 @@ func newRig(scfg SelectorConfig, n int) *clockRig {
 	for i := range backends {
 		backends[i] = &stubBackend{id: string(rune('a' + i))}
 	}
-	return &clockRig{s: New(DefaultConfig(), scfg, &testPort{latency: 1}, backends...)}
+	r := &clockRig{s: New(DefaultConfig(), scfg, &testPort{latency: 1}, backends...),
+		tr: telemetry.New(telemetry.Options{})}
+	r.s.SetTracer(r.tr)
+	return r
+}
+
+// decision is one hwpref-switch event, decoded: the activated backend, the
+// committed loads observed, the cycle, and whether it crowned an exploit
+// winner (false: a probe activation).
+type decision struct {
+	backend int
+	loads   uint64
+	cycle   int64
+	exploit bool
+}
+
+// decisions decodes the tracer's hwpref-switch events, oldest first.
+func decisions(tr *telemetry.Tracer) []decision {
+	var out []decision
+	for _, e := range tr.Events() {
+		if e.Kind == telemetry.KindHWPrefSwitch {
+			out = append(out, decision{int(e.PC), e.Aux, e.Cycle, e.Arg2 == 1})
+		}
+	}
+	return out
 }
 
 func (r *clockRig) loads(n int, cyclesPerLoad int64) {
@@ -47,14 +74,14 @@ func (r *clockRig) loads(n int, cyclesPerLoad int64) {
 
 // kinds compresses a decision log for comparison: backend index, probe (p)
 // or exploit (x).
-func kinds(ds []Decision) []string {
+func kinds(ds []decision) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		m := "p"
-		if d.Exploit {
+		if d.exploit {
 			m = "x"
 		}
-		out[i] = string(rune('0'+d.Backend)) + m
+		out[i] = string(rune('0'+d.backend)) + m
 	}
 	return out
 }
@@ -76,7 +103,7 @@ func TestSelectorCrownsFastestBackend(t *testing.T) {
 	r.loads(10, 1) // probe 1: cost 10
 	r.loads(1, 1)  // cross the boundary: crown the new winner
 	want := []string{"0p", "1p", "0x", "0p", "1p", "1x"}
-	if got := kinds(r.s.Decisions()); !reflect.DeepEqual(got, want) {
+	if got := kinds(decisions(r.tr)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("decision log = %v, want %v", got, want)
 	}
 	if r.s.Active() != 1 || r.s.Rounds() != 2 || r.s.Switches() != 1 {
@@ -128,21 +155,21 @@ func TestSelectorExploitBoost(t *testing.T) {
 		r.loads(10, 1)
 		r.loads(10, 5)
 		// Run loads until the next probe decision fires (exploit over).
-		for last := r.s.Decisions(); ; {
+		for last := decisions(r.tr); ; {
 			r.loads(1, 1)
-			ds := r.s.Decisions()
-			if len(ds) > len(last) && !ds[len(ds)-1].Exploit && ds[len(ds)-1].Backend == 0 {
+			ds := decisions(r.tr)
+			if len(ds) > len(last) && !ds[len(ds)-1].exploit && ds[len(ds)-1].backend == 0 {
 				break
 			}
 		}
 	}
-	ds := r.s.Decisions()
+	ds := decisions(r.tr)
 	// Collect exploit-window lengths: loads between each exploit decision
 	// and the following probe decision.
 	var spans []uint64
 	for i := 0; i+1 < len(ds); i++ {
-		if ds[i].Exploit {
-			spans = append(spans, ds[i+1].Loads-ds[i].Loads)
+		if ds[i].exploit {
+			spans = append(spans, ds[i+1].loads-ds[i].loads)
 		}
 	}
 	base := scfg.ProbeLoads * scfg.ExploitFactor

@@ -3,7 +3,7 @@ package hwpref
 import "tridentsp/internal/checkpoint"
 
 // Checkpoint serialization (DESIGN §12): the epoch machinery, the decision
-// log, and each engine's buffer, counters, and predictor tables. Restores
+// count, and each engine's buffer, counters, and predictor tables. Restores
 // into a selector freshly built from the same Config and backend list; a
 // different arsenal shape fails structural validation instead of silently
 // diverging.
@@ -35,16 +35,6 @@ func (s *Selector) Checkpoint(c *checkpoint.Codec) {
 	for i := range s.engines {
 		c.I64(&s.scores[i])
 		c.U64(&s.residency[i])
-	}
-	checkpoint.Slice(c, &s.decisions, func(c *checkpoint.Codec, d *Decision) {
-		c.U64(&d.Loads)
-		c.I64(&d.Cycle)
-		c.Int(&d.Backend)
-		c.Bool(&d.Exploit)
-		c.I64(&d.Score)
-	})
-	if c.Err() == nil && len(s.decisions) > maxDecisions {
-		c.Failf("%d retained decisions exceeds the %d cap", len(s.decisions), maxDecisions)
 	}
 	c.U64(&s.decisionCount)
 	checkpoint.Slice(c, &s.buf, func(c *checkpoint.Codec, bl *bufLine) {

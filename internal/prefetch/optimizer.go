@@ -164,8 +164,8 @@ type Result struct {
 }
 
 // pendingOp is an insert or repair whose patch has not landed yet. It lands
-// on ts, the state it was computed from, even if a chaos code-cache eviction
-// (the only forgetter) dropped it since.
+// on ts, the state it was computed from, which is always tracked: ForgetTrace
+// cancels the change along with its trace.
 type pendingOp struct {
 	ts     *traceState  // nil: nothing pending
 	tr     *trace.Trace // insert: the new version; nil: a repair
@@ -262,9 +262,13 @@ func (o *Optimizer) BaseTrace(startPC uint64) (*trace.Trace, bool) {
 }
 
 // ForgetTrace drops the optimizer's state for a trace head whose trace a
-// chaos code-cache eviction unlinked.
+// chaos code-cache eviction unlinked, and cancels an insert or repair
+// pending for it.
 func (o *Optimizer) ForgetTrace(startPC uint64) {
 	delete(o.traces, startPC)
+	if o.pending.ts != nil && o.pending.ts.startPC == startPC {
+		o.pending = pendingOp{}
+	}
 }
 
 // TraceID returns the current linked trace ID for a registered head.

@@ -91,7 +91,7 @@ func (r *rig) makeDelinquent(pc uint64, stride int64) bool {
 	fired := false
 	addr := uint64(0x100000)
 	for i := 0; i < 32; i++ {
-		if r.table.Update(pc, addr, true, 300) {
+		if r.table.UpdateAt(pc, addr, true, 300, 0) {
 			fired = true
 			break
 		}
@@ -172,7 +172,7 @@ func TestClassifyStrideByDLTPrediction(t *testing.T) {
 	// 20 constant-stride observations saturate confidence.
 	addr := uint64(0x200000)
 	for i := 0; i < 20; i++ {
-		r.table.Update(loadPC, addr, true, 300)
+		r.table.UpdateAt(loadPC, addr, true, 300, 0)
 		addr += 48
 	}
 	groups := classifyTrace(r.base, r.table, true)
@@ -190,7 +190,7 @@ func TestClassifyPointerLoad(t *testing.T) {
 	// Irregular addresses: no stride, but p=p->next is a pointer load.
 	addrs := []uint64{0x1000, 0x9000, 0x3000, 0x4400, 0x8800, 0x2000}
 	for i := 0; i < 30; i++ {
-		r.table.Update(loadPC, addrs[i%len(addrs)]*uint64(1+i), true, 300)
+		r.table.UpdateAt(loadPC, addrs[i%len(addrs)]*uint64(1+i), true, 300, 0)
 	}
 	groups := classifyTrace(r.base, r.table, true)
 	if len(groups) != 1 {
@@ -403,7 +403,7 @@ func TestInsertDerefForPointerLoad(t *testing.T) {
 	r := newRig(t, ModeSelfRepair, p, start, []bool{true})
 	// Irregular chase: pointer class only.
 	for i := 0; i < 32; i++ {
-		r.table.Update(loadPC, uint64(0x1000+i*i*577), true, 300)
+		r.table.UpdateAt(loadPC, uint64(0x1000+i*i*577), true, 300, 0)
 	}
 	res := r.process(start, loadPC)
 	if res.Kind != ResultInserted {
@@ -506,7 +506,7 @@ func (r *rig) fillEventWindow(pc uint64, lat int64) {
 	addr := uint64(0x400000)
 	fired := false
 	for i := 0; i < 64 && !fired; i++ {
-		fired = r.table.Update(pc, addr, true, lat)
+		fired = r.table.UpdateAt(pc, addr, true, lat, 0)
 		addr += 64
 	}
 	if !fired {
@@ -554,7 +554,7 @@ func TestSelfRepairMaturesAfterBudget(t *testing.T) {
 	// A matured load's DLT entry stops firing.
 	addr := uint64(0x800000)
 	for i := 0; i < 64; i++ {
-		if r.table.Update(loadPC, addr, true, 300) {
+		if r.table.UpdateAt(loadPC, addr, true, 300, 0) {
 			t.Fatal("mature load fired an event")
 		}
 		addr += 64
@@ -602,7 +602,7 @@ func TestUnprefetchableLoadMatures(t *testing.T) {
 	loadPC := uint64(0x1010)
 	r := newRig(t, ModeSelfRepair, p, 0x1000, []bool{true})
 	for i := 0; i < 32; i++ {
-		r.table.Update(loadPC, uint64(0x1000+i*i*701), true, 300)
+		r.table.UpdateAt(loadPC, uint64(0x1000+i*i*701), true, 300, 0)
 	}
 	res := r.opt.ProcessEvent(0x1000, loadPC, 0)
 	if res.Kind != ResultMatured {
@@ -668,7 +668,7 @@ func TestScratchRegisterConflictSkipsDeref(t *testing.T) {
 	p := b.MustBuild()
 	r := newRig(t, ModeSelfRepair, p, 0x1000, []bool{true})
 	for i := 0; i < 32; i++ {
-		r.table.Update(0x1000, uint64(0x1000+i*i*577), true, 300)
+		r.table.UpdateAt(0x1000, uint64(0x1000+i*i*577), true, 300, 0)
 	}
 	res := r.process(0x1000, 0x1000)
 	if res.Kind == ResultInserted {

@@ -35,9 +35,9 @@ func (o *Optimizer) Checkpoint(c *checkpoint.Codec) {
 	o.walkPending(c)
 }
 
-// walkPending walks the pending insert or repair. Its trace state travels
-// whole (a chaos code-cache eviction, the only forgetter, may have dropped
-// it); a tracked one is relinked.
+// walkPending walks the pending insert or repair. It always belongs to a
+// tracked trace (ForgetTrace cancels it), so it travels as its trace's head
+// and loading relinks it; an untracked head is corrupt.
 func (o *Optimizer) walkPending(c *checkpoint.Codec) {
 	p := &o.pending
 	have, insert := p.ts != nil, p.tr != nil
@@ -45,12 +45,17 @@ func (o *Optimizer) walkPending(c *checkpoint.Codec) {
 		*p = pendingOp{}
 		return
 	}
-	if c.Loading() {
-		p.ts = new(traceState)
+	var head uint64
+	if p.ts != nil {
+		head = p.ts.startPC
 	}
-	walkTraceState(c, p.ts)
-	if ts := o.traces[p.ts.startPC]; ts != nil {
-		p.ts = ts
+	if c.U64(&head); c.Loading() {
+		p.ts = o.traces[head]
+	}
+	if p.ts == nil {
+		c.Failf("pending prefetch change for untracked trace %#x", head)
+		*p = pendingOp{}
+		return
 	}
 	if c.Bool(&insert); insert {
 		trace.Checkpoint(c, &p.tr)

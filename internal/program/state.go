@@ -35,10 +35,11 @@ func (m *Memory) CheckpointDiff(c *checkpoint.Codec, base *Memory) {
 	c.Int(&m.mapped)
 }
 
-// saveDiff writes the pages that may differ from base, plus the indices of
-// base pages this memory no longer maps. Clones share base's pages until
-// first write, so "page pointer differs from base's" is an O(1) exact test
-// for "this page may have diverged". The encoding is deterministic: pages go
+// saveDiff writes the pages that may differ from base. The memory is a
+// clone of base and a Memory never unmaps a page, so every page of base is
+// mapped here too and the diff needs no list of removed pages. Clones share base's pages until first
+// write, so "page pointer differs from base's" is an O(1) exact test for
+// "this page may have diverged". The encoding is deterministic: pages go
 // out in ascending page-index order, and a restored memory holds privately
 // exactly the pages its diff carried, so restoring and re-saving yields the
 // same bytes.
@@ -56,14 +57,6 @@ func (m *Memory) saveDiff(c *checkpoint.Codec, base *Memory) {
 		checkpoint.Words(c, pg.words[:])
 		checkpoint.Words(c, pg.valid[:])
 	}
-	var gone []uint64
-	base.forEachPage(func(idx uint64, pg *memPage) {
-		if m.page(idx<<memPageShift) == nil {
-			gone = append(gone, idx)
-		}
-	})
-	c.Len(len(gone))
-	checkpoint.Words(c, gone)
 }
 
 // loadDiff makes the memory base-with-the-diff-applied, sharing every
@@ -102,13 +95,4 @@ func (m *Memory) loadDiff(c *checkpoint.Codec, base *Memory) {
 	}
 	clear(m.owned[nDiff:])
 	m.owned = m.owned[:nDiff]
-	for n := c.Len(0); n > 0; n-- {
-		var idx uint64
-		c.U64(&idx)
-		if idx < uint64(len(m.tab)) {
-			m.tab[idx] = nil
-		} else if m.high != nil {
-			delete(m.high, idx)
-		}
-	}
 }

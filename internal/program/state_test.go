@@ -110,34 +110,6 @@ func encodeFull(m *Memory) []byte {
 	return e.Bytes()
 }
 
-// TestSaveStateDiffDeletedPages: a memory that no longer maps one of the
-// base's pages records it in the diff's gone set, and the restore unmaps it
-// rather than leaving the base page visible.
-func TestSaveStateDiffDeletedPages(t *testing.T) {
-	p := diffProgram(t)
-	base := p.Image()
-	// A memory whose page table lacks the base pages: built empty, not
-	// cloned from the image, so only the page it stores is mapped.
-	m := &Memory{}
-	m.Store(0x10000, 77)
-	if m.Valid(0x20000) {
-		t.Fatal("setup: base page mapped in a memory built without the image")
-	}
-	got := roundTrip(t, m, base, p)
-	if got.Load(0x10000) != 77 {
-		t.Errorf("diffed page = %d, want 77", got.Load(0x10000))
-	}
-	if got.Valid(0x20000) || got.Valid(0x30000) {
-		t.Error("gone base pages still mapped after restore")
-	}
-	if !reflect.DeepEqual(got.Snapshot(), m.Snapshot()) {
-		t.Fatalf("snapshot mismatch:\n got %v\nwant %v", got.Snapshot(), m.Snapshot())
-	}
-	if got.Footprint() != m.Footprint() {
-		t.Errorf("footprint = %d, want %d", got.Footprint(), m.Footprint())
-	}
-}
-
 // TestLoadStateDiffRejectsOtherImage: a diff cut against one image and
 // loaded against an image of a different size is refused as corrupt, with
 // both mapped-word counts in the message, instead of being applied to data

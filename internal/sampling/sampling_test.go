@@ -337,7 +337,7 @@ func TestROICacheRejectsMismatchedKey(t *testing.T) {
 	}
 }
 
-// A cache file from an older payload format (meta "roi2") is a miss that
+// A cache file from an older payload format (meta "roi3") is a miss that
 // gets rebuilt, never a blob handed to RestoreROI: that would end the run
 // with a decode error instead of costing one functional fast-forward.
 func TestROICacheRebuildsOlderFormat(t *testing.T) {
@@ -345,12 +345,12 @@ func TestROICacheRebuildsOlderFormat(t *testing.T) {
 	dir := t.TempDir()
 	roi := NewROICache(dir, "mcf", "test", testConfig())
 	stale := checkpoint.NewSaver()
-	stale.Mark("core.roi2")
+	stale.Mark("core.roi3")
 	const slots = total / 100_000
 	for k := uint64(1); k <= slots; k++ {
-		meta := strings.Replace(roi.meta(k), "roi3 ", "roi2 ", 1)
+		meta := strings.Replace(roi.meta(k), "roi4 ", "roi3 ", 1)
 		if meta == roi.meta(k) {
-			t.Fatalf("meta %q does not carry the roi3 format tag", meta)
+			t.Fatalf("meta %q does not carry the roi4 format tag", meta)
 		}
 		if err := checkpoint.WriteFile(roi.Path(k), meta, stale.Bytes()); err != nil {
 			t.Fatal(err)
@@ -358,7 +358,7 @@ func TestROICacheRebuildsOlderFormat(t *testing.T) {
 	}
 	got := runSampled(t, "mcf", total, roi)
 	if h, m := roi.Stats(); h != 0 || m == 0 {
-		t.Fatalf("run over roi2 files: hits=%d misses=%d, want only misses", h, m)
+		t.Fatalf("run over roi3 files: hits=%d misses=%d, want only misses", h, m)
 	}
 	rebuilt := 0
 	for k := uint64(1); k <= slots; k++ {
@@ -367,11 +367,11 @@ func TestROICacheRebuildsOlderFormat(t *testing.T) {
 		}
 	}
 	if rebuilt == 0 {
-		t.Error("no roi2 file was replaced by a current snapshot")
+		t.Error("no roi3 file was replaced by a current snapshot")
 	}
 	got.ROIHits, got.ROIMisses = 0, 0
 	if plain := runSampled(t, "mcf", total, nil); !reflect.DeepEqual(got, plain) {
-		t.Fatalf("run that rebuilt roi2 files differs from uncached:\nrebuilt: %+v\nplain:   %+v", got, plain)
+		t.Fatalf("run that rebuilt roi3 files differs from uncached:\nrebuilt: %+v\nplain:   %+v", got, plain)
 	}
 }
 

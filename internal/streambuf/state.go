@@ -37,7 +37,6 @@ func (s *StreamBuffers) Checkpoint(c *checkpoint.Codec) {
 		c.I64(&b.lastUse)
 		c.Bool(&b.active)
 	}
-	c.U64(&s.Stats.Allocations)
 	c.U64(&s.Stats.Supplies)
 	c.U64(&s.Stats.Fills)
 	c.U64(&s.Stats.FillsDenied)

@@ -84,7 +84,6 @@ type buffer struct {
 
 // Stats counts stream buffer activity.
 type Stats struct {
-	Allocations uint64
 	Supplies    uint64 // demand misses served from a buffer
 	Fills       uint64 // lines fetched into buffers
 	FillsDenied uint64 // fills refused by the port (line already cached)
@@ -260,7 +259,6 @@ func (s *StreamBuffers) allocate(addr uint64, stride int64, now int64) {
 	b.nextLine = first
 	b.lastUse = now
 	b.active = true
-	s.Stats.Allocations++
 	// New streams ramp up: fetch a couple of lines now and deepen only as
 	// supplies prove the stream useful. This keeps a thrashing allocation
 	// storm (more streams than buffers) from flooding the memory bus.

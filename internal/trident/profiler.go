@@ -51,8 +51,7 @@ type Profiler struct {
 	cap     *capture
 
 	// Stats.
-	Captures uint64
-	Events   uint64
+	Events uint64
 }
 
 // NewProfiler builds the profiler.
@@ -120,7 +119,6 @@ func (p *Profiler) bump(target uint64) {
 			}
 			if p.cap == nil {
 				p.cap = &capture{startPC: target}
-				p.Captures++
 			}
 			return
 		}

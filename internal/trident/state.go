@@ -37,7 +37,6 @@ func (p *Profiler) Checkpoint(c *checkpoint.Codec) {
 		c.U64(&p.cap.startPC)
 		checkpoint.Slice(c, &p.cap.bits, (*checkpoint.Codec).Bool)
 	}
-	c.U64(&p.Captures)
 	c.U64(&p.Events)
 }
 

@@ -2,7 +2,7 @@
 # Full local gate: compile everything, vet, and run the whole test suite
 # under the race detector. The simulator is single-goroutine by design but
 # the experiment harness fans runs across goroutines, so -race guards both
-# the chaos harness/shadow runs and the worker pool against hidden sharing.
+# the chaos harness runs and the worker pool against hidden sharing.
 #
 # For performance work, scripts/bench.sh emits a BENCH_<date>.json snapshot
 # of the per-figure benchmarks. Snapshot naming: BENCH_baseline.json is the
@@ -62,6 +62,17 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -slowpath \
 go run ./cmd/tridentsim -bench art -scale small -valspec -instrs 400000 > "$enginedir/art.out"
 go run ./cmd/tridentsim -bench art -scale small -valspec -instrs 400000 \
 	-checkpoint-every 300000 -checkpoint-dir "$enginedir" | diff "$enginedir/art.out" -
+# Chaos at the binary boundary: fault injection with the invariant watchdog
+# and its transparency check must finish clean (tridentsim exits non-zero on
+# any violation), and a chaos run checkpointed at 200k and resumed with
+# -restore prints the uninterrupted run's report: the watchdog's
+# architectural twin travels in the checkpoint.
+go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -chaos monkey > /dev/null
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -chaos monkey > "$enginedir/chaos.out"
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -chaos monkey \
+	-checkpoint-every 200000 -checkpoint-dir "$enginedir/chaos" > /dev/null
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -chaos monkey \
+	-restore "$enginedir/chaos/mcf.ckpt" | diff "$enginedir/chaos.out" -
 rm -rf "$enginedir"
 # Golden conformance, twice in one process: -count=2 re-runs every workload
 # against the checked-in event streams, and every experiment table (plus
