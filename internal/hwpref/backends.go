@@ -7,10 +7,11 @@ import (
 )
 
 // The arsenal (DESIGN §16). Every backend is a pure predictor over the
-// committed load stream: Observe trains on each load and proposes line
-// addresses on misses only; OnSupply extends a proven prediction. Backends
-// never see the clock, the fill port, or the buffer — the engine owns those
-// — so each one is exercised standalone by the conformance suite.
+// committed load stream: Observe trains on an L1 miss and proposes line
+// addresses, observeHit (stride alone implements it) trains on a hit, and
+// OnSupply extends a proven prediction. Backends never see the clock, the
+// fill port, or the buffer — the engine owns those — so each one is
+// exercised standalone by the conformance suite.
 
 // Arsenal returns every backend in canonical order (the order the selector
 // probes and the order checkpoints serialize).
@@ -23,8 +24,8 @@ func Arsenal(cfg Config) []Backend {
 	}
 }
 
-// lineOf converts a byte address to a line address for a power-of-two line
-// size (Config validation rejects others).
+// lineShift returns log2 of a power-of-two line size, the shift that turns a
+// byte address into a line address; any other size panics.
 func lineShift(lineSize int) uint {
 	sh := uint(0)
 	for 1<<sh < lineSize {
@@ -49,10 +50,7 @@ func NewNextLine(cfg Config) Backend { return &nextLine{degree: cfg.Degree} }
 
 func (n *nextLine) Name() string { return "next-line" }
 
-func (n *nextLine) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []uint64 {
-	if !l1Miss {
-		return dst
-	}
+func (n *nextLine) Observe(dst []uint64, pc, addr, lineAddr uint64) []uint64 {
 	for k := 1; k <= n.degree; k++ {
 		dst = append(dst, lineAddr+uint64(k))
 	}
@@ -82,7 +80,8 @@ type strideEntry struct {
 
 // stride is classic per-PC stride prefetch: a PC whose consecutive accesses
 // keep a stable non-zero stride proposes the next degree strided lines when
-// it misses.
+// it misses. It is the arsenal's hit learner: every access, hit or miss,
+// trains the PC's entry.
 type stride struct {
 	table     []strideEntry
 	threshold uint8
@@ -106,11 +105,13 @@ func NewStride(cfg Config) Backend {
 
 func (s *stride) Name() string { return "stride" }
 
-func (s *stride) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []uint64 {
+// learn trains pc's entry on one access and returns it, or nil when the
+// access claimed the entry for pc afresh.
+func (s *stride) learn(pc, addr uint64) *strideEntry {
 	e := &s.table[(pc>>3)&uint64(len(s.table)-1)]
 	if !e.valid || e.pc != pc {
 		*e = strideEntry{pc: pc, lastAddr: addr, valid: true}
-		return dst
+		return nil
 	}
 	str := int64(addr) - int64(e.lastAddr)
 	e.lastAddr = addr
@@ -124,7 +125,14 @@ func (s *stride) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) [
 			e.conf--
 		}
 	}
-	if !l1Miss || e.conf < s.threshold || e.stride == 0 {
+	return e
+}
+
+func (s *stride) observeHit(pc, addr uint64) { s.learn(pc, addr) }
+
+func (s *stride) Observe(dst []uint64, pc, addr, lineAddr uint64) []uint64 {
+	e := s.learn(pc, addr)
+	if e == nil || e.conf < s.threshold || e.stride == 0 {
 		return dst
 	}
 	prev := lineAddr
@@ -249,10 +257,7 @@ func (b *bestOffset) trigger(dst []uint64, lineAddr uint64) []uint64 {
 	return dst
 }
 
-func (b *bestOffset) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []uint64 {
-	if !l1Miss {
-		return dst
-	}
+func (b *bestOffset) Observe(dst []uint64, pc, addr, lineAddr uint64) []uint64 {
 	return b.trigger(dst, lineAddr)
 }
 
@@ -328,10 +333,7 @@ func (g *ghb) hash(d1, d2 int64) int {
 	return int(h & uint64(len(g.idx)-1))
 }
 
-func (g *ghb) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []uint64 {
-	if !l1Miss {
-		return dst
-	}
+func (g *ghb) Observe(dst []uint64, pc, addr, lineAddr uint64) []uint64 {
 	if !g.lastValid {
 		g.lastLine, g.lastValid = lineAddr, true
 		return dst

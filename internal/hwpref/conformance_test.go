@@ -222,8 +222,11 @@ func TestFillsDenied(t *testing.T) {
 
 // TestLoadFastContract: Train on a hit must be observable-side-effect-free —
 // no fill-port calls, no buffer mutation, no counter movement — across the
-// whole arsenal. This is what lets the memsys fast path skip the prefetcher
-// on hits and stay bit-identical with the slow path.
+// whole arsenal. The guarantee is structural: a hit reaches only the hit
+// learners' observeHit, which has no way to propose a line, and never
+// Observe or the buffer. This test pins that structure down; it is what
+// lets the memsys fast path train on hits and stay bit-identical with the
+// slow path.
 func TestLoadFastContract(t *testing.T) {
 	cfg := DefaultConfig()
 	port := &testPort{latency: 100}
@@ -299,8 +302,8 @@ func TestBackendCheckpointRoundTrip(t *testing.T) {
 			if s1.EngineStatsAt(0) != s2.EngineStatsAt(0) {
 				t.Fatalf("stats diverged: %+v vs %+v", s1.EngineStatsAt(0), s2.EngineStatsAt(0))
 			}
-			if !reflect.DeepEqual(s1.buf, s2.buf) {
-				t.Fatalf("buffer diverged: %+v vs %+v", s1.buf, s2.buf)
+			if !reflect.DeepEqual(s1.buf.lines(), s2.buf.lines()) {
+				t.Fatalf("buffer diverged: %+v vs %+v", s1.buf.lines(), s2.buf.lines())
 			}
 		})
 	}
@@ -336,6 +339,21 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 
+	// The restored buffer answers membership exactly as the saved one did:
+	// same lines in the same order, and Contains agrees on every buffered
+	// line and its neighbours.
+	buffered := s1.buf.lines()
+	if len(buffered) == 0 || !reflect.DeepEqual(s2.buf.lines(), buffered) {
+		t.Fatalf("restored buffer %+v, saved %+v (want equal and non-empty)", s2.buf.lines(), buffered)
+	}
+	for _, bl := range buffered {
+		for _, l := range []uint64{bl.line - 1, bl.line, bl.line + 1} {
+			if s1.Contains(l) != s2.Contains(l) {
+				t.Fatalf("Contains(%d) = %v after restore, %v before", l, s2.Contains(l), s1.Contains(l))
+			}
+		}
+	}
+
 	mark, decMark := len(port1.fills), len(decisions(tr1))
 	now2 := now1
 	drive(s1, stream[73:], &now1)
@@ -353,9 +371,9 @@ func TestSelectorCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s1.Residency(), s2.Residency()) {
 		t.Fatalf("residency diverged: %v vs %v", s1.Residency(), s2.Residency())
 	}
-	if s1.Rounds() != s2.Rounds() || s1.Switches() != s2.Switches() || s1.Active() != s2.Active() {
+	if s1.Rounds() != s2.Rounds() || s1.Switches() != s2.Switches() || s1.active != s2.active {
 		t.Fatalf("epoch state diverged: rounds %d/%d switches %d/%d active %d/%d",
-			s1.Rounds(), s2.Rounds(), s1.Switches(), s2.Switches(), s1.Active(), s2.Active())
+			s1.Rounds(), s2.Rounds(), s1.Switches(), s2.Switches(), s1.active, s2.active)
 	}
 }
 

@@ -36,18 +36,20 @@ func DefaultSelectorConfig() SelectorConfig {
 	return SelectorConfig{ProbeLoads: 2000, ExploitFactor: 16}
 }
 
-// Selector owns the arsenal and implements memsys.Prefetcher. All backends
-// train on every committed load so each probe starts warm, but only the
-// active backend's proposals reach the fill port. With a single backend the
-// epoch machinery is inert — that is the static configuration.
+// Selector owns the arsenal and implements memsys.Prefetcher. Every backend
+// trains on every L1 miss (and the hit learners on every hit too) so each
+// probe starts warm, but only the active backend's proposals reach the fill
+// port. With a single backend the epoch machinery is inert — that is the
+// static configuration.
 type Selector struct {
 	cfg  Config
 	scfg SelectorConfig
 	port FillPort
 
-	engines []*engine
-	buf     []bufLine // the shared prefetch buffer (hwpref.go)
-	shift   uint
+	engines     []*engine
+	hitLearners []hitLearner // the backends that also train on L1 hits
+	buf         lineBuf      // the shared prefetch buffer (hwpref.go)
+	shift       uint
 
 	active   int
 	probing  bool
@@ -87,6 +89,7 @@ func New(cfg Config, scfg SelectorConfig, port FillPort, backends ...Backend) *S
 		cfg:       cfg,
 		scfg:      scfg,
 		port:      port,
+		buf:       newLineBuf(cfg.BufferLines),
 		shift:     lineShift(cfg.LineSize),
 		scores:    make([]int64, len(backends)),
 		residency: make([]uint64, len(backends)),
@@ -95,6 +98,9 @@ func New(cfg Config, scfg SelectorConfig, port FillPort, backends ...Backend) *S
 	}
 	for _, b := range backends {
 		s.engines = append(s.engines, &engine{backend: b})
+		if h, ok := b.(hitLearner); ok {
+			s.hitLearners = append(s.hitLearners, h)
+		}
 	}
 	if len(backends) > 1 {
 		// Startup grace: the first backend (next-line in arsenal order, the
@@ -111,20 +117,27 @@ func New(cfg Config, scfg SelectorConfig, port FillPort, backends ...Backend) *S
 // SetTracer attaches the telemetry tracer switch decisions are emitted to.
 func (s *Selector) SetTracer(t *telemetry.Tracer) { s.tel = t }
 
-// Train observes a committed load. Implements memsys.Prefetcher. On the
-// no-miss path nothing touches the fill port or a buffer (the LoadFast
-// contract); epoch boundaries advance on the load count alone, so switch
-// points are identical on every execution path.
+// Train observes a committed load. Implements memsys.Prefetcher. A hit
+// reaches only the hit learners, whose observeHit cannot propose, so
+// nothing touches the fill port or the buffer (the LoadFast contract);
+// epoch boundaries advance on the load count alone, so switch points are
+// identical on every execution path.
 func (s *Selector) Train(pc, addr uint64, now int64, l1Miss bool) {
 	if len(s.engines) > 1 && s.loads == s.epochEnd {
 		s.advanceEpoch(now)
 	}
 	s.loads++
 	s.residency[s.active]++
+	if !l1Miss {
+		for _, h := range s.hitLearners {
+			h.observeHit(pc, addr)
+		}
+		return
+	}
 	la := addr >> s.shift
 	for i, en := range s.engines {
-		cands := en.backend.Observe(s.scratch[:0], pc, addr, la, l1Miss)
-		if i == s.active && l1Miss && len(cands) > 0 {
+		cands := en.backend.Observe(s.scratch[:0], pc, addr, la)
+		if i == s.active && len(cands) > 0 {
 			s.issue(i, cands, now)
 		}
 	}
@@ -148,7 +161,7 @@ func (s *Selector) Lookup(lineAddr uint64, now int64) (int64, bool) {
 // Contains reports (without consuming) whether the shared buffer holds the
 // line. Implements memsys.Prefetcher.
 func (s *Selector) Contains(lineAddr uint64) bool {
-	return s.holds(lineAddr)
+	return s.buf.find(lineAddr) != nilSlot
 }
 
 // advanceEpoch runs at an epoch boundary: score the probed backend and
@@ -239,9 +252,6 @@ func (s *Selector) Names() []string {
 	}
 	return names
 }
-
-// Active returns the currently issuing backend's index.
-func (s *Selector) Active() int { return s.active }
 
 // EngineStatsAt returns backend i's engine counters.
 func (s *Selector) EngineStatsAt(i int) EngineStats { return s.engines[i].stats }

@@ -19,7 +19,7 @@ import (
 type stubBackend struct{ id string }
 
 func (b *stubBackend) Name() string { return b.id }
-func (b *stubBackend) Observe(dst []uint64, pc, addr, lineAddr uint64, l1Miss bool) []uint64 {
+func (b *stubBackend) Observe(dst []uint64, pc, addr, lineAddr uint64) []uint64 {
 	return dst
 }
 func (b *stubBackend) OnSupply(dst []uint64, lineAddr uint64) []uint64 { return dst }
@@ -106,9 +106,9 @@ func TestSelectorCrownsFastestBackend(t *testing.T) {
 	if got := kinds(decisions(r.tr)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("decision log = %v, want %v", got, want)
 	}
-	if r.s.Active() != 1 || r.s.Rounds() != 2 || r.s.Switches() != 1 {
+	if r.s.active != 1 || r.s.Rounds() != 2 || r.s.Switches() != 1 {
 		t.Fatalf("active=%d rounds=%d switches=%d, want 1/2/1",
-			r.s.Active(), r.s.Rounds(), r.s.Switches())
+			r.s.active, r.s.Rounds(), r.s.Switches())
 	}
 }
 
@@ -126,18 +126,18 @@ func TestSelectorHysteresis(t *testing.T) {
 	r.loads(9, 10)
 	r.loads(1, 8)
 	r.loads(1, 1) // boundary: incumbent retained
-	if r.s.Active() != 0 || r.s.Switches() != 0 {
+	if r.s.active != 0 || r.s.Switches() != 0 {
 		t.Fatalf("active=%d switches=%d after marginal challenge, want incumbent 0 with 0 switches",
-			r.s.Active(), r.s.Switches())
+			r.s.active, r.s.Switches())
 	}
 	// A clear win (cost 10 vs 100) does flip it.
 	r.loads(39, 1) // finish exploit (40 loads total at the boundary crossing)
 	r.loads(10, 10)
 	r.loads(10, 1)
 	r.loads(1, 1)
-	if r.s.Active() != 1 || r.s.Switches() != 1 {
+	if r.s.active != 1 || r.s.Switches() != 1 {
 		t.Fatalf("active=%d switches=%d after clear challenge, want 1/1",
-			r.s.Active(), r.s.Switches())
+			r.s.active, r.s.Switches())
 	}
 }
 
@@ -188,9 +188,9 @@ func TestSelectorSingleBackendInert(t *testing.T) {
 	r := &clockRig{s: New(DefaultConfig(), SelectorConfig{}, &testPort{latency: 1},
 		&stubBackend{id: "only"})}
 	r.loads(5000, 1)
-	if r.s.DecisionCount() != 0 || r.s.Rounds() != 0 || r.s.Active() != 0 {
+	if r.s.DecisionCount() != 0 || r.s.Rounds() != 0 || r.s.active != 0 {
 		t.Fatalf("single-backend selector moved: decisions=%d rounds=%d active=%d",
-			r.s.DecisionCount(), r.s.Rounds(), r.s.Active())
+			r.s.DecisionCount(), r.s.Rounds(), r.s.active)
 	}
 }
 

@@ -37,17 +37,7 @@ func (s *Selector) Checkpoint(c *checkpoint.Codec) {
 		c.U64(&s.residency[i])
 	}
 	c.U64(&s.decisionCount)
-	checkpoint.Slice(c, &s.buf, func(c *checkpoint.Codec, bl *bufLine) {
-		c.U64(&bl.line)
-		c.I64(&bl.ready)
-		c.Int(&bl.by)
-		if c.Err() == nil && (bl.by < 0 || bl.by >= len(s.engines)) {
-			c.Failf("buffered line issued by backend %d of %d", bl.by, len(s.engines))
-		}
-	})
-	if c.Err() == nil && len(s.buf) > s.cfg.BufferLines {
-		c.Failf("prefetch buffer holds %d lines, capacity %d", len(s.buf), s.cfg.BufferLines)
-	}
+	s.buf.checkpoint(c, len(s.engines))
 	for _, en := range s.engines {
 		name := en.backend.Name()
 		c.Str(&name)
@@ -60,5 +50,39 @@ func (s *Selector) Checkpoint(c *checkpoint.Codec) {
 		c.U64(&en.stats.FillsDenied)
 		c.U64(&en.stats.Supplies)
 		c.U64(&en.stats.EvictedUnused)
+	}
+}
+
+// checkpoint walks the buffered lines oldest first as one length-prefixed
+// sequence. Loading rebuilds the FIFO and the line index from it and
+// refuses a line listed twice: no save writes one (issue dedups), and the
+// index holds one slot per line.
+func (b *lineBuf) checkpoint(c *checkpoint.Codec, backends int) {
+	var lines []bufLine
+	if !c.Loading() {
+		lines = b.lines()
+	}
+	checkpoint.Slice(c, &lines, func(c *checkpoint.Codec, bl *bufLine) {
+		c.U64(&bl.line)
+		c.I64(&bl.ready)
+		c.Int(&bl.by)
+		if c.Err() == nil && (bl.by < 0 || bl.by >= backends) {
+			c.Failf("buffered line issued by backend %d of %d", bl.by, backends)
+		}
+	})
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	if len(lines) > len(b.slots)-1 {
+		c.Failf("prefetch buffer holds %d lines, capacity %d", len(lines), len(b.slots)-1)
+		return
+	}
+	b.reset()
+	for _, bl := range lines {
+		if b.find(bl.line) != nilSlot {
+			c.Failf("prefetch buffer holds line %#x twice", bl.line)
+			return
+		}
+		b.push(bl)
 	}
 }

@@ -160,3 +160,13 @@ go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -hw stri
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -hw stride -slowpath | diff /tmp/hwstride.out -
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -hw selector > /tmp/hwsel.out
 go run ./cmd/tridentsim -bench swim,mcf,art -scale small -instrs 400000 -hw selector -slowpath | diff /tmp/hwsel.out -
+# Selector resume at the binary boundary: a checkpoint cut at 200k carries
+# the shared prefetch buffer, restore rebuilds its line index, and the
+# resumed run prints the uninterrupted run's report.
+hwdir=$(mktemp -d)
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -hw selector > "$hwdir/ref.out"
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -hw selector \
+	-checkpoint-every 200000 -checkpoint-dir "$hwdir" > /dev/null
+go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -hw selector \
+	-restore "$hwdir/mcf.ckpt" | diff "$hwdir/ref.out" -
+rm -rf "$hwdir"
