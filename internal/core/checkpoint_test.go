@@ -391,7 +391,7 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	cfg := DefaultConfig()
 	sys := NewSystem(cfg, bm.Build(workloads.ScaleSmall))
 	e := checkpoint.NewSaver()
-	e.Mark("core.system4")
+	e.Mark("core.system5")
 	sys.thread.Checkpoint(e)
 	sys.live.Checkpoint(e)
 	e.Mark("program.memory")
@@ -403,17 +403,20 @@ func TestRestoreRejectsDenseMemory(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOlderMachineFormat: a machine checkpoint of the previous
-// format (section "core.system3", which still carried the nested shadow
-// machine and the load counters) is refused as corrupt, naming the section
-// this build expects.
+// TestRestoreRejectsOlderMachineFormat: machine checkpoints of earlier
+// formats are refused as corrupt, naming the section this build expects.
+// "core.system3" still carried the nested shadow machine and the load
+// counters; "core.system4" carried the fill-ready heap and the batch-local
+// loop state (sbPl, sbEntry, sbHeadPending).
 func TestRestoreRejectsOlderMachineFormat(t *testing.T) {
 	bm, _ := workloads.ByName("swim")
-	e := checkpoint.NewSaver()
-	e.Mark("core.system3")
-	err := NewSystem(DefaultConfig(), bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
-	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"core.system4"`) {
-		t.Fatalf("core.system3 blob: err = %v, want ErrCorrupt naming \"core.system4\"", err)
+	for _, mark := range []string{"core.system3", "core.system4"} {
+		e := checkpoint.NewSaver()
+		e.Mark(mark)
+		err := NewSystem(DefaultConfig(), bm.Build(workloads.ScaleSmall)).RestoreState(e.Bytes())
+		if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), `"core.system5"`) {
+			t.Fatalf("%s blob: err = %v, want ErrCorrupt naming \"core.system5\"", mark, err)
+		}
 	}
 }
 

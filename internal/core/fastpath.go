@@ -11,13 +11,16 @@ import (
 
 // This file implements the first level of the simulator's fast path: the
 // event horizon. The framework is event-driven — chaos edges, watchdog
-// probes, pending optimizations, helper-thread completions, and in-flight
-// fill arrivals all fire at known future cycles — yet the reference loop
-// re-checks every one of them after every committed instruction. fastForward
-// instead computes the nearest cycle at which anything non-CPU can happen
-// and retires whole superblocks (cpu.BlockCache) up to that horizon, running
-// the event machinery once per batch at exactly the instruction boundary the
-// one-step loop would have used.
+// probes, pending optimizations and helper-thread completions all fire at
+// known future cycles — yet the reference loop re-checks every one of them
+// after every committed instruction. fastForward instead computes the
+// nearest cycle at which anything non-CPU can happen and retires whole
+// superblocks (cpu.BlockCache) up to that horizon, running the event
+// machinery once per batch at exactly the instruction boundary the one-step
+// loop would have used. A fill arriving is not such an event: only a later
+// access reads its ready cycle, and the fast probe sends every access that
+// could (its line still in the MSHR table, or the table full) through the
+// full hierarchy call at its own cycle.
 //
 // Since the superblock engine, batches carry memory operations and loop
 // back-edges too. The core-side monitoring the slow path performs per
@@ -49,10 +52,11 @@ import (
 // path's per-step processing — bit for bit.
 
 // eventHorizon returns the earliest future cycle at which any non-CPU
-// machinery can act, given the current cycle. MaxInt64 means "nothing
-// scheduled": execution may batch freely until code-driven work (a trace
-// boundary, a patched word, an instruction no batch admits) forces a slow
-// step anyway.
+// machinery can act, given the current cycle: a chaos edge, a watchdog
+// probe, the pending apply, or the helper going idle. MaxInt64 means
+// "nothing scheduled": execution may batch freely until code-driven work (a
+// trace boundary, a patched word, an instruction no batch admits, a declined
+// load) ends the batch anyway.
 func (s *System) eventHorizon(now int64) int64 {
 	hz := int64(math.MaxInt64)
 	if s.chaosRun != nil {
@@ -77,13 +81,6 @@ func (s *System) eventHorizon(now int64) int64 {
 		if (busy || s.interfering || (s.queue.Len() > 0 && s.pending == nil)) && bu < hz {
 			hz = bu
 		}
-	}
-	// An in-flight fill arriving re-prices later accesses to its line
-	// (partial hit residual → plain hit), so batches never run across a
-	// fill-ready boundary; this keeps partial-hit timing exact even though
-	// the fast probe itself declines every in-flight line.
-	if v := s.hier.EarliestFill(now); v < hz {
-		hz = v
 	}
 	return hz
 }
@@ -169,7 +166,7 @@ loop:
 			inTrace = true
 			hooks = &s.sbTraceHooks
 			s.sbPl, s.sbEntry = pl, pc
-			s.sbHeadPending = pc == pl.Start
+			s.sbHeadPending, s.sbHeadAt = pc == pl.Start, s.lastNow
 		} else if s.isPatched(pc) {
 			exit = telemetry.FPPatched
 			break loop
@@ -216,12 +213,15 @@ loop:
 		} else {
 			ex = t.ExecSuperBlock(blk, budget, hz, hooks)
 		}
+		if inTrace && ex.NeedSlow && t.PC() == s.sbPl.Start {
+			// The head pre-stopped, at launch or after a fold: it retires
+			// through step(), whose trackTraversal records the deferred
+			// traversal at the same cycle.
+			s.sbHeadPending = false
+		}
 		if ex.N == 0 {
 			// The first instruction already needs the slow path: nothing
-			// committed, nothing to process — including a deferred head
-			// record, whose instruction will now retire through step() and
-			// be recorded by trackTraversal instead.
-			s.sbHeadPending = false
+			// committed, nothing to process.
 			exit = telemetry.FPFirstSlow
 			break loop
 		}
@@ -247,9 +247,8 @@ loop:
 			t.SetReg(r, t.Reg(r)^s.faultMask)
 		}
 		if inTrace {
-			// A batch that launched at the trace head completed the prior
-			// traversal with its first instruction (trackTraversal's
-			// loop-back arm); folds inside the batch flushed it already.
+			// The head retired after a launch or after the last fold:
+			// that closed a traversal (trackTraversal's loop-back arm).
 			s.flushHeadRecord()
 		} else if s.curPl != nil {
 			// First original-code instruction after a trace exit.
@@ -310,28 +309,28 @@ func (s *System) initSBHooks() {
 	}
 }
 
-// flushHeadRecord issues the traversal record deferred at a head launch.
-// The slow path records when the head instruction commits, using the cycle
-// of the instruction *before* it (s.lastNow); at flush time s.lastNow still
-// holds exactly that pre-batch value.
+// flushHeadRecord issues the deferred traversal record. The slow path
+// records when the head instruction commits, using the cycle of the
+// instruction *before* it (s.lastNow), which sbHeadAt holds: the pre-batch
+// cycle for a head launch, the branch's post-commit cycle for a fold.
 func (s *System) flushHeadRecord() {
 	if !s.sbHeadPending {
 		return
 	}
 	s.sbHeadPending = false
-	s.recordTraversal(s.sbPl, s.lastNow)
+	s.recordTraversal(s.sbPl, s.sbHeadAt)
 }
 
 // sbLoopBack fires when a batched trace fold is about to re-execute the
 // block entry. When the entry is the trace head this is trackTraversal's
-// loop-back: the pending head record (if the batch launched at the head)
-// flushes first, then the traversal that the branch just closed is recorded
-// at the branch's post-commit cycle — the same value the slow path would
-// record one step later via lastNow.
+// loop-back: the record pending from the launch or the previous fold
+// flushes (its head retired), and the traversal the branch just closed is
+// deferred in turn, because the head can still pre-stop and then retire
+// through step(), which records it itself.
 func (s *System) sbLoopBack(now int64) {
 	if s.sbEntry != s.sbPl.Start {
 		return
 	}
 	s.flushHeadRecord()
-	s.recordTraversal(s.sbPl, now)
+	s.sbHeadPending, s.sbHeadAt = true, now
 }

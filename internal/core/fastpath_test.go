@@ -62,6 +62,11 @@ func diffRun(t *testing.T, label string, cfg Config, bm workloads.Benchmark,
 	if stF != stS {
 		t.Errorf("%s: memsys.Stats diverged\nfast: %+v\nslow: %+v", label, stF, stS)
 	}
+	// Traversal records are not in Results, but they feed the watch
+	// table's timing, the trace_traversals gauge and the checkpoint.
+	if trF, trS := sysF.stats.traceTraversal, sysS.stats.traceTraversal; trF != trS {
+		t.Errorf("%s: trace traversals diverged: fast %d, slow %d", label, trF, trS)
+	}
 	return sysF
 }
 
@@ -71,6 +76,42 @@ func TestFastPathDifferentialAllWorkloads(t *testing.T) {
 		t.Run(bm.Name, func(t *testing.T) {
 			diffRun(t, bm.Name, DefaultConfig(), bm, workloads.ScaleSmall, 200_000)
 		})
+	}
+}
+
+// TestFastPathDifferentialKernelMatrix runs every kernel under the
+// machines the figures and the chaos legs use, long enough for traces to
+// form, loop, and meet chaos edges and watchdog probes mid-traversal.
+func TestFastPathDifferentialKernelMatrix(t *testing.T) {
+	const limit = 600_000
+	selector := DefaultConfig()
+	selector.HW = HWSelector
+	chaotic := func(preset chaos.Preset, seed uint64) Config {
+		// tridentsim's schedule: a horizon of twice the instruction budget.
+		sched, err := chaos.NewSchedule(preset, seed, 2*limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := DefaultConfig()
+		c.Chaos = sched
+		return c
+	}
+	machines := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"selector", selector},
+		{"latency-phase", chaotic(chaos.PresetLatencyPhase, 42)},
+		{"monkey", chaotic(chaos.PresetMonkey, 1)},
+	}
+	for _, bm := range workloads.All() {
+		for _, m := range machines {
+			label := bm.Name + "/" + m.name
+			t.Run(label, func(t *testing.T) {
+				diffRun(t, label, m.cfg, bm, workloads.ScaleSmall, limit)
+			})
+		}
 	}
 }
 

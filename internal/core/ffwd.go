@@ -96,9 +96,6 @@ func (s *System) exitCodeCache() {
 	}
 	s.curPl = nil
 	s.inTraversal = false
-	s.sbPl = nil
-	s.sbEntry = 0
-	s.sbHeadPending = false
 }
 
 // mapTracePC translates an in-trace PC to the original-program PC of the
@@ -153,9 +150,6 @@ func (s *System) RestoreROI(blob []byte) error {
 	s.ffwdInstrs = at - s.origInstrs
 	s.curPl = nil
 	s.inTraversal = false
-	s.sbPl = nil
-	s.sbEntry = 0
-	s.sbHeadPending = false
 	return nil
 }
 

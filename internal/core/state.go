@@ -103,7 +103,7 @@ func (s *System) walkPending(c *checkpoint.Codec) {
 // then the execution loop's own state. Optional subsystems travel behind a
 // presence flag that loading checks against this machine's configuration.
 func (s *System) checkpoint(c *checkpoint.Codec) {
-	c.Mark("core.system4")
+	c.Mark("core.system5")
 	s.thread.Checkpoint(c)
 	s.live.Checkpoint(c)
 	s.mem.CheckpointDiff(c, s.image)
@@ -133,7 +133,7 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	// Execution-loop state. Placement pointers travel as indices into the
 	// code cache's placement slice.
 	c.Mark("core.loop")
-	curPl, sbPl := s.cache.PlacementIndex(s.curPl), s.cache.PlacementIndex(s.sbPl)
+	curPl := s.cache.PlacementIndex(s.curPl)
 	c.Int(&curPl)
 	c.I64(&s.traversalStart)
 	c.Bool(&s.inTraversal)
@@ -146,12 +146,8 @@ func (s *System) checkpoint(c *checkpoint.Codec) {
 	}
 	s.walkPending(c)
 	c.Bool(&s.interfering)
-	c.Int(&sbPl)
-	c.U64(&s.sbEntry)
-	c.Bool(&s.sbHeadPending)
 	if c.Loading() {
 		s.curPl = s.cache.PlacementByIndex(curPl)
-		s.sbPl = s.cache.PlacementByIndex(sbPl)
 	}
 	if c.Present(s.chaosRun != nil, "a chaos schedule") {
 		s.chaosRun.Checkpoint(c)

@@ -69,15 +69,18 @@ type System struct {
 	tel       *telemetry.Tracer
 	fpReasons [telemetry.NumFPReasons]*telemetry.Counter
 
-	// Superblock batch state (fastpath.go). sbPl/sbEntry describe the batch
-	// being executed so the SBHooks (bound once in sbTraceHooks/sbOrigHooks)
-	// can observe it; sbHeadPending defers a trace-head traversal record
-	// until the batch proves the head instruction retired.
+	// Superblock batch state (fastpath.go), set when an in-trace batch
+	// starts and spent when it ends, so it is never checkpointed. sbPl and
+	// sbEntry describe the batch being executed so the SBHooks (bound once
+	// in sbTraceHooks/sbOrigHooks) can observe it; sbHeadPending defers a
+	// traversal record closing at cycle sbHeadAt until the batch proves the
+	// head instruction retired.
 	sbTraceHooks  cpu.SBHooks
 	sbOrigHooks   cpu.SBHooks
 	sbPl          *trident.Placement
 	sbEntry       uint64
 	sbHeadPending bool
+	sbHeadAt      int64
 
 	// Fault injection (nil without cfg.Chaos).
 	chaosRun    *chaos.Run

@@ -41,8 +41,10 @@ type SBHooks struct {
 	// never observes an instruction that crossed the horizon.
 	Branch func(pc uint64, in *isa.Inst, taken bool, now int64) bool
 	// LoopBack is called when a taken branch folds back to the block entry
-	// and the batch continues: the entry instruction is guaranteed to
-	// re-execute within this batch. now is the branch's post-commit cycle.
+	// and the batch continues there. now is the branch's post-commit cycle.
+	// The entry instruction can still pre-stop (NeedSlow, t.PC() at the
+	// entry), so whether it re-executed in this batch is known only from
+	// the SBExec.
 	LoopBack func(now int64)
 	// StopBeforeMiss makes a Load-hooked batch stop *before* (NeedSlow) a
 	// load the fast probe declines instead of retiring it. The caller sets

@@ -1,15 +1,14 @@
 package memsys
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// These tests pin the fast-path entry points (LoadFast, StoreFast,
-// EarliestFill) against the reference operations they short-circuit. The
-// batch engine in internal/core relies on each of these contracts for its
-// bit-identical differential guarantee.
+// These tests pin the fast-path entry points (LoadFast, StoreFast) against
+// the reference operations they short-circuit. The batch engine in
+// internal/core relies on each of these contracts for its bit-identical
+// differential guarantee.
 
 // TestStoreRetiresCompletedFills is the regression test for the Store sweep:
 // at MSHR capacity a store must retire completed fills exactly as a load at
@@ -78,64 +77,6 @@ func TestStoreFastDeclinesAtCapacity(t *testing.T) {
 	}
 }
 
-// TestEarliestFillConservative pins the lazy-heap contract behind the batch
-// horizon: EarliestFill may return a cycle EARLIER than the true earliest
-// pending fill (an early horizon just splits a batch), but never later, and
-// it must converge to MaxInt64 once nothing is pending.
-func TestEarliestFillConservative(t *testing.T) {
-	h := New(smallConfig())
-	if ef := h.EarliestFill(0); ef != math.MaxInt64 {
-		t.Fatalf("empty hierarchy horizon = %d", ef)
-	}
-	r := h.Load(1, 0x4000, 0)
-	ready := r.Latency
-	if ef := h.EarliestFill(0); ef > ready {
-		t.Fatalf("horizon %d beyond pending fill at %d", ef, ready)
-	}
-
-	// Retire the fill through Drain: the heap entry goes stale. A stale
-	// bound may still surface (conservative: it is earlier than the true
-	// earliest, now +inf) but must be popped once the clock passes it.
-	h.Drain(ready + 1)
-	if h.InFlight() != 0 {
-		t.Fatalf("drain left %d in flight", h.InFlight())
-	}
-	if ef := h.EarliestFill(ready - 1); ef > ready {
-		t.Fatalf("stale horizon %d beyond retired fill at %d", ef, ready)
-	}
-	if ef := h.EarliestFill(ready); ef != math.MaxInt64 {
-		t.Fatalf("stale entry not popped: horizon = %d", ef)
-	}
-
-	// Several staggered fills: the horizon is never beyond the next arrival
-	// and is nondecreasing as the clock advances past each one.
-	base := 20 * h.cfg.MemLatency
-	for i := 0; i < 3; i++ {
-		h.Prefetch(uint64(0x80000+i*h.cfg.LineSize), base)
-	}
-	prev := int64(0)
-	for now := base; h.EarliestFill(now) != math.MaxInt64; now++ {
-		ef := h.EarliestFill(now)
-		if ef < prev {
-			t.Fatalf("horizon went backwards: %d after %d", ef, prev)
-		}
-		if ef < now {
-			t.Fatalf("pending horizon %d before now %d", ef, now)
-		}
-		prev = ef
-		if now > base+10*h.cfg.MemLatency {
-			t.Fatal("horizon never drained")
-		}
-	}
-
-	// FlushCaches cancels fills and must clear the heap with them.
-	h.Load(1, 0xf0000, base)
-	h.FlushCaches()
-	if ef := h.EarliestFill(base); ef != math.MaxInt64 {
-		t.Fatalf("horizon survived flush: %d", ef)
-	}
-}
-
 // TestFastSlowMemDifferential drives two hierarchies through the same
 // randomized load/store/prefetch mix — one through the fast entry points
 // with slow-path fallback, one through the reference operations only — and
@@ -162,11 +103,7 @@ func TestFastSlowMemDifferential(t *testing.T) {
 		}
 		switch op := rng.Intn(10); {
 		case op < 6:
-			can := hF.CanLoadFast(addr, now)
 			rF, ok := hF.LoadFast(1, addr, now)
-			if ok != can {
-				t.Fatalf("access %d: CanLoadFast %v but LoadFast ok=%v", i, can, ok)
-			}
 			if !ok {
 				rF = hF.Load(1, addr, now)
 			}

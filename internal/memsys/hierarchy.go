@@ -1,7 +1,5 @@
 package memsys
 
-import "math"
-
 // Config describes the whole memory hierarchy. The defaults reproduce the
 // paper's Table 1.
 type Config struct {
@@ -161,13 +159,6 @@ type Hierarchy struct {
 	prefetcher Prefetcher
 	victims    *victimSet
 
-	// fillHeap is a lazy min-heap of the ready cycles of fills that were in
-	// flight at some point: puts push, deletions leave stale entries behind
-	// (they only ever make the heap's answer conservative), and EarliestFill
-	// pops everything at or below the current cycle. Bounded by the fills
-	// issued within one memory latency of now, so it stays tiny.
-	fillHeap []int64
-
 	// warming neutralizes StartFill's timing side effects while the warm
 	// probes (warm.go) train the prefetcher: fills answer "ready now" with
 	// no bus, stats, or lower-level traffic. Transient — set and cleared
@@ -253,7 +244,7 @@ func (h *Hierarchy) Load(pc, addr uint64, now int64) Result {
 // call — which by construction never allocates a stream.
 func (h *Hierarchy) LoadFast(pc, addr uint64, now int64) (Result, bool) {
 	la := h.Line(addr)
-	if !h.fastGate(la) {
+	if h.inflight.len() >= h.cfg.MaxInFlight || h.inflight.contains(la) {
 		return Result{}, false
 	}
 	w := h.l1.lookup(la) // pure on miss: recency moves only on hit
@@ -275,23 +266,6 @@ func (h *Hierarchy) LoadFast(pc, addr uint64, now int64) (Result, bool) {
 	return res, true
 }
 
-// fastGate is the pure precondition shared by every fast probe: below MSHR
-// capacity (sweep provably inert) and no in-flight fill for the line (the
-// inflight probe classifies nothing). Kept tiny so the batch executors'
-// per-load gates inline it.
-func (h *Hierarchy) fastGate(la uint64) bool {
-	return h.inflight.len() < h.cfg.MaxInFlight && !h.inflight.contains(la)
-}
-
-// CanLoadFast reports whether LoadFast(pc, addr, now) would succeed,
-// without committing anything. The batch engine uses it to decide whether
-// launching a superblock at a trace head is guaranteed to retire at least
-// its first instruction.
-func (h *Hierarchy) CanLoadFast(addr uint64, now int64) bool {
-	la := h.Line(addr)
-	return h.fastGate(la) && h.l1.contains(la)
-}
-
 func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 	// In-flight fill probe: a line whose data has not arrived yet gives a
 	// partial hit for the residual latency; the first use of a prefetch
@@ -308,7 +282,7 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 			}
 			return Result{Latency: lat, Outcome: out, L1Miss: true}
 		}
-		h.fillDel(la)
+		h.inflight.del(la)
 	}
 
 	// L1 probe.
@@ -345,7 +319,7 @@ func (h *Hierarchy) loadLine(la uint64, now int64) Result {
 		out = MissDueToPrefetch
 	}
 	h.installL1(la, FillDemand)
-	h.fillPut(la, fill{ready: now + lat, source: FillDemand})
+	h.inflight.put(la, fill{ready: now + lat, source: FillDemand})
 	return Result{Latency: lat, Outcome: out, L1Miss: true}
 }
 
@@ -403,7 +377,7 @@ func (h *Hierarchy) Prefetch(addr uint64, now int64) {
 	}
 	lat, _ := h.probeBelow(la, now, true, true)
 	h.installL1(la, FillSWPrefetch)
-	h.fillPut(la, fill{ready: now + lat, source: FillSWPrefetch})
+	h.inflight.put(la, fill{ready: now + lat, source: FillSWPrefetch})
 }
 
 // StartFill initiates a line fetch on behalf of the hardware stream
@@ -495,65 +469,6 @@ func (h *Hierarchy) Drain(now int64) {
 	h.inflight.deleteWhere(func(_ uint64, f fill) bool { return f.ready <= now })
 }
 
-// fillPut tracks a new in-flight fill and pushes its ready cycle onto the
-// lazy heap backing EarliestFill.
-func (h *Hierarchy) fillPut(la uint64, f fill) {
-	hp := append(h.fillHeap, f.ready)
-	for i := len(hp) - 1; i > 0; {
-		p := (i - 1) / 2
-		if hp[p] <= hp[i] {
-			break
-		}
-		hp[p], hp[i] = hp[i], hp[p]
-		i = p
-	}
-	h.fillHeap = hp
-	h.inflight.put(la, f)
-}
-
-// fillDel removes an in-flight fill. The heap entry is left behind:
-// deletion can only raise the true minimum, so the stale entry makes
-// EarliestFill answer early at worst — an early horizon just splits a
-// batch, never produces a wrong one — and it pops as soon as the clock
-// passes its ready cycle.
-func (h *Hierarchy) fillDel(la uint64) {
-	h.inflight.del(la)
-}
-
-// EarliestFill returns a cycle no later than the earliest ready cycle
-// strictly after now among in-flight fills, or math.MaxInt64 when none is
-// pending. The batch engine folds this into the event horizon so a batch
-// never runs past the cycle a partial hit's residual latency would change;
-// a conservative (early) answer is harmless. Ready cycles are immutable, so
-// heap entries at or below now can never matter again and are popped.
-func (h *Hierarchy) EarliestFill(now int64) int64 {
-	hp := h.fillHeap
-	for len(hp) > 0 && hp[0] <= now {
-		n := len(hp) - 1
-		hp[0] = hp[n]
-		hp = hp[:n]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && hp[c+1] < hp[c] {
-				c++
-			}
-			if hp[i] <= hp[c] {
-				break
-			}
-			hp[i], hp[c] = hp[c], hp[i]
-			i = c
-		}
-	}
-	h.fillHeap = hp
-	if len(hp) == 0 {
-		return math.MaxInt64
-	}
-	return hp[0]
-}
-
 // InFlight returns the number of outstanding fills.
 func (h *Hierarchy) InFlight() int { return h.inflight.len() }
 
@@ -586,7 +501,6 @@ func (h *Hierarchy) FlushCaches() {
 	h.l2.flush()
 	h.l3.flush()
 	h.inflight.clear()
-	h.fillHeap = h.fillHeap[:0]
 	h.victims.clear()
 }
 

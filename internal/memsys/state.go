@@ -10,7 +10,7 @@ import (
 // Checkpoint serialization (DESIGN §12). The hierarchy restores into an
 // object freshly built from the same Config; only mutable state travels:
 // the chaos-adjustable latency knobs, cache contents in recency order, the
-// MSHR table, the bus cursor, the victim ring, the fill heap, and Stats.
+// MSHR table, the bus cursor, the victim ring, and Stats.
 //
 // The MSHR table is hash-ordered in memory; it serializes content-sorted by
 // line address so two identical machines produce identical bytes regardless
@@ -70,8 +70,6 @@ func (h *Hierarchy) Checkpoint(c *checkpoint.Codec) {
 			}
 		}
 	}
-
-	checkpoint.Slice(c, &h.fillHeap, (*checkpoint.Codec).I64)
 
 	s := &h.Stats
 	c.U64(&s.Loads)

@@ -73,6 +73,16 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -chaos monkey \
 	-checkpoint-every 200000 -checkpoint-dir "$enginedir/chaos" > /dev/null
 go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -chaos monkey \
 	-restore "$enginedir/chaos/mcf.ckpt" | diff "$enginedir/chaos.out" -
+# Traversal records across engines: under chaos, equake's trace head often
+# pre-stops right after a batched loop-back and retires through step(). The
+# traversal that loop-back closed must be recorded once, so the
+# trace_traversals gauge matches the reference loop's.
+go run ./cmd/tridentsim -bench equake -scale small -instrs 600000 -chaos monkey \
+	-metrics-out "$enginedir/trav-fast.json" > /dev/null
+go run ./cmd/tridentsim -bench equake -scale small -instrs 600000 -chaos monkey -slowpath \
+	-metrics-out "$enginedir/trav-slow.json" > /dev/null
+grep '"trace_traversals"' "$enginedir/trav-fast.json" > "$enginedir/trav-fast.txt"
+grep '"trace_traversals"' "$enginedir/trav-slow.json" | diff "$enginedir/trav-fast.txt" -
 rm -rf "$enginedir"
 # Golden conformance, twice in one process: -count=2 re-runs every workload
 # against the checked-in event streams, and every experiment table (plus
