@@ -3,11 +3,13 @@ package trace
 import "tridentsp/internal/isa"
 
 // This file implements the classical optimizations Trident applies to a
-// streamlined trace (§3.2): constant propagation and folding, redundant
-// load removal, store/load forwarding to MOVE, redundant branch removal,
-// strength reduction, and instruction re-association.
+// streamlined trace (§3.2): constant propagation and folding, and redundant
+// branch removal. ReduceKnownOperands (specialize.go) runs with them; it is
+// what makes value specialization pay. §3.2's other passes find no work on
+// these kernels (DESIGN §2).
 //
-// Every pass preserves two invariants checked by tests:
+// Every pass preserves two invariants checked by tests
+// (TestOptimizeTransparencyProperty, TestOptimizeWeightConservationProperty):
 //
 //  1. Architectural transparency: at every instruction boundary (hence at
 //     every possible trace exit) all registers hold exactly the values the
@@ -20,17 +22,16 @@ import "tridentsp/internal/isa"
 //     reflects the original program.
 
 // Optimize runs all passes to a bounded fixpoint and returns the number of
-// instructions changed or removed.
+// instructions changed or removed. A second round is needed when
+// ReduceKnownOperands makes a register known (`and rd, ra, zero` becomes
+// `ldi rd, 0`) after PropagateConstants has passed the instructions that
+// read it.
 func Optimize(t *Trace) int {
 	total := 0
 	for iter := 0; iter < 4; iter++ {
 		n := PropagateConstants(t)
 		n += ReduceKnownOperands(t)
-		n += ForwardLoadsStores(t)
-		n += StrengthReduce(t)
-		n += Reassociate(t)
 		n += RemoveRedundantBranches(t)
-		n += RemoveNops(t)
 		total += n
 		if n == 0 {
 			break
@@ -191,168 +192,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// availEntry remembers one memory location, identified as (base register,
-// offset) — valid only while the base register is unchanged — and the
-// register holding its value. The available set is a small slice with
-// linear search: traces are short and the set rarely holds more than a
-// handful of live locations, so scanning beats a map and allocates nothing
-// after the first few appends.
-type availEntry struct {
-	base isa.Reg
-	off  int64
-	src  isa.Reg
-}
-
-type availSet struct{ entries []availEntry }
-
-func (a *availSet) find(base isa.Reg, off int64) (isa.Reg, bool) {
-	for i := range a.entries {
-		if a.entries[i].base == base && a.entries[i].off == off {
-			return a.entries[i].src, true
-		}
-	}
-	return 0, false
-}
-
-func (a *availSet) put(base isa.Reg, off int64, src isa.Reg) {
-	for i := range a.entries {
-		if a.entries[i].base == base && a.entries[i].off == off {
-			a.entries[i].src = src
-			return
-		}
-	}
-	a.entries = append(a.entries, availEntry{base: base, off: off, src: src})
-}
-
-// invalidateReg drops every entry whose base or source is r.
-func (a *availSet) invalidateReg(r isa.Reg) {
-	kept := a.entries[:0]
-	for _, e := range a.entries {
-		if e.base != r && e.src != r {
-			kept = append(kept, e)
-		}
-	}
-	a.entries = kept
-}
-
-func (a *availSet) reset() { a.entries = a.entries[:0] }
-
-// ForwardLoadsStores rewrites redundant loads as MOVEs: a load from the
-// same (base, offset) as an earlier load or store — with the base and the
-// source register unmodified in between, and no intervening store that
-// could alias — copies the remembered register instead of accessing memory.
-// This subsumes both Trident's redundant load removal and its store/load →
-// MOVE conversion (§3.2). It returns the number of loads rewritten.
-func ForwardLoadsStores(t *Trace) int {
-	var avail availSet
-	changed := 0
-	for i := range t.Insts {
-		ti := &t.Insts[i]
-		in := ti.Inst
-		switch in.Op {
-		case isa.LD: // LDNF excluded: its value depends on mapping validity
-			if src, ok := avail.find(in.Ra, in.Imm); ok && src != in.Rd {
-				ti.Inst = isa.Inst{Op: isa.MOVE, Rd: in.Rd, Ra: src}
-				changed++
-				avail.invalidateReg(in.Rd)
-				avail.put(in.Ra, in.Imm, in.Rd)
-				continue
-			}
-			avail.invalidateReg(in.Rd)
-			if in.Rd != isa.ZeroReg && in.Rd != in.Ra {
-				avail.put(in.Ra, in.Imm, in.Rd)
-			}
-		case isa.ST:
-			// No alias analysis: a store invalidates every remembered
-			// location except the one it defines.
-			avail.reset()
-			if in.Rb != isa.ZeroReg {
-				avail.put(in.Ra, in.Imm, in.Rb)
-			}
-		default:
-			if rd, ok := Writes(in); ok {
-				avail.invalidateReg(rd)
-			}
-		}
-	}
-	return changed
-}
-
-// StrengthReduce replaces expensive operations with cheaper equivalents:
-// multiplication by a power of two becomes a shift, by one a MOVE, by zero
-// an LDI 0. It returns the number of instructions rewritten.
-func StrengthReduce(t *Trace) int {
-	changed := 0
-	for i := range t.Insts {
-		ti := &t.Insts[i]
-		in := ti.Inst
-		if in.Op != isa.MULI {
-			continue
-		}
-		switch {
-		case in.Imm == 0:
-			ti.Inst = isa.Inst{Op: isa.LDI, Rd: in.Rd, Imm: 0}
-			changed++
-		case in.Imm == 1:
-			ti.Inst = isa.Inst{Op: isa.MOVE, Rd: in.Rd, Ra: in.Ra}
-			changed++
-		case in.Imm > 1 && in.Imm&(in.Imm-1) == 0:
-			sh := int64(0)
-			for v := in.Imm; v > 1; v >>= 1 {
-				sh++
-			}
-			ti.Inst = isa.Inst{Op: isa.SLLI, Rd: in.Rd, Ra: in.Ra, Imm: sh}
-			changed++
-		}
-	}
-	return changed
-}
-
-// Reassociate merges adjacent immediate-add chains on the same register
-// (`addi r,r,a ; addi r,r,b` → `addi r,r,a+b`), a pattern trace
-// streamlining produces when loop increments from several blocks land next
-// to each other. Only adjacent pairs are merged, so the intermediate value
-// is never observable. It returns the number of instructions removed.
-func Reassociate(t *Trace) int {
-	removed := 0
-	for i := 0; i+1 < len(t.Insts); i++ {
-		a, b := &t.Insts[i], &t.Insts[i+1]
-		if !isSelfAdd(a.Inst) || !isSelfAdd(b.Inst) || a.Inst.Rd != b.Inst.Rd {
-			continue
-		}
-		sum := addImm(a.Inst) + addImm(b.Inst)
-		if !fits(sum) && !fits(-sum) {
-			continue
-		}
-		merged := isa.Inst{Op: isa.ADDI, Rd: a.Inst.Rd, Ra: a.Inst.Ra, Imm: sum}
-		if sum < 0 {
-			merged = isa.Inst{Op: isa.SUBI, Rd: a.Inst.Rd, Ra: a.Inst.Ra, Imm: -sum}
-		}
-		b.Inst = merged
-		b.Weight += a.Weight
-		t.Insts = append(t.Insts[:i], t.Insts[i+1:]...)
-		removed++
-		i--
-	}
-	return removed
-}
-
-// isSelfAdd matches `addi r, r, c`, `subi r, r, c`, and `lda r, r, c`.
-func isSelfAdd(in isa.Inst) bool {
-	switch in.Op {
-	case isa.ADDI, isa.SUBI, isa.LDA:
-		return in.Rd == in.Ra && in.Rd != isa.ZeroReg
-	}
-	return false
-}
-
-func addImm(in isa.Inst) int64 {
-	if in.Op == isa.SUBI {
-		return -in.Imm
-	}
-	return in.Imm
-}
-
 // RemoveRedundantBranches deletes conditional exits whose outcome is a
 // known constant. A branch that provably stays on the trace is a no-op; a
 // branch that provably exits is rewritten as an unconditional exit (and the
@@ -412,21 +251,6 @@ func condValue(in isa.Inst, known *regVals) (bool, bool) {
 		return int64(v) >= 0, true
 	}
 	return false, false
-}
-
-// RemoveNops deletes NOPs, donating their weight. It returns the number
-// removed.
-func RemoveNops(t *Trace) int {
-	removed := 0
-	for i := 0; i < len(t.Insts); i++ {
-		if t.Insts[i].Inst.Op == isa.NOP {
-			donateWeight(t, i)
-			t.Insts = append(t.Insts[:i], t.Insts[i+1:]...)
-			removed++
-			i--
-		}
-	}
-	return removed
 }
 
 // donateWeight moves instruction i's weight to its successor (or

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -14,9 +15,11 @@ func randTrace(r *rand.Rand) *Trace {
 	n := 4 + r.Intn(40)
 	for i := 0; i < n; i++ {
 		var in isa.Inst
-		switch r.Intn(8) {
+		switch r.Intn(10) {
 		case 0:
-			in = isa.Inst{Op: isa.LDI, Rd: isa.Reg(1 + r.Intn(12)), Imm: int64(r.Intn(1 << 12))}
+			// Zero and powers of two give ReduceKnownOperands work.
+			imm := []int64{0, 1, 8, int64(r.Intn(1 << 12))}[r.Intn(4)]
+			in = isa.Inst{Op: isa.LDI, Rd: isa.Reg(1 + r.Intn(12)), Imm: imm}
 		case 1:
 			in = isa.Inst{Op: isa.ADDI, Rd: isa.Reg(1 + r.Intn(12)), Ra: isa.Reg(1 + r.Intn(12)), Imm: int64(r.Intn(64))}
 		case 2:
@@ -29,6 +32,10 @@ func randTrace(r *rand.Rand) *Trace {
 			in = isa.Inst{Op: isa.ADD, Rd: isa.Reg(1 + r.Intn(12)), Ra: isa.Reg(1 + r.Intn(12)), Rb: isa.Reg(1 + r.Intn(12))}
 		case 6:
 			in = isa.Inst{Op: isa.NOP}
+		case 7:
+			in = isa.Inst{Op: isa.AND, Rd: isa.Reg(1 + r.Intn(12)), Ra: isa.Reg(1 + r.Intn(12)), Rb: isa.Reg(1 + r.Intn(12))}
+		case 8:
+			in = isa.Inst{Op: isa.MUL, Rd: isa.Reg(1 + r.Intn(12)), Ra: isa.Reg(1 + r.Intn(12)), Rb: isa.Reg(1 + r.Intn(12))}
 		default:
 			in = isa.Inst{Op: isa.MOVE, Rd: isa.Reg(1 + r.Intn(12)), Ra: isa.Reg(1 + r.Intn(12))}
 		}
@@ -103,6 +110,131 @@ func TestOptimizeIdempotent(t *testing.T) {
 	}
 }
 
+// testedBranches gives every exit of tr its own target, so an evaluation
+// reports which exit it took, and moves about half the exit branches onto
+// BEQ/BNE of general registers, whose direction the passes can prove.
+func testedBranches(r *rand.Rand, tr *Trace) {
+	for i := range tr.Insts {
+		ti := &tr.Insts[i]
+		if ti.Kind == Normal {
+			continue
+		}
+		ti.ExitTarget += uint64(i) * isa.WordSize
+		if ti.Kind == ExitBranch && r.Intn(2) == 0 {
+			ti.Inst = isa.Inst{Op: []isa.Op{isa.BEQ, isa.BNE}[r.Intn(2)], Ra: isa.Reg(1 + r.Intn(12))}
+		}
+	}
+}
+
+// randWord draws a register or memory word: zero, small, or any 64 bits.
+func randWord(r *rand.Rand) uint64 {
+	switch r.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(r.Intn(64))
+	}
+	return r.Uint64()
+}
+
+// evalTrace executes tr over regs and word-addressed mem with the
+// machine's semantics until an exit is taken, and returns the exit target.
+// It knows only the opcodes randTrace emits and the passes produce.
+func evalTrace(t *testing.T, tr *Trace, regs *[isa.NumRegs]uint64, mem map[uint64]uint64) uint64 {
+	t.Helper()
+	for _, ti := range tr.Insts {
+		in := ti.Inst
+		a, b, imm := regs[in.Ra], regs[in.Rb], uint64(in.Imm)
+		var v uint64
+		switch in.Op {
+		case isa.NOP:
+			continue
+		case isa.LDI:
+			v = imm
+		case isa.MOVE:
+			v = a
+		case isa.ADDI:
+			v = a + imm
+		case isa.MULI:
+			v = a * imm
+		case isa.SLLI:
+			v = a << (imm & 63)
+		case isa.ADD:
+			v = a + b
+		case isa.AND:
+			v = a & b
+		case isa.MUL:
+			v = a * b
+		case isa.LD:
+			v = mem[(a+imm)>>3]
+		case isa.ST:
+			mem[(a+imm)>>3] = b
+			continue
+		case isa.BEQ, isa.BNE:
+			if (a == 0) == (in.Op == isa.BEQ) {
+				return ti.ExitTarget
+			}
+			continue
+		case isa.BR:
+			return ti.ExitTarget
+		default:
+			t.Fatalf("evaluator has no rule for %v", in)
+		}
+		if in.Rd != isa.ZeroReg {
+			regs[in.Rd] = v
+		}
+	}
+	t.Fatalf("trace ran off its end:\n%s", tr)
+	return 0
+}
+
+// TestOptimizeTransparencyProperty checks invariant 1 where it is observed:
+// from the same registers and memory, the optimized trace leaves by the
+// same exit as the original, with every register and memory word equal.
+func TestOptimizeTransparencyProperty(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed + 3000))
+		orig := randTrace(r)
+		testedBranches(r, orig)
+		opt := orig.Clone()
+		Optimize(opt)
+		for run := 0; run < 4; run++ {
+			var regs [isa.NumRegs]uint64
+			for i := range regs {
+				if isa.Reg(i) != isa.ZeroReg {
+					regs[i] = randWord(r)
+				}
+			}
+			mem := map[uint64]uint64{}
+			for w := uint64(0); w < 16; w++ {
+				mem[w] = randWord(r)
+			}
+			regsOpt, memOpt := regs, maps.Clone(mem)
+			exit := evalTrace(t, orig, &regs, mem)
+			exitOpt := evalTrace(t, opt, &regsOpt, memOpt)
+			if exit != exitOpt || regs != regsOpt || !maps.Equal(mem, memOpt) {
+				t.Fatalf("seed %d run %d: exit %#x -> %#x\nregs %v\n  -> %v\noriginal:\n%s\noptimized:\n%s",
+					seed, run, exit, exitOpt, regs, regsOpt, orig, opt)
+			}
+		}
+	}
+}
+
+func TestOptimizeFoldsAfterKnownOperandReduction(t *testing.T) {
+	// ReduceKnownOperands turns the AND into `ldi r2, 0` after
+	// PropagateConstants has passed the ADDI; only a second round of the
+	// fixpoint folds the ADDI.
+	tr := mkTrace(
+		norm(isa.LDI, 1, 0, 0, 0),
+		norm(isa.AND, 2, 3, 1, 0),
+		norm(isa.ADDI, 4, 2, 0, 4),
+	)
+	Optimize(tr)
+	if in := tr.Insts[2].Inst; in.Op != isa.LDI || in.Rd != 4 || in.Imm != 4 {
+		t.Fatalf("addi after reduced and not folded:\n%s", tr)
+	}
+}
+
 func TestOptimizeTruncationDropsDeadWeight(t *testing.T) {
 	// An always-exiting branch truncates the trace; the dead tail's
 	// weight disappears with it, correctly: the original program leaves
@@ -168,45 +300,6 @@ func TestPropagateConstantsUsesZeroRegister(t *testing.T) {
 	PropagateConstants(tr)
 	if tr.Insts[1].Inst.Op != isa.LDI || tr.Insts[1].Inst.Imm != 7 {
 		t.Fatalf("zero-reg fold: %+v", tr.Insts[1].Inst)
-	}
-}
-
-func TestForwardZeroRegStoreNotMemoized(t *testing.T) {
-	// st rz, 0(r1) stores zero; forwarding it as a register copy of rz
-	// would be legal, but the implementation skips it — verify the load
-	// is simply left alone (no bogus MOVE from rz).
-	tr := mkTrace(
-		Inst{Inst: isa.Inst{Op: isa.ST, Rb: isa.ZeroReg, Ra: 1, Imm: 0}, Kind: Normal, Weight: 1},
-		norm(isa.LD, 2, 1, 0, 0),
-	)
-	ForwardLoadsStores(tr)
-	if tr.Insts[1].Inst.Op != isa.LD {
-		t.Fatalf("zero store forwarded: %+v", tr.Insts[1].Inst)
-	}
-}
-
-func TestReassociateLDAChains(t *testing.T) {
-	tr := mkTrace(
-		norm(isa.LDA, 1, 1, 0, 16),
-		norm(isa.LDA, 1, 1, 0, 48),
-	)
-	if n := Reassociate(tr); n != 1 {
-		t.Fatalf("merged %d", n)
-	}
-	if tr.Insts[0].Inst.Imm != 64 {
-		t.Fatalf("merged imm = %d", tr.Insts[0].Inst.Imm)
-	}
-}
-
-func TestReassociateMixedAddSub(t *testing.T) {
-	tr := mkTrace(
-		norm(isa.ADDI, 1, 1, 0, 4),
-		norm(isa.SUBI, 1, 1, 0, 12),
-	)
-	Reassociate(tr)
-	in := tr.Insts[0].Inst
-	if in.Op != isa.SUBI || in.Imm != 8 {
-		t.Fatalf("mixed merge: %+v", in)
 	}
 }
 

@@ -44,6 +44,10 @@ sim() {
 sim -bench mcf,swim -j 2 -v
 sim -bench art -valspec -hw 4x4 -sw basic -checkpoint-every 200000 -checkpoint-dir "$run/art"
 sim -bench vis -hw none -sw whole-object
+# The trace optimizer's passes change nothing on most kernels. These two
+# runs pin the audit's reach of them to one run each: parser folds 7
+# constants and removes a branch, vis reduces a known operand.
+sim -bench parser,vis -valspec
 sim -bench mcf -sw off -trident=true
 sim -bench mcf -link=false
 sim -bench mcf -hw next-line -hw-degree 2
