@@ -463,15 +463,6 @@ func (h *Hierarchy) sweep(now int64) {
 	h.inflight.deleteWhere(func(_ uint64, f fill) bool { return f.ready <= now })
 }
 
-// Drain retires every fill completed by now; tests use it to reach a
-// settled state.
-func (h *Hierarchy) Drain(now int64) {
-	h.inflight.deleteWhere(func(_ uint64, f fill) bool { return f.ready <= now })
-}
-
-// InFlight returns the number of outstanding fills.
-func (h *Hierarchy) InFlight() int { return h.inflight.len() }
-
 // SetMemLatency changes the memory access latency mid-run (fault injection:
 // a memory-system phase shift). Accesses already in flight keep the latency
 // they were issued with. Values below 1 are clamped to 1.

@@ -10,7 +10,22 @@
 // ahead of the load, fetching successive lines through the memory system's
 // fill port. Demand misses that match a buffered line are supplied from the
 // buffer and the stream advances.
+//
+// Finding a line does not scan every entry of every buffer. A holder index
+// keeps one mask per hash slot: bit i is set exactly while buffer i holds
+// some entry whose line hashes to that slot. Lookup, Contains and the
+// allocation dedup test visit only the buffers named in the line's mask, in
+// ascending order, which is the scan's first-buffer-wins order, so every
+// supply is the one the scan would make. The index is derived from the
+// entries, so it is rebuilt on restore and never serialized. Its masks are
+// uint64, which caps NumBuffers at 64. TestStreamBuffersMatchReference holds
+// the engine to a scan-only copy of itself.
 package streambuf
+
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes the stream buffer engine.
 type Config struct {
@@ -95,6 +110,10 @@ type StreamBuffers struct {
 	port    FillPort
 	table   []strideEntry
 	buffers []buffer
+	// holders is the holder index: holders[slotOf(line)] has bit i set
+	// while buffers[i] holds an entry whose line hashes to that slot.
+	holders   []uint64
+	slotShift uint // 64 - log2(len(holders))
 	// lineShift is log2(LineSize) when the line size is a power of two
 	// (negative otherwise): lineOf runs per committed load, and the shift
 	// avoids a hardware divide there.
@@ -102,17 +121,28 @@ type StreamBuffers struct {
 	Stats     Stats
 }
 
-// New builds the engine around a fill port.
+// New builds the engine around a fill port. It panics if NumBuffers exceeds
+// 64, the width of a holder-index mask.
 func New(cfg Config, port FillPort) *StreamBuffers {
+	if cfg.NumBuffers > 64 {
+		panic(fmt.Sprintf("streambuf: %d buffers exceed the holder index's 64-bit masks", cfg.NumBuffers))
+	}
 	n := 1
 	for n*2 <= cfg.HistoryEntries {
 		n *= 2
 	}
+	// Sixteen slots per buffered line keep collisions rare.
+	slots := 1
+	for slots < 16*cfg.NumBuffers*cfg.BufferEntries {
+		slots *= 2
+	}
 	s := &StreamBuffers{
-		cfg:     cfg,
-		port:    port,
-		table:   make([]strideEntry, n),
-		buffers: make([]buffer, cfg.NumBuffers),
+		cfg:       cfg,
+		port:      port,
+		table:     make([]strideEntry, n),
+		buffers:   make([]buffer, cfg.NumBuffers),
+		holders:   make([]uint64, slots),
+		slotShift: uint(64 - bits.TrailingZeros(uint(slots))),
 	}
 	for i := range s.buffers {
 		s.buffers[i].entries = make([]bufEntry, 0, cfg.BufferEntries)
@@ -134,15 +164,20 @@ func (s *StreamBuffers) lineOf(addr uint64) uint64 {
 	return addr / uint64(s.cfg.LineSize)
 }
 
+// slotOf hashes a line to its holder-index slot. Fibonacci hashing spreads
+// lines a power of two apart, such as the same offset in aligned arrays,
+// over the slots instead of piling them into one.
+func (s *StreamBuffers) slotOf(line uint64) uint64 {
+	return (line * 0x9E3779B97F4A7C15) >> s.slotShift
+}
+
 // Lookup supplies a demand miss from a buffer if any stream holds the line.
 // The supplying entry (and any stale entries before it) are consumed and the
 // stream advances. Implements memsys.Prefetcher.
 func (s *StreamBuffers) Lookup(lineAddr uint64, now int64) (int64, bool) {
-	for bi := range s.buffers {
+	for m := s.holders[s.slotOf(lineAddr)]; m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
 		b := &s.buffers[bi]
-		if !b.active {
-			continue
-		}
 		for ei := range b.entries {
 			if b.entries[ei].line != lineAddr {
 				continue
@@ -150,24 +185,40 @@ func (s *StreamBuffers) Lookup(lineAddr uint64, now int64) (int64, bool) {
 			ready := b.entries[ei].ready
 			// Consume this entry and everything before it (the stream
 			// has moved past those lines).
+			s.release(bi, b.entries[:ei+1], b.entries[ei+1:])
 			b.entries = append(b.entries[:0], b.entries[ei+1:]...)
 			b.lastUse = now
 			s.Stats.Supplies++
-			s.refillTo(b, now, s.cfg.BufferEntries)
+			s.refillTo(bi, now, s.cfg.BufferEntries)
 			return ready, true
 		}
 	}
 	return 0, false
 }
 
+// release clears buffer bi's holder bits for the gone entries, except in
+// slots that one of its kept entries still hashes to.
+func (s *StreamBuffers) release(bi int, gone, kept []bufEntry) {
+	bit := uint64(1) << uint(bi)
+	for _, e := range gone {
+		slot := s.slotOf(e.line)
+		shared := false
+		for _, k := range kept {
+			if s.slotOf(k.line) == slot {
+				shared = true
+				break
+			}
+		}
+		if !shared {
+			s.holders[slot] &^= bit
+		}
+	}
+}
+
 // Contains reports (without consuming) whether any stream holds the line.
 func (s *StreamBuffers) Contains(lineAddr uint64) bool {
-	for bi := range s.buffers {
-		b := &s.buffers[bi]
-		if !b.active {
-			continue
-		}
-		for _, e := range b.entries {
+	for m := s.holders[s.slotOf(lineAddr)]; m != 0; m &= m - 1 {
+		for _, e := range s.buffers[bits.TrailingZeros64(m)].entries {
 			if e.line == lineAddr {
 				return true
 			}
@@ -214,19 +265,14 @@ func (s *StreamBuffers) Train(pc, addr uint64, now int64, l1Miss bool) {
 // already covering this line sequence it is left alone.
 func (s *StreamBuffers) allocate(addr uint64, stride int64, now int64) {
 	first := s.nextLine(s.lineOf(addr), addr, stride)
-	// A stream already heading for this line? Leave it.
+	// A stream already holding this line, or heading for it? Leave it.
+	if s.Contains(first) {
+		return
+	}
 	for bi := range s.buffers {
 		b := &s.buffers[bi]
-		if !b.active {
-			continue
-		}
-		if b.nextLine == first && b.stride == stride {
+		if b.active && b.nextLine == first && b.stride == stride {
 			return
-		}
-		for _, e := range b.entries {
-			if e.line == first {
-				return
-			}
 		}
 	}
 	// Pick a victim: an inactive buffer, else the least recently useful —
@@ -254,6 +300,7 @@ func (s *StreamBuffers) allocate(addr uint64, stride int64, now int64) {
 		}
 	}
 	b := &s.buffers[victim]
+	s.release(victim, b.entries, nil)
 	b.entries = b.entries[:0]
 	b.stride = stride
 	b.nextLine = first
@@ -262,7 +309,7 @@ func (s *StreamBuffers) allocate(addr uint64, stride int64, now int64) {
 	// New streams ramp up: fetch a couple of lines now and deepen only as
 	// supplies prove the stream useful. This keeps a thrashing allocation
 	// storm (more streams than buffers) from flooding the memory bus.
-	s.refillTo(b, now, 2)
+	s.refillTo(victim, now, 2)
 }
 
 // nextLine computes the first line strictly after the line containing addr
@@ -277,8 +324,9 @@ func (s *StreamBuffers) nextLine(curLine uint64, addr uint64, stride int64) uint
 	}
 }
 
-// refillTo tops the buffer up to the given run-ahead depth.
-func (s *StreamBuffers) refillTo(b *buffer, now int64, depth int) {
+// refillTo tops buffer bi up to the given run-ahead depth.
+func (s *StreamBuffers) refillTo(bi int, now int64, depth int) {
+	b := &s.buffers[bi]
 	if depth > s.cfg.BufferEntries {
 		depth = s.cfg.BufferEntries
 	}
@@ -304,18 +352,7 @@ func (s *StreamBuffers) refillTo(b *buffer, now int64, depth int) {
 			continue
 		}
 		b.entries = append(b.entries, bufEntry{line: line, ready: ready})
+		s.holders[s.slotOf(line)] |= 1 << uint(bi)
 		s.Stats.Fills++
 	}
-}
-
-// ActiveStreams reports how many buffers are currently allocated (test and
-// debug helper).
-func (s *StreamBuffers) ActiveStreams() int {
-	n := 0
-	for i := range s.buffers {
-		if s.buffers[i].active {
-			n++
-		}
-	}
-	return n
 }

@@ -179,4 +179,11 @@ go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -hw selector \
 	-checkpoint-every 200000 -checkpoint-dir "$hwdir" > /dev/null
 go run ./cmd/tridentsim -bench mcf -scale small -instrs 400000 -hw selector \
 	-restore "$hwdir/mcf.ckpt" | diff "$hwdir/ref.out" -
+# The same resume under Figure 2's weaker 4x4 stream buffers: restore
+# rebuilds the buffers' holder index, which the checkpoint does not carry.
+go run ./cmd/tridentsim -bench swim -scale small -instrs 400000 -hw 4x4 > "$hwdir/swim.out"
+go run ./cmd/tridentsim -bench swim -scale small -instrs 400000 -hw 4x4 \
+	-checkpoint-every 200000 -checkpoint-dir "$hwdir" > /dev/null
+go run ./cmd/tridentsim -bench swim -scale small -instrs 400000 -hw 4x4 \
+	-restore "$hwdir/swim.ckpt" | diff "$hwdir/swim.out" -
 rm -rf "$hwdir"
